@@ -1,0 +1,131 @@
+"""Pure-Python reachability kernel over bitmask DAGs.
+
+Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks.
+`reachable` runs the two-phase d-connection ball game: phase one closes the
+conditioning set under ancestors, phase two bounces over (node, direction)
+states so a path is followed exactly when d-separation says it is open.
+
+The compiled kernel in _fast.pyx mirrors this class method for method; the
+package picks one at import time. Keep the two in lockstep.
+"""
+
+BACKEND = "pure"
+
+_UP = 1
+_DOWN = 0
+
+
+class BitDag:
+    """Immutable DAG over bitmasks, supporting d-connection reachability."""
+
+    __slots__ = ("n", "_parents", "_children")
+
+    def __init__(self, parents):
+        n = len(parents)
+        if n > 64:
+            raise ValueError("bitmask kernel supports at most 64 nodes")
+        self.n = n
+        self._parents = [int(m) for m in parents]
+        children = [0] * n
+        for v, mask in enumerate(self._parents):
+            if mask >> n:
+                raise ValueError(f"parent mask of node {v} references node >= {n}")
+            m = mask
+            while m:
+                low = m & -m
+                children[low.bit_length() - 1] |= 1 << v
+                m ^= low
+        self._children = children
+
+    def parents_mask(self, i):
+        return self._parents[i]
+
+    def children_mask(self, i):
+        return self._children[i]
+
+    def closure_up(self, mask):
+        """mask plus all its ancestors."""
+        out = mask
+        frontier = mask
+        while frontier:
+            step = 0
+            m = frontier
+            while m:
+                low = m & -m
+                step |= self._parents[low.bit_length() - 1]
+                m ^= low
+            frontier = step & ~out
+            out |= frontier
+        return out
+
+    def closure_down(self, mask):
+        """mask plus all its descendants."""
+        out = mask
+        frontier = mask
+        while frontier:
+            step = 0
+            m = frontier
+            while m:
+                low = m & -m
+                step |= self._children[low.bit_length() - 1]
+                m ^= low
+            frontier = step & ~out
+            out |= frontier
+        return out
+
+    def ancestors(self, i):
+        """Strict ancestors of node i, as a mask."""
+        return self.closure_up(1 << i) ^ (1 << i)
+
+    def descendants(self, i):
+        """Strict descendants of node i, as a mask."""
+        return self.closure_down(1 << i) ^ (1 << i)
+
+    def reachable(self, src, z):
+        """Nodes d-connected to the source set given z (sources included)."""
+        anz = self.closure_up(z)
+        vis_up = src
+        vis_down = 0
+        stack = []
+        m = src
+        while m:
+            low = m & -m
+            stack.append((low.bit_length() - 1, _UP))
+            m ^= low
+        while stack:
+            i, direction = stack.pop()
+            bit = 1 << i
+            if direction == _UP:
+                if not (z & bit):
+                    new = self._parents[i] & ~vis_up
+                    vis_up |= new
+                    while new:
+                        low = new & -new
+                        stack.append((low.bit_length() - 1, _UP))
+                        new ^= low
+                    new = self._children[i] & ~vis_down
+                    vis_down |= new
+                    while new:
+                        low = new & -new
+                        stack.append((low.bit_length() - 1, _DOWN))
+                        new ^= low
+            else:
+                if not (z & bit):
+                    new = self._children[i] & ~vis_down
+                    vis_down |= new
+                    while new:
+                        low = new & -new
+                        stack.append((low.bit_length() - 1, _DOWN))
+                        new ^= low
+                if anz & bit:
+                    new = self._parents[i] & ~vis_up
+                    vis_up |= new
+                    while new:
+                        low = new & -new
+                        stack.append((low.bit_length() - 1, _UP))
+                        new ^= low
+        return (vis_up | vis_down) & ~z
+
+    def dsep(self, a, b, z):
+        """True iff every path between masks a and b is blocked by z."""
+        return not (self.reachable(a, z) & b)

@@ -1,0 +1,299 @@
+"""Classify covariates under the six candidate confounder definitions.
+
+The six readings of "C is a confounder for the effect of A on Y":
+
+  D1  in some covariate context X, C is associated with A and with Y
+      given (A, X). Graphically this is d-connection (faithfulness built
+      in); the numeric variant tests exact independence in a model.
+  D2  C is a non-collider on some backdoor path (conditioning on {C}
+      alone blocks that path).
+  D3  C belongs to every minimally sufficient adjustment set.
+  D4  C belongs to some minimally sufficient adjustment set.
+  D5  adding C to some context X strictly shrinks |bias|.
+  D6  adding C to some context X changes the adjusted risk difference.
+
+D1-D4 need only the graph; D5/D6 need a DiscreteModel. Existential
+quantifiers range over subsets of the covariate pool minus C, visited in
+canonical order, so witnesses are reproducible.
+
+The implication lattice: D3=>D4=>D2, D4=>D1, D3=>D1 hold on every DAG
+(D1 in its graphical reading); D5=>D6=>D1, D5=>D1 hold in every model
+(D1 numeric). All other arrows can fail and are only ever counted as
+observations.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .adjust import minimal_sufficient_sets, subsets_canonical
+from .errors import (
+    IncompleteReport,
+    NotACovariate,
+    OverlappingSets,
+    SizeLimit,
+)
+from .graph import d_separated
+
+DEFINITIONS = ("D1", "D2", "D3", "D4", "D5", "D6")
+GRAPH_DEFINITIONS = ("D1", "D2", "D3", "D4")
+MODEL_DEFINITIONS = ("D5", "D6")
+
+SOLID_GRAPH_EDGES = (("D3", "D4"), ("D4", "D2"), ("D4", "D1"), ("D3", "D2"), ("D3", "D1"))
+SOLID_MODEL_EDGES = (("D5", "D6"), ("D6", "D1"), ("D5", "D1"))
+DASHED_EDGES = (
+    ("D2", "D1"),
+    ("D2", "D6"),
+    ("D1", "D6"),
+    ("D3", "D5"),
+    ("D3", "D6"),
+    ("D4", "D5"),
+    ("D4", "D6"),
+)
+
+MAX_POOL = 24
+
+
+@dataclass(frozen=True)
+class ConfounderReport:
+    """All verdicts for one covariate.
+
+    verdicts["D1"] is the graphical reading; d1_numeric carries the exact
+    distributional reading when a model was supplied (they disagree only
+    on unfaithful CPTs). surrogate is None without a model.
+    """
+
+    variable: str
+    verdicts: dict
+    witnesses: dict
+    surrogate: bool | None
+    lattice_ok: bool
+    d1_numeric: bool | None = None
+    dashed_observations: tuple[str, ...] = ()
+
+
+def _require_covariate(dag, variable):
+    pool = dag.covariate_pool
+    if variable not in pool:
+        raise NotACovariate(f"{variable!r} is not in the covariate pool {pool!r}")
+    return pool
+
+
+def _context_sets(dag, variable):
+    pool = _require_covariate(dag, variable)
+    others = [name for name in pool if name != variable]
+    if len(others) > MAX_POOL:
+        raise SizeLimit(
+            f"context enumeration over {len(others)} covariates exceeds {MAX_POOL}"
+        )
+    return others
+
+
+def classify_d1_graphical(dag, variable):
+    """(verdict, witness X): C d-connected to A given X and to Y given
+    (A, X), for the canonically first context X that works."""
+    others = _context_sets(dag, variable)
+    a, y = dag.exposure, dag.outcome
+    for context in subsets_canonical(others):
+        if d_separated(dag, {variable}, {a}, context):
+            continue
+        if d_separated(dag, {variable}, {y}, set(context) | {a}):
+            continue
+        return True, context
+    return False, None
+
+
+def classify_d1_numeric(model, variable):
+    """Same quantifier as the graphical D1, with exact CI tests."""
+    others = _context_sets(model.dag, variable)
+    a, y = model.dag.exposure, model.dag.outcome
+    for context in subsets_canonical(others):
+        if model.ci_test({variable}, {a}, context):
+            continue
+        if model.ci_test({variable}, {y}, set(context) | {a}):
+            continue
+        return True, context
+    return False, None
+
+
+def classify_d2(dag, variable):
+    """(verdict, witness path): C appears as a non-collider on some
+    backdoor path; the witness is the first such path."""
+    from .adjust import backdoor_paths
+
+    _require_covariate(dag, variable)
+    for path in backdoor_paths(dag):
+        for i in range(1, len(path.nodes) - 1):
+            if path.nodes[i] == variable and not path.is_collider_at(i):
+                return True, path
+    return False, None
+
+
+def classify_d3(dag, variable, _catalog=None):
+    """C belongs to every minimally sufficient set (vacuously false when
+    the only minimal set is the empty one, or none exists)."""
+    _require_covariate(dag, variable)
+    catalog = minimal_sufficient_sets(dag) if _catalog is None else _catalog
+    return catalog.member_of_all(variable)
+
+
+def classify_d4(dag, variable, _catalog=None):
+    """(verdict, witness minimal set): C belongs to at least one minimally
+    sufficient set."""
+    _require_covariate(dag, variable)
+    catalog = minimal_sufficient_sets(dag) if _catalog is None else _catalog
+    for s in catalog.sets:
+        if variable in s:
+            return True, s
+    return False, None
+
+
+def classify_d5(model, variable):
+    """(verdict, witness (X, (|bias with C|, |bias without|))): adding C to
+    some context strictly shrinks absolute bias."""
+    others = _context_sets(model.dag, variable)
+    for context in subsets_canonical(others):
+        with_c = abs(model.bias(set(context) | {variable}))
+        without = abs(model.bias(context))
+        if with_c < without:
+            return True, (context, (with_c, without))
+    return False, None
+
+
+def classify_d6(model, variable):
+    """(verdict, witness X): adding C to some context changes the
+    standardized risk difference."""
+    others = _context_sets(model.dag, variable)
+    for context in subsets_canonical(others):
+        if model.standardized_rd(set(context) | {variable}) != model.standardized_rd(context):
+            return True, context
+    return False, None
+
+
+def surrogate_confounder(model, variable):
+    """D5 without D4: bias reduction without membership in any minimal set."""
+    d5, _ = classify_d5(model, variable)
+    if not d5:
+        return False
+    d4, _ = classify_d4(model.dag, variable)
+    return not d4
+
+
+def conditional_confounder(dag, variable, conditioning=(), _catalog=None):
+    """(verdict, witness X): C completes some context X to sufficiency on
+    top of the fixed set L, with nothing in (X, C) removable.
+
+    True iff for some X: (X, L, C) is sufficient and no proper subset T of
+    (X, C) makes (T, L) sufficient. With L = () this is exactly D4.
+    """
+    pool = set(_require_covariate(dag, variable))
+    conditioning = tuple(sorted(set(conditioning)))
+    for name in conditioning:
+        if name not in pool:
+            raise NotACovariate(f"{name!r} is not in the covariate pool")
+    if variable in conditioning:
+        raise OverlappingSets(f"{variable!r} appears in the conditioning set")
+    from .adjust import _sufficient
+
+    others = sorted(pool - {variable} - set(conditioning))
+    if len(others) > MAX_POOL:
+        raise SizeLimit(f"context enumeration over {len(others)} covariates exceeds {MAX_POOL}")
+    base = set(conditioning)
+    for context in subsets_canonical(others):
+        full = set(context) | {variable}
+        if not _sufficient(dag, base | full):
+            continue
+        if any(
+            _sufficient(dag, base | set(sub))
+            for sub in subsets_canonical(full, len(full) - 1)
+        ):
+            continue
+        return True, context
+    return False, None
+
+
+def check_implications(report, has_model):
+    """Verify the solid lattice arrows against a report.
+
+    Returns (ok, violated edge labels). Graph-layer arrows read D1
+    graphically; model-layer arrows read it numerically when available.
+    Dashed arrows are never checked here (see dashed_observations).
+    """
+    verdicts = report.verdicts
+    for def_id in GRAPH_DEFINITIONS:
+        if def_id not in verdicts:
+            raise IncompleteReport(f"report for {report.variable!r} lacks {def_id}")
+    if has_model:
+        for def_id in MODEL_DEFINITIONS:
+            if def_id not in verdicts:
+                raise IncompleteReport(f"report for {report.variable!r} lacks {def_id}")
+    violated = []
+    for premise, conclusion in SOLID_GRAPH_EDGES:
+        if verdicts[premise] and not verdicts[conclusion]:
+            violated.append(f"{premise}=>{conclusion}")
+    if has_model:
+        d1_numeric = report.d1_numeric if report.d1_numeric is not None else verdicts["D1"]
+        layer = {"D5": verdicts["D5"], "D6": verdicts["D6"], "D1": d1_numeric}
+        for premise, conclusion in SOLID_MODEL_EDGES:
+            if layer[premise] and not layer[conclusion]:
+                violated.append(f"{premise}=>{conclusion}")
+    return not violated, tuple(violated)
+
+
+def dashed_observations(report, has_model):
+    """Dashed arrows whose premise holds but conclusion fails: reported,
+    never a failure."""
+    verdicts = report.verdicts
+    out = []
+    for premise, conclusion in DASHED_EDGES:
+        if conclusion in MODEL_DEFINITIONS and not has_model:
+            continue
+        if premise in MODEL_DEFINITIONS and not has_model:
+            continue
+        if verdicts.get(premise) and verdicts.get(conclusion) is False:
+            out.append(f"{premise}->{conclusion}")
+    return tuple(out)
+
+
+def classify_variable(dag, variable, model=None, _catalog=None):
+    """Full report for one covariate: all applicable definitions,
+    witnesses, surrogate status, and the lattice verdict."""
+    if model is not None and model.dag is not dag:
+        dag = model.dag
+    catalog = minimal_sufficient_sets(dag) if _catalog is None else _catalog
+    d1, w1 = classify_d1_graphical(dag, variable)
+    d2, w2 = classify_d2(dag, variable)
+    d3 = classify_d3(dag, variable, _catalog=catalog)
+    d4, w4 = classify_d4(dag, variable, _catalog=catalog)
+    verdicts = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
+    witnesses = {"D1": w1, "D2": w2, "D4": w4}
+    d1_numeric = None
+    surrogate = None
+    if model is not None:
+        d1_numeric, w1n = classify_d1_numeric(model, variable)
+        d5, w5 = classify_d5(model, variable)
+        d6, w6 = classify_d6(model, variable)
+        verdicts["D5"] = d5
+        verdicts["D6"] = d6
+        witnesses["D1_numeric"] = w1n
+        witnesses["D5"] = w5
+        witnesses["D6"] = w6
+        surrogate = d5 and not d4
+    report = ConfounderReport(
+        variable=variable,
+        verdicts=verdicts,
+        witnesses=witnesses,
+        surrogate=surrogate,
+        lattice_ok=True,
+        d1_numeric=d1_numeric,
+    )
+    ok, _violated = check_implications(report, has_model=model is not None)
+    observations = dashed_observations(report, has_model=model is not None)
+    return ConfounderReport(
+        variable=variable,
+        verdicts=verdicts,
+        witnesses=witnesses,
+        surrogate=surrogate,
+        lattice_ok=ok,
+        d1_numeric=d1_numeric,
+        dashed_observations=observations,
+    )

@@ -1,0 +1,251 @@
+"""Randomized verification of the theorems the package relies on.
+
+Each trial draws a DAG (random topological order, independent edge
+coin-flips, exposure and outcome placed so a directed path joins them)
+and, optionally, random strictly-positive binary CPTs with denominators
+up to 64. On every draw the checker re-proves:
+
+  hard (a failure is an implementation bug):
+    - the union of all minimally sufficient sets is itself sufficient
+    - every minimal set lives inside ancestors(A) u ancestors(Y)
+    - the solid implication arrows D3=>D4=>D2, D4=>D1, D3=>D1 per covariate
+    - the D1-positive set and the D2-positive set are each sufficient
+    with models:
+    - sufficiency implies counterfactual unconfoundedness (every subset)
+    - the standardized risk difference equals the ace on every sufficient
+      subset
+    - the solid model arrows D5=>D6, D6=>D1, D5=>D1 (D1 numeric)
+
+  counted, never failed (these CAN happen and the counts are the data):
+    - dashed-arrow violations per arrow
+    - covariates whose graphical and numeric D1 verdicts disagree
+    - DAGs where the D3-positive set is insufficient
+    - DAGs where the set of covariates with a distinguishing context
+      (the 2A predicate read as a definition) is insufficient
+    - subsets that are counterfactually unconfounded yet not sufficient
+"""
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import product
+
+from .adjust import _sufficient, minimal_sufficient_sets, subsets_canonical, union_of_minimal
+from .classify import (
+    DASHED_EDGES,
+    classify_d1_graphical,
+    classify_d1_numeric,
+    classify_d2,
+    classify_d3,
+    classify_d4,
+    classify_d5,
+    classify_d6,
+)
+from .errors import InvalidConfig
+from .graph import Dag
+from .model import Cpt, DiscreteModel
+from .properties import distinguishing_context
+
+MAX_FUZZ_NODES = 10
+MAX_DENOMINATOR = 64
+_PLACEMENT_ATTEMPTS = 10000
+
+_COUNTER_KEYS = (
+    "cf_unconfounded_insufficient",
+    "d1_graphical_numeric_gaps",
+    "p1_d3_failures",
+    "p2a_as_definition_p1_failures",
+) + tuple(f"dashed_{p}_to_{q}" for p, q in DASHED_EDGES)
+
+
+@dataclass(frozen=True)
+class FuzzConfig:
+    n_nodes: int
+    edge_prob: float
+    n_trials: int
+    seed: int
+    with_models: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InvalidConfig("seed is mandatory and must be an int")
+        if not isinstance(self.n_nodes, int) or not 2 <= self.n_nodes <= MAX_FUZZ_NODES:
+            raise InvalidConfig(f"n_nodes must be an int in [2, {MAX_FUZZ_NODES}]")
+        if not isinstance(self.n_trials, int) or self.n_trials < 0:
+            raise InvalidConfig("n_trials must be a nonnegative int")
+        if not 0 < float(self.edge_prob) <= 1:
+            raise InvalidConfig("edge_prob must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class FuzzReport:
+    config: FuzzConfig
+    trials: int
+    hard_failures: tuple[str, ...]
+    counters: dict = field(default_factory=dict)
+
+    @property
+    def ok(self):
+        return not self.hard_failures
+
+    def to_text(self):
+        lines = [
+            f"fuzz: seed={self.config.seed} n_nodes={self.config.n_nodes} "
+            f"edge_prob={self.config.edge_prob} n_trials={self.config.n_trials} "
+            f"with_models={self.config.with_models}",
+            f"trials: {self.trials}",
+            f"hard_failures: {len(self.hard_failures)}",
+        ]
+        for key in sorted(self.counters):
+            lines.append(f"counter {key}: {self.counters[key]}")
+        lines.extend(f"FAIL {line}" for line in self.hard_failures)
+        return "\n".join(lines) + "\n"
+
+    def to_json(self):
+        doc = {
+            "config": {
+                "n_nodes": self.config.n_nodes,
+                "edge_prob": self.config.edge_prob,
+                "n_trials": self.config.n_trials,
+                "seed": self.config.seed,
+                "with_models": self.config.with_models,
+            },
+            "trials": self.trials,
+            "hard_failures": list(self.hard_failures),
+            "counters": dict(sorted(self.counters.items())),
+            "ok": self.ok,
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def random_dag(rng, n_nodes, edge_prob):
+    """One random DAG with a guaranteed directed exposure-outcome path.
+
+    Draws a topological order, flips a coin per forward pair, places
+    exposure and outcome at random, and redraws until the outcome
+    descends from the exposure.
+    """
+    names = [f"V{i}" for i in range(n_nodes)]
+    for _ in range(_PLACEMENT_ATTEMPTS):
+        order = rng.sample(names, n_nodes)
+        edges = []
+        for i in range(n_nodes):
+            for j in range(i + 1, n_nodes):
+                if rng.random() < edge_prob:
+                    edges.append((order[i], order[j]))
+        exposure, outcome = rng.sample(names, 2)
+        dag = Dag(names, edges, exposure, outcome)
+        if outcome in dag.descendants(exposure):
+            return dag
+    raise InvalidConfig(
+        "could not draw a DAG with a directed exposure-outcome path; raise edge_prob"
+    )
+
+
+def random_model(rng, dag, max_denominator=MAX_DENOMINATOR):
+    """Strictly positive binary CPTs with rational entries num/den, den <=
+    max_denominator; positivity holds by construction."""
+    spaces = {name: (0, 1) for name in dag.nodes}
+    cpts = {}
+    for node in dag.nodes:
+        parents = tuple(sorted(dag.parents(node)))
+        table = {}
+        for key in product((0, 1), repeat=len(parents)):
+            den = rng.randint(2, max_denominator)
+            num = rng.randint(1, den - 1)
+            p_one = Fraction(num, den)
+            table[key] = (1 - p_one, p_one)
+        cpts[node] = Cpt(node, parents, table)
+    return DiscreteModel(dag, spaces, cpts)
+
+
+def _run_trial(index, dag, model, failures, counters):
+    def fail(msg):
+        failures.append(f"trial {index}: {msg}")
+
+    pool = dag.covariate_pool
+    catalog = minimal_sufficient_sets(dag)
+
+    anc = dag.ancestors(dag.exposure) | dag.ancestors(dag.outcome)
+    for s in catalog.sets:
+        stray = set(s) - anc
+        if stray:
+            fail(f"minimal set {s} reaches outside the ancestor hull via {sorted(stray)}")
+    union_verdict = union_of_minimal(dag, catalog)
+    if not union_verdict.sufficient:
+        fail(f"union of minimal sets {catalog.union} is not sufficient")
+
+    verdicts = {}
+    for c in pool:
+        d1, _ = classify_d1_graphical(dag, c)
+        d2, _ = classify_d2(dag, c)
+        d3 = classify_d3(dag, c, _catalog=catalog)
+        d4, _ = classify_d4(dag, c, _catalog=catalog)
+        verdicts[c] = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
+        for premise, conclusion in (("D3", "D4"), ("D4", "D2"), ("D4", "D1"), ("D3", "D2"), ("D3", "D1")):
+            if verdicts[c][premise] and not verdicts[c][conclusion]:
+                fail(f"solid arrow {premise}=>{conclusion} broken at {c}")
+        if d2 and not d1:
+            counters["dashed_D2_to_D1"] += 1
+
+    for def_id in ("D1", "D2"):
+        marked = tuple(c for c in pool if verdicts[c][def_id])
+        if not _sufficient(dag, marked):
+            fail(f"{def_id}-positive set {marked} is not sufficient")
+
+    d3_marked = tuple(c for c in pool if verdicts[c]["D3"])
+    if not _sufficient(dag, d3_marked):
+        counters["p1_d3_failures"] += 1
+
+    p2a_marked = tuple(c for c in pool if distinguishing_context(dag, c) is not None)
+    if not _sufficient(dag, p2a_marked):
+        counters["p2a_as_definition_p1_failures"] += 1
+
+    if model is None:
+        return
+
+    ace = model.ace()
+    for subset in subsets_canonical(pool):
+        sufficient = _sufficient(dag, subset)
+        unconfounded = model.cf_unconfounded(subset)
+        if sufficient:
+            if not unconfounded:
+                fail(f"sufficient set {subset} is counterfactually confounded")
+            if model.standardized_rd(subset) != ace:
+                fail(f"standardized rd over sufficient {subset} misses the ace")
+        elif unconfounded:
+            counters["cf_unconfounded_insufficient"] += 1
+
+    for c in pool:
+        d1n, _ = classify_d1_numeric(model, c)
+        d5, _ = classify_d5(model, c)
+        d6, _ = classify_d6(model, c)
+        layer = {"D1": d1n, "D5": d5, "D6": d6}
+        for premise, conclusion in (("D5", "D6"), ("D6", "D1"), ("D5", "D1")):
+            if layer[premise] and not layer[conclusion]:
+                fail(f"solid arrow {premise}=>{conclusion} broken at {c} (numeric layer)")
+        if d1n != verdicts[c]["D1"]:
+            counters["d1_graphical_numeric_gaps"] += 1
+        full = dict(verdicts[c], D5=d5, D6=d6)
+        for premise, conclusion in DASHED_EDGES:
+            if conclusion in ("D5", "D6") or premise in ("D5", "D6"):
+                if full[premise] and not full[conclusion]:
+                    counters[f"dashed_{premise}_to_{conclusion}"] += 1
+
+
+def fuzz(config):
+    """Run the randomized checker; deterministic for a fixed config."""
+    if not isinstance(config, FuzzConfig):
+        config = FuzzConfig(**config)
+    rng = random.Random(config.seed)
+    failures = []
+    counters = {key: 0 for key in _COUNTER_KEYS}
+    trials = 0
+    for index in range(config.n_trials):
+        dag = random_dag(rng, config.n_nodes, config.edge_prob)
+        model = random_model(rng, dag) if config.with_models else None
+        _run_trial(index, dag, model, failures, counters)
+        trials += 1
+    return FuzzReport(config=config, trials=trials, hard_failures=tuple(failures), counters=counters)

@@ -1,0 +1,438 @@
+"""Directed acyclic graphs with named nodes, paths, and d-separation.
+
+Two independent routes decide separation questions: a bitmask reachability
+kernel (`d_separated`, backed by confounders._kernels) and literal path
+enumeration (`enumerate_paths` + `is_blocked`). They must agree; the test
+suite cross-checks them on random graphs.
+
+Node sets returned by queries are frozensets; anything order-sensitive
+(paths, topological order) comes back as tuples. All tie-breaking is
+lexicographic by node name, so every operation is deterministic.
+"""
+from __future__ import annotations
+
+import heapq
+import re
+from dataclasses import dataclass
+
+from ._kernels import BitDag
+from .errors import (
+    CycleDetected,
+    DuplicateEdge,
+    GraphError,
+    InvalidNodeName,
+    InvalidPath,
+    MissingExposureOrOutcome,
+    OverlappingConditioningSet,
+    OverlappingSets,
+    SelfLoop,
+    SizeLimit,
+    UnknownNode,
+)
+
+_BAD_NAME = re.compile(r"[\s,]")
+
+MAX_NODES = 64
+
+
+@dataclass(frozen=True)
+class Path:
+    """A simple path: node names plus one arrow per step, "->" or "<-".
+
+    arrows[i] == "->" means nodes[i] -> nodes[i+1] in the graph;
+    "<-" means the edge points back toward nodes[i].
+    """
+
+    nodes: tuple[str, ...]
+    arrows: tuple[str, ...]
+
+    def __str__(self):
+        out = [self.nodes[0]]
+        for arrow, node in zip(self.arrows, self.nodes[1:]):
+            out.append(arrow)
+            out.append(node)
+        return " ".join(out)
+
+    def __len__(self):
+        return len(self.nodes)
+
+    @property
+    def interior(self):
+        return self.nodes[1:-1]
+
+    def is_collider_at(self, i):
+        """True iff position i (0-based, interior only) has both arrows in."""
+        if not 0 < i < len(self.nodes) - 1:
+            raise IndexError(f"position {i} is not interior to the path")
+        return self.arrows[i - 1] == "->" and self.arrows[i] == "<-"
+
+    @property
+    def starts_into_source(self):
+        """True iff the first edge points into the path's starting node."""
+        return self.arrows[0] == "<-"
+
+
+class Graph:
+    """Immutable DAG. Construction validates names, edges, and acyclicity."""
+
+    __slots__ = ("nodes", "edges", "_index", "_pmask", "_kernel", "_topo")
+
+    def __init__(self, nodes, edges):
+        nodes = tuple(nodes)
+        seen = set()
+        for name in nodes:
+            if not isinstance(name, str) or not name or _BAD_NAME.search(name):
+                raise InvalidNodeName(
+                    f"bad node name {name!r}: need a non-empty string with no whitespace or commas"
+                )
+            if name in seen:
+                raise GraphError(f"duplicate node {name!r}")
+            seen.add(name)
+        if len(nodes) > MAX_NODES:
+            raise SizeLimit(f"{len(nodes)} nodes exceeds the {MAX_NODES}-node kernel limit")
+        self.nodes = nodes
+        self._index = {name: i for i, name in enumerate(nodes)}
+        pmask = [0] * len(nodes)
+        edge_list = []
+        edge_seen = set()
+        for u, v in edges:
+            if u not in self._index:
+                raise UnknownNode(f"edge endpoint {u!r} is not a node")
+            if v not in self._index:
+                raise UnknownNode(f"edge endpoint {v!r} is not a node")
+            if u == v:
+                raise SelfLoop(f"self loop on {u!r}")
+            if (u, v) in edge_seen:
+                raise DuplicateEdge(f"duplicate edge {u!r} -> {v!r}")
+            edge_seen.add((u, v))
+            edge_list.append((u, v))
+            pmask[self._index[v]] |= 1 << self._index[u]
+        self.edges = tuple(edge_list)
+        self._pmask = pmask
+        self._kernel = BitDag(pmask)
+        self._topo = self._toposort()
+
+    def _toposort(self):
+        n = len(self.nodes)
+        indeg = [self._pmask[i].bit_count() for i in range(n)]
+        ready = [i for i in range(n) if indeg[i] == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(i)
+            m = self._kernel.children_mask(i)
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                m ^= low
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(ready, j)
+        if len(order) < n:
+            raise CycleDetected("cycle: " + self._find_cycle(set(range(n)) - set(order)))
+        return tuple(self.nodes[i] for i in order)
+
+    def _find_cycle(self, remaining):
+        # every remaining node keeps a parent in `remaining`; walk parents
+        # until a node repeats, then read the loop off in edge direction
+        start = min(remaining)
+        walk = [start]
+        pos = {start: 0}
+        while True:
+            m = self._pmask[walk[-1]]
+            while m:
+                low = m & -m
+                p = low.bit_length() - 1
+                if p in remaining:
+                    break
+                m ^= low
+            if p in pos:
+                loop = walk[pos[p]:] + [p]
+                return " -> ".join(self.nodes[i] for i in reversed(loop))
+            pos[p] = len(walk)
+            walk.append(p)
+
+    # -- low-level helpers ------------------------------------------------
+
+    def _require(self, name):
+        try:
+            return self._index[name]
+        except KeyError:
+            raise UnknownNode(f"unknown node {name!r}") from None
+
+    def _mask(self, names):
+        m = 0
+        for name in names:
+            m |= 1 << self._require(name)
+        return m
+
+    def _names(self, mask):
+        out = set()
+        while mask:
+            low = mask & -mask
+            out.add(self.nodes[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def topological_order(self):
+        return self._topo
+
+    def has_edge(self, u, v):
+        return bool(self._pmask[self._require(v)] >> self._require(u) & 1)
+
+    def parents(self, node):
+        return self._names(self._kernel.parents_mask(self._require(node)))
+
+    def children(self, node):
+        return self._names(self._kernel.children_mask(self._require(node)))
+
+    def ancestors(self, node):
+        """Strict ancestors."""
+        return self._names(self._kernel.ancestors(self._require(node)))
+
+    def descendants(self, node):
+        """Strict descendants."""
+        return self._names(self._kernel.descendants(self._require(node)))
+
+    def nondescendants(self, node):
+        """Everything except the node and its descendants."""
+        i = self._require(node)
+        all_mask = (1 << len(self.nodes)) - 1
+        return self._names(all_mask & ~self._kernel.descendants(i) & ~(1 << i))
+
+    def adjacent(self, node):
+        i = self._require(node)
+        return self._names(self._kernel.parents_mask(i) | self._kernel.children_mask(i))
+
+    # -- surgery -----------------------------------------------------------
+
+    def subgraph(self, keep):
+        keep = frozenset(keep)
+        for name in keep:
+            self._require(name)
+        nodes = tuple(n for n in self.nodes if n in keep)
+        edges = tuple((u, v) for u, v in self.edges if u in keep and v in keep)
+        return Graph(nodes, edges)
+
+    def without_edges_into(self, node):
+        self._require(node)
+        return Graph(self.nodes, tuple(e for e in self.edges if e[1] != node))
+
+    def without_edges_from(self, node):
+        self._require(node)
+        return Graph(self.nodes, tuple(e for e in self.edges if e[0] != node))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+class Dag(Graph):
+    """A Graph plus an exposure, an outcome, and the derived covariate pool.
+
+    `declared_pre` optionally narrows the pool to declared pre-exposure
+    covariates; when absent every nondescendant of the exposure (bar the
+    outcome) is eligible for adjustment.
+    """
+
+    __slots__ = ("exposure", "outcome", "declared_pre", "_no_out")
+
+    def __init__(self, nodes, edges, exposure, outcome, declared_pre=None):
+        super().__init__(nodes, edges)
+        if exposure not in self._index or outcome not in self._index or exposure == outcome:
+            raise MissingExposureOrOutcome(
+                f"need one exposure and one distinct outcome among the nodes; "
+                f"got exposure={exposure!r}, outcome={outcome!r}"
+            )
+        self.exposure = exposure
+        self.outcome = outcome
+        if declared_pre is not None:
+            declared_pre = frozenset(declared_pre)
+            for name in declared_pre:
+                self._require(name)
+        self.declared_pre = declared_pre
+        self._no_out = None
+
+    @property
+    def covariate_pool(self):
+        """Adjustable names: nondescendants of the exposure, minus exposure
+        and outcome, narrowed to the declared pre-exposure set if given.
+        Sorted tuple."""
+        pool = self.nondescendants(self.exposure) - {self.exposure, self.outcome}
+        if self.declared_pre is not None:
+            pool &= self.declared_pre
+        return tuple(sorted(pool))
+
+    def without_exposure_out_edges(self):
+        """The graph with the exposure's outgoing edges removed (cached).
+
+        Separation of exposure and outcome in this graph, given S, is the
+        backdoor sufficiency test for S.
+        """
+        if self._no_out is None:
+            self._no_out = Graph(
+                self.nodes, tuple(e for e in self.edges if e[0] != self.exposure)
+            )
+        return self._no_out
+
+    def subgraph(self, keep):
+        keep = frozenset(keep)
+        if self.exposure in keep and self.outcome in keep:
+            for name in keep:
+                self._require(name)
+            nodes = tuple(n for n in self.nodes if n in keep)
+            edges = tuple((u, v) for u, v in self.edges if u in keep and v in keep)
+            pre = None if self.declared_pre is None else self.declared_pre & keep
+            return Dag(nodes, edges, self.exposure, self.outcome, pre)
+        return super().subgraph(keep)
+
+    def without_edges_into(self, node):
+        self._require(node)
+        return Dag(
+            self.nodes,
+            tuple(e for e in self.edges if e[1] != node),
+            self.exposure,
+            self.outcome,
+            self.declared_pre,
+        )
+
+    def __repr__(self):
+        return (
+            f"Dag({len(self.nodes)} nodes, {len(self.edges)} edges, "
+            f"exposure={self.exposure!r}, outcome={self.outcome!r})"
+        )
+
+
+def build_dag(nodes, edges, exposure, outcome, declared_pre=None):
+    """Construct a Dag; the long-form constructor alias."""
+    return Dag(nodes, edges, exposure, outcome, declared_pre)
+
+
+def _disjoint(parts):
+    flat = set()
+    for part in parts:
+        for name in part:
+            if name in flat:
+                raise OverlappingSets(f"node {name!r} appears in more than one argument set")
+            flat.add(name)
+
+
+def d_separated(graph, set_a, set_b, given=()):
+    """True iff `given` blocks every path between set_a and set_b.
+
+    The three sets must be pairwise disjoint. Decided by the reachability
+    kernel; symmetric in set_a and set_b.
+    """
+    set_a, set_b, given = frozenset(set_a), frozenset(set_b), frozenset(given)
+    _disjoint((set_a, set_b, given))
+    return graph._kernel.dsep(graph._mask(set_a), graph._mask(set_b), graph._mask(given))
+
+
+def enumerate_paths(graph, source, target):
+    """All simple paths between two nodes, ignoring edge direction.
+
+    Returned in lexicographic order of the node-name sequence (the DFS
+    expands neighbors in name order, which yields exactly that order).
+    """
+    si, ti = graph._require(source), graph._require(target)
+    if si == ti:
+        raise GraphError("path endpoints must differ")
+    neighbor_names = {
+        name: sorted(graph.adjacent(name)) for name in graph.nodes
+    }
+    out = []
+    stack_nodes = [source]
+    stack_arrows = []
+    on_path = {source}
+
+    def dfs(current):
+        if current == target:
+            out.append(Path(tuple(stack_nodes), tuple(stack_arrows)))
+            return
+        for nxt in neighbor_names[current]:
+            if nxt in on_path:
+                continue
+            on_path.add(nxt)
+            stack_nodes.append(nxt)
+            stack_arrows.append("->" if graph.has_edge(current, nxt) else "<-")
+            dfs(nxt)
+            stack_nodes.pop()
+            stack_arrows.pop()
+            on_path.discard(nxt)
+
+    dfs(source)
+    return tuple(out)
+
+
+def _validate_path(graph, path):
+    if len(path.nodes) < 2:
+        raise InvalidPath("a path needs at least two nodes")
+    if len(path.arrows) != len(path.nodes) - 1:
+        raise InvalidPath("arrow count must be one less than node count")
+    if len(set(path.nodes)) != len(path.nodes):
+        raise InvalidPath("path repeats a node")
+    for i, arrow in enumerate(path.arrows):
+        u, v = path.nodes[i], path.nodes[i + 1]
+        if arrow == "->":
+            ok = graph.has_edge(u, v)
+        elif arrow == "<-":
+            ok = graph.has_edge(v, u)
+        else:
+            raise InvalidPath(f"bad arrow {arrow!r}")
+        if not ok:
+            raise InvalidPath(f"no edge {u} {arrow} {v} in the graph")
+
+
+def is_blocked(graph, path, given=()):
+    """True iff the conditioning set blocks this specific path.
+
+    Blocked means: some interior non-collider is conditioned on, or some
+    interior collider has neither itself nor any descendant conditioned on.
+    Path endpoints may not appear in the conditioning set.
+    """
+    _validate_path(graph, path)
+    given = frozenset(given)
+    for name in given:
+        graph._require(name)
+    for end in (path.nodes[0], path.nodes[-1]):
+        if end in given:
+            raise OverlappingConditioningSet(f"path endpoint {end!r} is conditioned on")
+    given_mask = graph._mask(given)
+    for i in range(1, len(path.nodes) - 1):
+        node = path.nodes[i]
+        if path.is_collider_at(i):
+            down = graph._kernel.closure_down(1 << graph._index[node])
+            if not (down & given_mask):
+                return True
+        elif node in given:
+            return True
+    return False
+
+
+_RELATIVE_KINDS = ("parents", "children", "ancestors", "descendants", "nondescendants")
+
+
+def relatives(graph, node, kind):
+    """One relative set of a node; kind names which one.
+
+    kind is one of parents, children, ancestors, descendants,
+    nondescendants. Ancestors and descendants are strict (a node is not
+    its own relative); nondescendants excludes the node too.
+    """
+    if kind not in _RELATIVE_KINDS:
+        raise GraphError(f"unknown relative kind {kind!r}; pick one of {_RELATIVE_KINDS}")
+    return getattr(graph, kind)(node)
+
+
+def subgraph_restrict(graph, keep):
+    """The induced subgraph on `keep` (a Dag again when exposure and
+    outcome survive)."""
+    return graph.subgraph(keep)
+
+
+def remove_into(graph, node):
+    """The graph with every edge into `node` deleted."""
+    return graph.without_edges_into(node)

@@ -1,0 +1,498 @@
+"""Exact discrete probability over a Dag, in rational arithmetic.
+
+A DiscreteModel attaches finite state spaces and CPTs to a Dag; the joint
+factorizes over the graph. Everything downstream is computed by exact
+marginalization with `fractions.Fraction`, so equality tests are honest
+equalities: no tolerances anywhere.
+
+Interventions follow truncated factorization (replace the node's CPT by a
+point mass, drop its incoming edges). Counterfactual quantities are
+confined to identified joints: for the exposure A, the joint of
+(Y_a, A, W) with W the nondescendants of A is fully determined by the
+CPTs, and conditional unconfoundedness Y_a ⟂ A | S is tested inside it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+
+from .errors import (
+    BadProbability,
+    IncompleteAssignment,
+    ModelError,
+    NonBinaryExposure,
+    NonCovariateInSet,
+    OverlappingSets,
+    PositivityViolation,
+    SizeLimit,
+    UnknownNode,
+    UnknownState,
+    ZeroProbabilityCondition,
+)
+
+MAX_JOINT = 1 << 20
+
+
+def as_fraction(value, where="probability"):
+    """Coerce to Fraction; ints and 'p/q'/finite-decimal strings allowed,
+    floats rejected (they rarely mean what their decimal print shows)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise BadProbability(f"{where}: bool is not a probability")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise BadProbability(
+            f"{where}: float {value!r} not accepted; write the exact value as a string"
+        )
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadProbability(f"{where}: cannot parse {value!r} as a rational") from exc
+    raise BadProbability(f"{where}: unsupported type {type(value).__name__}")
+
+
+@dataclass(frozen=True)
+class Cpt:
+    """One node's conditional table.
+
+    table maps a tuple of parent states (ordered by parent_order) to a
+    probability vector aligned with the node's state list.
+    """
+
+    node: str
+    parent_order: tuple[str, ...]
+    table: dict
+
+
+class DiscreteModel:
+    """A Dag with exact CPTs. Immutable once constructed."""
+
+    def __init__(self, dag, state_spaces, cpts):
+        self.dag = dag
+        spaces = {}
+        for node in state_spaces:
+            if node not in dag._index:
+                raise UnknownNode(f"states given for unknown node {node!r}")
+        for node in dag.nodes:
+            if node not in state_spaces:
+                raise ModelError(f"no state space for node {node!r}")
+            states = tuple(state_spaces[node])
+            if not states:
+                raise ModelError(f"empty state space for node {node!r}")
+            if len(set(states)) != len(states):
+                raise ModelError(f"duplicate states for node {node!r}")
+            spaces[node] = states
+        self.state_spaces = spaces
+
+        normalized = {}
+        for node in cpts:
+            if node not in dag._index:
+                raise UnknownNode(f"cpt given for unknown node {node!r}")
+        for node in dag.nodes:
+            if node not in cpts:
+                raise ModelError(f"no cpt for node {node!r}")
+            normalized[node] = self._check_cpt(node, cpts[node])
+        self.cpts = normalized
+
+        self._joint = None
+        self._prob_cache = {}
+        self._cf_cache = {}
+        self._ace = None
+
+    def _check_cpt(self, node, cpt):
+        if isinstance(cpt, Cpt):
+            parent_order, table = tuple(cpt.parent_order), cpt.table
+        else:
+            raise ModelError(f"cpt for {node!r} must be a Cpt, got {type(cpt).__name__}")
+        if set(parent_order) != self.dag.parents(node) or len(set(parent_order)) != len(
+            parent_order
+        ):
+            raise ModelError(
+                f"cpt parents {parent_order!r} for {node!r} do not match the graph "
+                f"parents {tuple(sorted(self.dag.parents(node)))!r}"
+            )
+        states = self.state_spaces[node]
+        expected_keys = set(product(*(self.state_spaces[p] for p in parent_order)))
+        fixed = {}
+        for key, vector in table.items():
+            key = tuple(key) if isinstance(key, (list, tuple)) else (key,)
+            if key not in expected_keys:
+                raise ModelError(f"cpt for {node!r}: unexpected parent combination {key!r}")
+            if key in fixed:
+                raise ModelError(f"cpt for {node!r}: duplicate parent combination {key!r}")
+            vector = tuple(
+                as_fraction(p, f"cpt {node!r} row {key!r}") for p in vector
+            )
+            if len(vector) != len(states):
+                raise ModelError(
+                    f"cpt for {node!r} row {key!r}: {len(vector)} entries for "
+                    f"{len(states)} states"
+                )
+            for p in vector:
+                if p < 0 or p > 1:
+                    raise BadProbability(f"cpt for {node!r} row {key!r}: entry {p} out of [0,1]")
+            if sum(vector) != 1:
+                raise BadProbability(
+                    f"cpt for {node!r} row {key!r}: entries sum to {sum(vector)}, not 1"
+                )
+            fixed[key] = vector
+        missing = expected_keys - set(fixed)
+        if missing:
+            raise ModelError(
+                f"cpt for {node!r}: missing parent combination {sorted(missing)[0]!r}"
+            )
+        return Cpt(node, parent_order, fixed)
+
+    # -- state helpers ------------------------------------------------------
+
+    def _require_state(self, node, value):
+        if node not in self.dag._index:
+            raise UnknownNode(f"unknown node {node!r}")
+        if value not in self.state_spaces[node]:
+            raise UnknownState(f"{value!r} is not a state of {node!r}")
+        return value
+
+    def _numeric_value(self, node, state):
+        if isinstance(state, bool) or not isinstance(state, (int, Fraction)):
+            raise ModelError(f"node {node!r} has non-numeric state {state!r}")
+        return Fraction(state)
+
+    def _cpt_entry(self, node, own_state, assignment):
+        cpt = self.cpts[node]
+        key = tuple(assignment[p] for p in cpt.parent_order)
+        return cpt.table[key][self.state_spaces[node].index(own_state)]
+
+    # -- joint table ---------------------------------------------------------
+
+    def _joint_items(self):
+        if self._joint is None:
+            total = 1
+            for node in self.dag.nodes:
+                total *= len(self.state_spaces[node])
+                if total > MAX_JOINT:
+                    raise SizeLimit(
+                        f"joint state space exceeds {MAX_JOINT} assignments"
+                    )
+            nodes = self.dag.nodes
+            items = []
+            for vals in product(*(self.state_spaces[n] for n in nodes)):
+                assignment = dict(zip(nodes, vals))
+                p = Fraction(1)
+                for node in nodes:
+                    p *= self._cpt_entry(node, assignment[node], assignment)
+                    if p == 0:
+                        break
+                if p != 0:
+                    items.append((vals, p))
+            self._joint = items
+        return self._joint
+
+    def probability(self, partial):
+        """Exact marginal probability of a partial assignment."""
+        fixed = []
+        for node, value in partial.items():
+            self._require_state(node, value)
+            fixed.append((self.dag._index[node], value))
+        fixed.sort()
+        key = tuple(fixed)
+        cached = self._prob_cache.get(key)
+        if cached is not None:
+            return cached
+        out = Fraction(0)
+        for vals, p in self._joint_items():
+            if all(vals[i] == v for i, v in fixed):
+                out += p
+        self._prob_cache[key] = out
+        return out
+
+    # -- queries -------------------------------------------------------------
+
+    def joint_probability(self, assignment):
+        """P of a full assignment: the product of CPT rows."""
+        missing = [n for n in self.dag.nodes if n not in assignment]
+        if missing:
+            raise IncompleteAssignment(f"assignment misses {missing[0]!r}")
+        for node, value in assignment.items():
+            self._require_state(node, value)
+        p = Fraction(1)
+        for node in self.dag.nodes:
+            p *= self._cpt_entry(node, assignment[node], assignment)
+        return p
+
+    def cond_probability(self, event, given):
+        den = self.probability(given)
+        if den == 0:
+            raise ZeroProbabilityCondition(f"conditioning event {given!r} has probability 0")
+        overlap = set(event) & set(given)
+        for node in overlap:
+            if event[node] != given[node]:
+                return Fraction(0)
+        return self.probability({**given, **event}) / den
+
+    def cond_expectation(self, target, given=None):
+        """Exact E[target | given]; target's states must be numeric."""
+        given = dict(given or {})
+        if target not in self.dag._index:
+            raise UnknownNode(f"unknown node {target!r}")
+        den = self.probability(given)
+        if den == 0:
+            raise ZeroProbabilityCondition(f"conditioning event {given!r} has probability 0")
+        if target in given:
+            return self._numeric_value(target, given[target])
+        out = Fraction(0)
+        for state in self.state_spaces[target]:
+            value = self._numeric_value(target, state)
+            out += value * self.probability({**given, target: state})
+        return out / den
+
+    def ci_test(self, set_a, set_b, z=()):
+        """Exact conditional independence of two node sets given a third."""
+        set_a, set_b, z = sorted(set(set_a)), sorted(set(set_b)), sorted(set(z))
+        flat = set_a + set_b + z
+        if len(set(flat)) != len(flat):
+            raise OverlappingSets("ci_test sets must be pairwise disjoint")
+        for node in flat:
+            if node not in self.dag._index:
+                raise UnknownNode(f"unknown node {node!r}")
+        if not set_a or not set_b:
+            return True
+        for z_vals in product(*(self.state_spaces[n] for n in z)):
+            given = dict(zip(z, z_vals))
+            pz = self.probability(given)
+            if pz == 0:
+                continue
+            for a_vals in product(*(self.state_spaces[n] for n in set_a)):
+                a_part = dict(zip(set_a, a_vals))
+                pa = self.probability({**given, **a_part})
+                for b_vals in product(*(self.state_spaces[n] for n in set_b)):
+                    b_part = dict(zip(set_b, b_vals))
+                    pb = self.probability({**given, **b_part})
+                    pab = self.probability({**given, **a_part, **b_part})
+                    if pab * pz != pa * pb:
+                        return False
+        return True
+
+    # -- interventions ---------------------------------------------------------
+
+    def intervene(self, node, value):
+        """Truncated factorization: point-mass CPT, incoming edges dropped."""
+        self._require_state(node, value)
+        states = self.state_spaces[node]
+        point = Cpt(node, (), {(): tuple(Fraction(int(s == value)) for s in states)})
+        cpts = {n: (point if n == node else c) for n, c in self.cpts.items()}
+        return DiscreteModel(self.dag.without_edges_into(node), self.state_spaces, cpts)
+
+    def _require_binary_exposure(self):
+        if set(self.state_spaces[self.dag.exposure]) != {0, 1}:
+            raise NonBinaryExposure(
+                f"exposure {self.dag.exposure!r} must have states {{0, 1}}, "
+                f"got {self.state_spaces[self.dag.exposure]!r}"
+            )
+
+    def ace(self):
+        """E(Y_1) - E(Y_0) by intervention on the exposure."""
+        if self._ace is None:
+            self._require_binary_exposure()
+            dag = self.dag
+            e1 = self.intervene(dag.exposure, 1).cond_expectation(dag.outcome)
+            e0 = self.intervene(dag.exposure, 0).cond_expectation(dag.outcome)
+            self._ace = e1 - e0
+        return self._ace
+
+    def standardized_rd(self, covariates=()):
+        """Risk difference standardized over strata of the covariates.
+
+        Sum over x of P(x) * (E[Y | A=1, x] - E[Y | A=0, x]). Every stratum
+        with positive probability must have both exposure arms represented.
+        """
+        self._require_binary_exposure()
+        dag = self.dag
+        covariates = sorted(set(covariates))
+        pool = set(dag.covariate_pool)
+        for name in covariates:
+            if name not in pool:
+                raise NonCovariateInSet(f"{name!r} is not in the covariate pool")
+        out = Fraction(0)
+        for x_vals in product(*(self.state_spaces[n] for n in covariates)):
+            stratum = dict(zip(covariates, x_vals))
+            px = self.probability(stratum)
+            if px == 0:
+                continue
+            for arm in (0, 1):
+                if self.probability({**stratum, dag.exposure: arm}) == 0:
+                    raise PositivityViolation(
+                        f"stratum {stratum!r}: P({dag.exposure}={arm}, stratum) = 0"
+                    )
+            diff = self.cond_expectation(
+                dag.outcome, {**stratum, dag.exposure: 1}
+            ) - self.cond_expectation(dag.outcome, {**stratum, dag.exposure: 0})
+            out += px * diff
+        return out
+
+    def bias(self, covariates=()):
+        """standardized_rd minus ace; signed."""
+        return self.standardized_rd(covariates) - self.ace()
+
+    # -- identified counterfactual joint ---------------------------------------
+
+    def cf_joint(self, a):
+        """Joint of (Y_a, A, W), W = nondescendants of the exposure.
+
+        P(Y_a=y, A=a', W=w) = P(w) * P(a' | pa_A(w)) * Q(y | do(A=a), w),
+        with every factor read off the CPTs; W is ancestrally closed, so
+        P(w) is itself a product of CPT rows.
+        """
+        self._require_binary_exposure()
+        self._require_state(self.dag.exposure, a)
+        if a in self._cf_cache:
+            return self._cf_cache[a]
+        dag = self.dag
+        w_set = dag.nondescendants(dag.exposure)
+        w_nodes = tuple(n for n in dag.nodes if n in w_set)
+        down_nodes = tuple(
+            n for n in dag.nodes if n not in w_set and n != dag.exposure
+        )
+        outcome = dag.outcome
+        a_cpt = self.cpts[dag.exposure]
+        table = {}
+        for w_vals in product(*(self.state_spaces[n] for n in w_nodes)):
+            w = dict(zip(w_nodes, w_vals))
+            pw = Fraction(1)
+            for node in w_nodes:
+                pw *= self._cpt_entry(node, w[node], w)
+            if pw == 0:
+                continue
+            a_key = tuple(w[p] for p in a_cpt.parent_order)
+            a_states = self.state_spaces[dag.exposure]
+            if outcome in w:
+                y_dist = {w[outcome]: Fraction(1)}
+            else:
+                y_dist = {}
+                base = {**w, dag.exposure: a}
+                for d_vals in product(*(self.state_spaces[n] for n in down_nodes)):
+                    full = {**base, **dict(zip(down_nodes, d_vals))}
+                    q = Fraction(1)
+                    for node in down_nodes:
+                        q *= self._cpt_entry(node, full[node], full)
+                        if q == 0:
+                            break
+                    if q != 0:
+                        y_dist[full[outcome]] = y_dist.get(full[outcome], Fraction(0)) + q
+            for a_prime in a_states:
+                pa = pw * a_cpt.table[a_key][a_states.index(a_prime)]
+                if pa == 0:
+                    continue
+                for y, q in y_dist.items():
+                    key = (y, a_prime, w_vals)
+                    table[key] = table.get(key, Fraction(0)) + pa * q
+        joint = CounterfactualJoint(a, dag.exposure, outcome, w_nodes, table)
+        self._cf_cache[a] = joint
+        return joint
+
+    def cf_unconfounded(self, covariates=()):
+        """True iff Y_a ⟂ A | covariates inside cf_joint, for both arms."""
+        pool = set(self.dag.covariate_pool)
+        covariates = sorted(set(covariates))
+        for name in covariates:
+            if name not in pool:
+                raise NonCovariateInSet(f"{name!r} is not in the covariate pool")
+        return all(
+            self.cf_joint(arm).independent_given(covariates)
+            for arm in self.state_spaces[self.dag.exposure]
+        )
+
+
+@dataclass(frozen=True)
+class CounterfactualJoint:
+    """Distribution of (Y_a, A, W): keys (y, a_observed, w_states)."""
+
+    a: object
+    exposure: str
+    outcome: str
+    w_nodes: tuple[str, ...]
+    table: dict
+
+    def total(self):
+        return sum(self.table.values(), Fraction(0))
+
+    def marginal_y(self):
+        out = {}
+        for (y, _a, _w), p in self.table.items():
+            out[y] = out.get(y, Fraction(0)) + p
+        return out
+
+    def mean_y(self):
+        out = Fraction(0)
+        for y, p in self.marginal_y().items():
+            out += Fraction(y) * p
+        return out
+
+    def independent_given(self, covariates):
+        """Exact test of Y_a ⟂ A | covariates (covariates ⊆ W)."""
+        covariates = sorted(set(covariates))
+        for name in covariates:
+            if name not in self.w_nodes:
+                raise UnknownNode(f"{name!r} is not among the joint's covariates")
+        idx = [self.w_nodes.index(name) for name in covariates]
+        strata = {}
+        for (y, a_obs, w), p in self.table.items():
+            s = tuple(w[i] for i in idx)
+            cell = strata.setdefault(s, {})
+            cell[(y, a_obs)] = cell.get((y, a_obs), Fraction(0)) + p
+        for cell in strata.values():
+            total = sum(cell.values(), Fraction(0))
+            y_margin = {}
+            a_margin = {}
+            for (y, a_obs), p in cell.items():
+                y_margin[y] = y_margin.get(y, Fraction(0)) + p
+                a_margin[a_obs] = a_margin.get(a_obs, Fraction(0)) + p
+            for y, py in y_margin.items():
+                for a_obs, pa in a_margin.items():
+                    if cell.get((y, a_obs), Fraction(0)) * total != py * pa:
+                        return False
+        return True
+
+
+def build_model(dag, state_spaces, cpts):
+    """Construct a validated DiscreteModel."""
+    return DiscreteModel(dag, state_spaces, cpts)
+
+
+def joint_probability(model, assignment):
+    return model.joint_probability(assignment)
+
+
+def cond_expectation(model, target, given=None):
+    return model.cond_expectation(target, given)
+
+
+def ci_test(model, set_a, set_b, z=()):
+    return model.ci_test(set_a, set_b, z)
+
+
+def intervene(model, node, value):
+    return model.intervene(node, value)
+
+
+def ace(model):
+    return model.ace()
+
+
+def standardized_rd(model, covariates=()):
+    return model.standardized_rd(covariates)
+
+
+def bias(model, covariates=()):
+    return model.bias(covariates)
+
+
+def cf_joint(model, a):
+    return model.cf_joint(a)
+
+
+def cf_unconfounded(model, covariates=()):
+    return model.cf_unconfounded(covariates)

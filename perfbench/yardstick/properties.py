@@ -1,0 +1,161 @@
+"""The two desiderata a confounder definition might satisfy.
+
+Property 1 (collective sufficiency): adjusting for the set of ALL
+covariates the definition marks positive removes confounding. Checked
+graphically via sufficiency of that set, and, when a model is supplied,
+also via counterfactual independence under both exposure arms.
+
+Property 2 (individual relevance), two readings for a single positive C:
+  2A  some context X exists where (X, C) is sufficient but X alone is not.
+  2B  some context X exists where adding C strictly shrinks |bias|.
+
+Only D4 satisfies Property 1 and 2A on every input; each of the other
+definitions fails at least one of these somewhere, and the registry holds
+a concrete counterexample for every such failure.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .adjust import is_sufficient, subsets_canonical
+from .classify import (
+    DEFINITIONS,
+    GRAPH_DEFINITIONS,
+    MODEL_DEFINITIONS,
+    classify_d1_graphical,
+    classify_d1_numeric,
+    classify_d2,
+    classify_d3,
+    classify_d4,
+    classify_d5,
+    classify_d6,
+    _context_sets,
+)
+from .errors import InvalidConfig, MissingModel
+
+
+@dataclass(frozen=True)
+class PropertyVerdict:
+    """Outcome of one property check. witness always carries enough to
+    re-check the verdict by hand: the tested set plus what opened it, or
+    the context that proves the existential."""
+
+    property: str
+    definition: str
+    holds: bool
+    witness: dict
+
+
+def _require_definition(def_id):
+    if def_id not in DEFINITIONS:
+        raise InvalidConfig(f"unknown definition id {def_id!r}; expected one of {DEFINITIONS}")
+
+
+def positive_covariates(dag, def_id, model=None):
+    """All pool members the given definition marks positive. D5/D6 need a
+    model; D1 is read graphically here."""
+    _require_definition(def_id)
+    if def_id in MODEL_DEFINITIONS and model is None:
+        raise MissingModel(f"{def_id} classification needs a discrete model")
+    if model is not None:
+        dag = model.dag
+    out = []
+    for c in dag.covariate_pool:
+        if def_id == "D1":
+            hit = classify_d1_graphical(dag, c)[0]
+        elif def_id == "D2":
+            hit = classify_d2(dag, c)[0]
+        elif def_id == "D3":
+            hit = classify_d3(dag, c)
+        elif def_id == "D4":
+            hit = classify_d4(dag, c)[0]
+        elif def_id == "D5":
+            hit = classify_d5(model, c)[0]
+        else:
+            hit = classify_d6(model, c)[0]
+        if hit:
+            out.append(c)
+    return tuple(out)
+
+
+def check_property1(dag, model, def_id):
+    """Does adjusting for all def_id-positive covariates suffice?
+
+    Graph check: the positive set is sufficient. Model check (when one is
+    given): additionally the counterfactual outcome under each arm is
+    independent of exposure given that set.
+    """
+    _require_definition(def_id)
+    if model is not None:
+        dag = model.dag
+    positives = positive_covariates(dag, def_id, model=model)
+    verdict = is_sufficient(dag, positives)
+    witness = {"set": positives}
+    if not verdict.sufficient:
+        witness["open_backdoor"] = str(verdict.open_backdoor_witness)
+        return PropertyVerdict("P1", def_id, False, witness)
+    if model is not None and not model.cf_unconfounded(positives):
+        witness["cf_dependent"] = True
+        return PropertyVerdict("P1", def_id, False, witness)
+    return PropertyVerdict("P1", def_id, True, witness)
+
+
+def _check_positive(dag, def_id, variable, model=None):
+    if def_id in MODEL_DEFINITIONS and model is None:
+        return
+    hits = positive_covariates(dag, def_id, model=model)
+    if variable not in hits:
+        raise InvalidConfig(
+            f"{variable!r} is not {def_id}-positive; property 2 applies to positives only"
+        )
+
+
+def distinguishing_context(dag, variable):
+    """First context X (canonical order) where (X, C) is sufficient but X
+    alone is not; None when no context distinguishes C."""
+    others = _context_sets(dag, variable)
+    for context in subsets_canonical(others):
+        if not is_sufficient(dag, set(context) | {variable}).sufficient:
+            continue
+        if not is_sufficient(dag, context).sufficient:
+            return context
+    return None
+
+
+def check_property2a(dag, def_id, variable):
+    """Is there a context X where (X, C) is sufficient but X is not?
+
+    Precondition: C is def_id-positive. That is verified here for the
+    graph definitions; for D5/D6 (model definitions) the caller vouches,
+    since this check takes no model.
+    """
+    _require_definition(def_id)
+    _check_positive(dag, def_id, variable)
+    context = distinguishing_context(dag, variable)
+    if context is not None:
+        witness = {
+            "context": context,
+            "open_without": str(is_sufficient(dag, context).open_backdoor_witness),
+        }
+        return PropertyVerdict("P2A", def_id, True, witness)
+    witness = {"variable": variable, "note": f"no context distinguishes {variable}"}
+    return PropertyVerdict("P2A", def_id, False, witness)
+
+
+def check_property2b(model, def_id, variable):
+    """Is there a context X where adding C strictly shrinks |bias|?
+
+    Precondition: C is def_id-positive (verified; D1 read graphically).
+    """
+    _require_definition(def_id)
+    _check_positive(model.dag, def_id, variable, model=model)
+    hit, witness = classify_d5(model, variable)
+    if hit:
+        context, (with_c, without) = witness
+        payload = {
+            "context": context,
+            "abs_bias_with": str(with_c),
+            "abs_bias_without": str(without),
+        }
+        return PropertyVerdict("P2B", def_id, True, payload)
+    return PropertyVerdict("P2B", def_id, False, {"variable": variable, "note": "no context shrinks |bias|"})
