@@ -31,33 +31,8 @@ from .classify import (
 )
 from .errors import ConfounderError
 from .fuzz import FuzzConfig, FuzzReport, fuzz
-from .graph import (
-    Dag,
-    Graph,
-    Path,
-    build_dag,
-    d_separated,
-    enumerate_paths,
-    is_blocked,
-    relatives,
-    remove_into,
-    subgraph_restrict,
-)
-from .model import (
-    Cpt,
-    CounterfactualJoint,
-    DiscreteModel,
-    ace,
-    bias,
-    build_model,
-    cf_joint,
-    cf_unconfounded,
-    ci_test,
-    cond_expectation,
-    intervene,
-    joint_probability,
-    standardized_rd,
-)
+from .graph import Dag, Graph, Path, d_separated, enumerate_paths, is_blocked
+from .model import Cpt, CounterfactualJoint, DiscreteModel
 from .properties import PropertyVerdict, check_property1, check_property2a, check_property2b
 from .registry import RegistryEntry, registry_entries, run_paper_suite
 from .selection import (
@@ -88,19 +63,12 @@ __all__ = [
     "PropertyVerdict",
     "RegistryEntry",
     "SelectionTrace",
-    "ace",
     "backdoor_paths",
     "backward_select",
-    "bias",
-    "build_dag",
-    "build_model",
-    "cf_joint",
-    "cf_unconfounded",
     "check_implications",
     "check_property1",
     "check_property2a",
     "check_property2b",
-    "ci_test",
     "classify_d1_graphical",
     "classify_d1_numeric",
     "classify_d2",
@@ -109,23 +77,16 @@ __all__ = [
     "classify_d5",
     "classify_d6",
     "classify_variable",
-    "cond_expectation",
     "conditional_confounder",
     "d_separated",
     "enumerate_paths",
     "fuzz",
-    "intervene",
     "is_blocked",
     "is_sufficient",
-    "joint_probability",
     "minimal_sufficient_sets",
     "registry_entries",
-    "relatives",
-    "remove_into",
     "robins_reduction",
     "run_paper_suite",
-    "standardized_rd",
-    "subgraph_restrict",
     "surrogate_confounder",
     "union_of_minimal",
 ]

@@ -23,9 +23,16 @@ observations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
-from .adjust import minimal_sufficient_sets, subsets_canonical
+from .adjust import (
+    MAX_POOL,
+    _sufficient,
+    backdoor_paths,
+    minimal_sufficient_sets,
+    subsets_canonical,
+)
 from .errors import (
     IncompleteReport,
     NotACovariate,
@@ -49,8 +56,6 @@ DASHED_EDGES = (
     ("D4", "D5"),
     ("D4", "D6"),
 )
-
-MAX_POOL = 24
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,17 @@ def _require_covariate(dag, variable):
     return pool
 
 
-def _context_sets(dag, variable):
-    pool = _require_covariate(dag, variable)
-    others = [name for name in pool if name != variable]
+def _capped(others):
     if len(others) > MAX_POOL:
         raise SizeLimit(
             f"context enumeration over {len(others)} covariates exceeds {MAX_POOL}"
         )
     return others
+
+
+def _context_sets(dag, variable):
+    pool = _require_covariate(dag, variable)
+    return _capped([name for name in pool if name != variable])
 
 
 def classify_d1_graphical(dag, variable):
@@ -118,8 +126,6 @@ def classify_d1_numeric(model, variable):
 def classify_d2(dag, variable):
     """(verdict, witness path): C appears as a non-collider on some
     backdoor path; the witness is the first such path."""
-    from .adjust import backdoor_paths
-
     _require_covariate(dag, variable)
     for path in backdoor_paths(dag):
         for i in range(1, len(path.nodes) - 1):
@@ -192,11 +198,7 @@ def conditional_confounder(dag, variable, conditioning=(), _catalog=None):
             raise NotACovariate(f"{name!r} is not in the covariate pool")
     if variable in conditioning:
         raise OverlappingSets(f"{variable!r} appears in the conditioning set")
-    from .adjust import _sufficient
-
-    others = sorted(pool - {variable} - set(conditioning))
-    if len(others) > MAX_POOL:
-        raise SizeLimit(f"context enumeration over {len(others)} covariates exceeds {MAX_POOL}")
+    others = _capped(sorted(pool - {variable} - set(conditioning)))
     base = set(conditioning)
     for context in subsets_canonical(others):
         full = set(context) | {variable}
@@ -254,30 +256,43 @@ def dashed_observations(report, has_model):
     return tuple(out)
 
 
+def _evaluators(dag, model=None, catalog=None):
+    """Definition id -> evaluator(variable) returning (verdict, witness).
+
+    The one place that knows how each definition is decided. D3 has no
+    witness. D3 and D4 share one minimal-set catalog, listed on first use
+    unless one is passed in.
+    """
+    shared = cache(lambda: minimal_sufficient_sets(dag) if catalog is None else catalog)
+    return {
+        "D1": lambda c: classify_d1_graphical(dag, c),
+        "D2": lambda c: classify_d2(dag, c),
+        "D3": lambda c: (classify_d3(dag, c, _catalog=shared()), None),
+        "D4": lambda c: classify_d4(dag, c, _catalog=shared()),
+        "D5": lambda c: classify_d5(model, c),
+        "D6": lambda c: classify_d6(model, c),
+    }
+
+
 def classify_variable(dag, variable, model=None, _catalog=None):
     """Full report for one covariate: all applicable definitions,
     witnesses, surrogate status, and the lattice verdict."""
     if model is not None and model.dag is not dag:
         dag = model.dag
+    has_model = model is not None
     catalog = minimal_sufficient_sets(dag) if _catalog is None else _catalog
-    d1, w1 = classify_d1_graphical(dag, variable)
-    d2, w2 = classify_d2(dag, variable)
-    d3 = classify_d3(dag, variable, _catalog=catalog)
-    d4, w4 = classify_d4(dag, variable, _catalog=catalog)
-    verdicts = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
-    witnesses = {"D1": w1, "D2": w2, "D4": w4}
+    evaluate = _evaluators(dag, model, catalog)
+    results = {
+        def_id: evaluate[def_id](variable)
+        for def_id in (DEFINITIONS if has_model else GRAPH_DEFINITIONS)
+    }
+    verdicts = {def_id: verdict for def_id, (verdict, _) in results.items()}
+    witnesses = {def_id: witness for def_id, (_, witness) in results.items() if def_id != "D3"}
     d1_numeric = None
     surrogate = None
-    if model is not None:
-        d1_numeric, w1n = classify_d1_numeric(model, variable)
-        d5, w5 = classify_d5(model, variable)
-        d6, w6 = classify_d6(model, variable)
-        verdicts["D5"] = d5
-        verdicts["D6"] = d6
-        witnesses["D1_numeric"] = w1n
-        witnesses["D5"] = w5
-        witnesses["D6"] = w6
-        surrogate = d5 and not d4
+    if has_model:
+        d1_numeric, witnesses["D1_numeric"] = classify_d1_numeric(model, variable)
+        surrogate = verdicts["D5"] and not verdicts["D4"]
     report = ConfounderReport(
         variable=variable,
         verdicts=verdicts,
@@ -286,14 +301,7 @@ def classify_variable(dag, variable, model=None, _catalog=None):
         lattice_ok=True,
         d1_numeric=d1_numeric,
     )
-    ok, _violated = check_implications(report, has_model=model is not None)
-    observations = dashed_observations(report, has_model=model is not None)
-    return ConfounderReport(
-        variable=variable,
-        verdicts=verdicts,
-        witnesses=witnesses,
-        surrogate=surrogate,
-        lattice_ok=ok,
-        d1_numeric=d1_numeric,
-        dashed_observations=observations,
+    ok, _violated = check_implications(report, has_model)
+    return replace(
+        report, lattice_ok=ok, dashed_observations=dashed_observations(report, has_model)
     )

@@ -102,9 +102,16 @@ def parse_graph(text):
         raise ParseError(str(exc)) from exc
 
 
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
 def load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def _state_from_token(token, node, states, lineno=None):
@@ -196,8 +203,7 @@ def parse_model(text, dag):
 
 
 def load_model(path, dag):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read(), dag)
+    return parse_model(_read_text(path), dag)
 
 
 def format_3dec(value):

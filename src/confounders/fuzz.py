@@ -33,16 +33,7 @@ from fractions import Fraction
 from itertools import product
 
 from .adjust import _sufficient, minimal_sufficient_sets, subsets_canonical, union_of_minimal
-from .classify import (
-    DASHED_EDGES,
-    classify_d1_graphical,
-    classify_d1_numeric,
-    classify_d2,
-    classify_d3,
-    classify_d4,
-    classify_d5,
-    classify_d6,
-)
+from .classify import DASHED_EDGES, SOLID_MODEL_EDGES, check_implications, classify_variable
 from .errors import InvalidConfig
 from .graph import Dag
 from .model import Cpt, DiscreteModel
@@ -177,18 +168,22 @@ def _run_trial(index, dag, model, failures, counters):
     if not union_verdict.sufficient:
         fail(f"union of minimal sets {catalog.union} is not sufficient")
 
-    verdicts = {}
-    for c in pool:
-        d1, _ = classify_d1_graphical(dag, c)
-        d2, _ = classify_d2(dag, c)
-        d3 = classify_d3(dag, c, _catalog=catalog)
-        d4, _ = classify_d4(dag, c, _catalog=catalog)
-        verdicts[c] = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
-        for premise, conclusion in (("D3", "D4"), ("D4", "D2"), ("D4", "D1"), ("D3", "D2"), ("D3", "D1")):
-            if verdicts[c][premise] and not verdicts[c][conclusion]:
-                fail(f"solid arrow {premise}=>{conclusion} broken at {c}")
-        if d2 and not d1:
-            counters["dashed_D2_to_D1"] += 1
+    has_model = model is not None
+    reports = [classify_variable(dag, c, model, _catalog=catalog) for c in pool]
+    numeric_failures = []
+    for report in reports:
+        for arrow in check_implications(report, has_model)[1]:
+            if tuple(arrow.split("=>")) in SOLID_MODEL_EDGES:
+                numeric_failures.append(
+                    f"solid arrow {arrow} broken at {report.variable} (numeric layer)"
+                )
+            else:
+                fail(f"solid arrow {arrow} broken at {report.variable}")
+        for arrow in report.dashed_observations:
+            counters["dashed_" + arrow.replace("->", "_to_")] += 1
+        if has_model and report.d1_numeric != report.verdicts["D1"]:
+            counters["d1_graphical_numeric_gaps"] += 1
+    verdicts = {report.variable: report.verdicts for report in reports}
 
     for def_id in ("D1", "D2"):
         marked = tuple(c for c in pool if verdicts[c][def_id])
@@ -203,7 +198,7 @@ def _run_trial(index, dag, model, failures, counters):
     if not _sufficient(dag, p2a_marked):
         counters["p2a_as_definition_p1_failures"] += 1
 
-    if model is None:
+    if not has_model:
         return
 
     ace = model.ace()
@@ -218,21 +213,8 @@ def _run_trial(index, dag, model, failures, counters):
         elif unconfounded:
             counters["cf_unconfounded_insufficient"] += 1
 
-    for c in pool:
-        d1n, _ = classify_d1_numeric(model, c)
-        d5, _ = classify_d5(model, c)
-        d6, _ = classify_d6(model, c)
-        layer = {"D1": d1n, "D5": d5, "D6": d6}
-        for premise, conclusion in (("D5", "D6"), ("D6", "D1"), ("D5", "D1")):
-            if layer[premise] and not layer[conclusion]:
-                fail(f"solid arrow {premise}=>{conclusion} broken at {c} (numeric layer)")
-        if d1n != verdicts[c]["D1"]:
-            counters["d1_graphical_numeric_gaps"] += 1
-        full = dict(verdicts[c], D5=d5, D6=d6)
-        for premise, conclusion in DASHED_EDGES:
-            if conclusion in ("D5", "D6") or premise in ("D5", "D6"):
-                if full[premise] and not full[conclusion]:
-                    counters[f"dashed_{premise}_to_{conclusion}"] += 1
+    for msg in numeric_failures:
+        fail(msg)
 
 
 def fuzz(config):

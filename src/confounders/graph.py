@@ -306,11 +306,6 @@ class Dag(Graph):
         )
 
 
-def build_dag(nodes, edges, exposure, outcome, declared_pre=None):
-    """Construct a Dag; the long-form constructor alias."""
-    return Dag(nodes, edges, exposure, outcome, declared_pre)
-
-
 def _disjoint(parts):
     flat = set()
     for part in parts:
@@ -410,29 +405,3 @@ def is_blocked(graph, path, given=()):
         elif node in given:
             return True
     return False
-
-
-_RELATIVE_KINDS = ("parents", "children", "ancestors", "descendants", "nondescendants")
-
-
-def relatives(graph, node, kind):
-    """One relative set of a node; kind names which one.
-
-    kind is one of parents, children, ancestors, descendants,
-    nondescendants. Ancestors and descendants are strict (a node is not
-    its own relative); nondescendants excludes the node too.
-    """
-    if kind not in _RELATIVE_KINDS:
-        raise GraphError(f"unknown relative kind {kind!r}; pick one of {_RELATIVE_KINDS}")
-    return getattr(graph, kind)(node)
-
-
-def subgraph_restrict(graph, keep):
-    """The induced subgraph on `keep` (a Dag again when exposure and
-    outcome survive)."""
-    return graph.subgraph(keep)
-
-
-def remove_into(graph, node):
-    """The graph with every edge into `node` deleted."""
-    return graph.without_edges_into(node)

@@ -455,44 +455,3 @@ class CounterfactualJoint:
                     if cell.get((y, a_obs), Fraction(0)) * total != py * pa:
                         return False
         return True
-
-
-def build_model(dag, state_spaces, cpts):
-    """Construct a validated DiscreteModel."""
-    return DiscreteModel(dag, state_spaces, cpts)
-
-
-def joint_probability(model, assignment):
-    return model.joint_probability(assignment)
-
-
-def cond_expectation(model, target, given=None):
-    return model.cond_expectation(target, given)
-
-
-def ci_test(model, set_a, set_b, z=()):
-    return model.ci_test(set_a, set_b, z)
-
-
-def intervene(model, node, value):
-    return model.intervene(node, value)
-
-
-def ace(model):
-    return model.ace()
-
-
-def standardized_rd(model, covariates=()):
-    return model.standardized_rd(covariates)
-
-
-def bias(model, covariates=()):
-    return model.bias(covariates)
-
-
-def cf_joint(model, a):
-    return model.cf_joint(a)
-
-
-def cf_unconfounded(model, covariates=()):
-    return model.cf_unconfounded(covariates)

@@ -18,19 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adjust import is_sufficient, subsets_canonical
-from .classify import (
-    DEFINITIONS,
-    GRAPH_DEFINITIONS,
-    MODEL_DEFINITIONS,
-    classify_d1_graphical,
-    classify_d1_numeric,
-    classify_d2,
-    classify_d3,
-    classify_d4,
-    classify_d5,
-    classify_d6,
-    _context_sets,
-)
+from .classify import DEFINITIONS, MODEL_DEFINITIONS, _context_sets, _evaluators, classify_d5
 from .errors import InvalidConfig, MissingModel
 
 
@@ -59,23 +47,8 @@ def positive_covariates(dag, def_id, model=None):
         raise MissingModel(f"{def_id} classification needs a discrete model")
     if model is not None:
         dag = model.dag
-    out = []
-    for c in dag.covariate_pool:
-        if def_id == "D1":
-            hit = classify_d1_graphical(dag, c)[0]
-        elif def_id == "D2":
-            hit = classify_d2(dag, c)[0]
-        elif def_id == "D3":
-            hit = classify_d3(dag, c)
-        elif def_id == "D4":
-            hit = classify_d4(dag, c)[0]
-        elif def_id == "D5":
-            hit = classify_d5(model, c)[0]
-        else:
-            hit = classify_d6(model, c)[0]
-        if hit:
-            out.append(c)
-    return tuple(out)
+    evaluate = _evaluators(dag, model)[def_id]
+    return tuple(c for c in dag.covariate_pool if evaluate(c)[0])
 
 
 def check_property1(dag, model, def_id):

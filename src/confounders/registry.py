@@ -46,7 +46,6 @@ from .classify import (
 from .errors import UnknownNode
 from .formats import format_3dec, json_ready, parse_graph, parse_model
 from .graph import Dag, enumerate_paths
-from .model import intervene
 from .properties import (
     check_property1,
     check_property2a,
@@ -531,12 +530,12 @@ def _prop5_claims():
         Claim(
             "Prop5: E(Y | do(A=1)) = 3/10 by truncated factorization",
             Fraction(3, 10),
-            lambda e: intervene(e.model, "A", 1).cond_expectation("Y"),
+            lambda e: e.model.intervene("A", 1).cond_expectation("Y"),
         ),
         Claim(
             "Prop5: E(Y | do(A=0)) = 1/5 by truncated factorization",
             Fraction(1, 5),
-            lambda e: intervene(e.model, "A", 0).cond_expectation("Y"),
+            lambda e: e.model.intervene("A", 0).cond_expectation("Y"),
         ),
         Claim(
             "Prop5: the counterfactual means match the interventional ones",

@@ -329,6 +329,22 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert code == 2 and "unknown directive" in err
 
 
+def test_non_utf8_graph_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"\xff\xfenode A exposure\n")
+    code, out, err = run(capsys, "minimal-sets", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
+def test_non_utf8_model_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    code, out, err = run(capsys, "classify", fx("fig1.graph"), "--model", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
 def test_size_limit_exits_3(capsys, tmp_path):
     big = tmp_path / "big.graph"
     k = 26

@@ -70,20 +70,42 @@ def test_random_model_is_binary_with_small_denominators():
 # -- runs ----------------------------------------------------------------------------
 
 
+def _counters(**nonzero):
+    """The full counter dict of a report: every key zero except `nonzero`."""
+    keys = (
+        "cf_unconfounded_insufficient",
+        "d1_graphical_numeric_gaps",
+        "dashed_D1_to_D6",
+        "dashed_D2_to_D1",
+        "dashed_D2_to_D6",
+        "dashed_D3_to_D5",
+        "dashed_D3_to_D6",
+        "dashed_D4_to_D5",
+        "dashed_D4_to_D6",
+        "p1_d3_failures",
+        "p2a_as_definition_p1_failures",
+    )
+    return {key: nonzero.get(key, 0) for key in keys}
+
+
+# Counts pinned from the fuzzer as it stood before the per-covariate checks
+# went through classify_variable; the same draws must give the same counts.
+
+
 def test_graph_run_has_no_hard_failures():
     report = fuzz(FuzzConfig(n_nodes=7, edge_prob=0.35, n_trials=200, seed=42))
     assert isinstance(report, FuzzReport)
     assert report.ok and report.hard_failures == ()
     assert report.trials == 200
+    assert report.counters == _counters(dashed_D2_to_D1=20, p1_d3_failures=12)
 
 
 def test_model_run_has_no_hard_failures():
     report = fuzz(
         FuzzConfig(n_nodes=5, edge_prob=0.4, n_trials=40, seed=42, with_models=True)
     )
-    assert report.ok
-    # model-layer counters only move on model runs
-    assert "cf_unconfounded_insufficient" in report.counters
+    assert report.ok and report.hard_failures == ()
+    assert report.counters == _counters(p1_d3_failures=3)
 
 
 def test_counters_record_phenomena_without_failing():
@@ -103,6 +125,8 @@ def test_fuzz_reports_are_byte_deterministic():
     a, b = fuzz(cfg), fuzz(cfg)
     assert a.to_text() == b.to_text()
     assert a.to_json() == b.to_json()
+    # a run where the model-layer dashed arrows count
+    assert a.counters == _counters(dashed_D2_to_D1=2, dashed_D2_to_D6=2, p1_d3_failures=3)
 
 
 def test_report_json_shape():

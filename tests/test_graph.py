@@ -21,13 +21,9 @@ from confounders.graph import (
     Dag,
     Graph,
     Path,
-    build_dag,
     d_separated,
     enumerate_paths,
     is_blocked,
-    relatives,
-    remove_into,
-    subgraph_restrict,
 )
 from helpers_oracle import naive_d_separated, naive_simple_paths
 
@@ -92,11 +88,6 @@ def test_dag_needs_exposure_and_outcome():
         Dag(("A", "Y"), (("A", "Y"),), "A", "Z")
 
 
-def test_build_dag_matches_constructor():
-    made = build_dag(("C1", "A", "Y"), (("C1", "A"), ("C1", "Y"), ("A", "Y")), "A", "Y")
-    assert made.nodes == FORK.nodes and made.edges == FORK.edges
-
-
 def test_covariate_pool_excludes_exposure_outcome_and_post():
     dag = Dag(
         ("C", "A", "M", "Y"),
@@ -123,30 +114,26 @@ def test_declared_pre_narrows_pool():
 
 
 def test_relatives_kinds():
-    assert relatives(CHAIN, "B", "parents") == frozenset({"A"})
-    assert relatives(CHAIN, "A", "children") == frozenset({"B"})
-    assert relatives(CHAIN, "C", "ancestors") == frozenset({"A", "B"})
-    assert relatives(CHAIN, "A", "descendants") == frozenset({"B", "C"})
-    assert relatives(CHAIN, "C", "nondescendants") == frozenset({"A", "B"})
-
-
-def test_relatives_unknown_kind():
-    with pytest.raises(GraphError):
-        relatives(CHAIN, "A", "cousins")
+    assert CHAIN.parents("B") == frozenset({"A"})
+    assert CHAIN.children("A") == frozenset({"B"})
+    assert CHAIN.ancestors("C") == frozenset({"A", "B"})
+    assert CHAIN.descendants("A") == frozenset({"B", "C"})
+    assert CHAIN.nondescendants("C") == frozenset({"A", "B"})
 
 
 def test_relatives_unknown_node():
-    with pytest.raises(UnknownNode):
-        relatives(CHAIN, "Q", "parents")
+    for kind in ("parents", "children", "ancestors", "descendants", "nondescendants"):
+        with pytest.raises(UnknownNode):
+            getattr(CHAIN, kind)("Q")
 
 
 def test_subgraph_restrict_drops_edges():
-    sub = subgraph_restrict(CHAIN, ("A", "C"))
+    sub = CHAIN.subgraph(("A", "C"))
     assert sub.nodes == ("A", "C") and sub.edges == ()
 
 
 def test_remove_into_strips_incoming_edges():
-    g = remove_into(CHAIN, "B")
+    g = CHAIN.without_edges_into("B")
     assert ("A", "B") not in g.edges and ("B", "C") in g.edges
 
 

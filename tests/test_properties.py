@@ -2,6 +2,7 @@
 and each positive has a context where it matters (P2A graphical, P2B model)."""
 import pytest
 
+import confounders.classify
 from confounders.errors import InvalidConfig, MissingModel
 from confounders.graph import Dag
 from confounders.properties import (
@@ -30,6 +31,35 @@ def test_positive_covariates_per_definition():
     assert positive_covariates(TWO_ROUTES.dag, "D3") == ()
     assert positive_covariates(TWO_ROUTES.dag, "D4") == ("C1", "C2")
     assert positive_covariates(SURROGATE.dag, "D5", SURROGATE.model) == ("C1", "C2")
+
+
+@pytest.mark.parametrize(
+    "name, d3, d4",
+    [
+        ("Fig1", (), ()),
+        ("Fig2", ("C1",), ("C1",)),
+        ("Fig3", (), ("C1", "C2")),
+        ("Fig4", ("C1",), ("C1",)),
+        ("Prop5", ("C",), ("C",)),
+    ],
+)
+def test_positive_covariates_d3_d4_on_registry(name, d3, d4):
+    dag = get_entry(name).dag
+    assert positive_covariates(dag, "D3") == d3
+    assert positive_covariates(dag, "D4") == d4
+
+
+def test_positive_covariates_lists_the_catalog_once(monkeypatch):
+    calls = []
+    real = confounders.classify.minimal_sufficient_sets
+
+    def counted(dag):
+        calls.append(dag)
+        return real(dag)
+
+    monkeypatch.setattr(confounders.classify, "minimal_sufficient_sets", counted)
+    assert positive_covariates(COLLIDER_CHILD.dag, "D4") == ()
+    assert len(COLLIDER_CHILD.dag.covariate_pool) == 3 and len(calls) == 1
 
 
 def test_positive_covariates_needs_model_for_numeric_defs():
