@@ -3,12 +3,16 @@
 A covariate set S is sufficient when conditioning on it blocks every
 backdoor path from exposure to outcome; equivalently, when exposure and
 outcome are d-separated by S after deleting the exposure's outgoing edges.
-Both characterizations are implemented (the second is what runs; the first
-supplies human-readable witnesses) and the tests cross-check them.
+The verdict is that second characterization, one kernel query
+(`_sufficient`). When a set is insufficient, its witness, the first open
+backdoor path, comes from a first-hit search (`_first_backdoor_path`) that
+stops at that path. `backdoor_paths` lists every backdoor path; it is the
+oracle the tests check the search against.
 
 All candidate sets are visited in canonical order: by size, then
-lexicographically by the sorted name tuple. Every "first witness" in the
-package means first in that order.
+lexicographically by the sorted name tuple. Every "first witness" set in
+the package means first in that order, and every first witness path means
+first in the lexicographic order of `backdoor_paths`.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NonCovariateInSet, SizeLimit
-from .graph import Path, enumerate_paths, is_blocked
+from .graph import Path, _first_path, enumerate_paths
 
 MAX_POOL = 24
 
@@ -76,7 +80,12 @@ def _require_enumerable(pool, what):
 
 def backdoor_paths(dag):
     """Exposure-outcome paths that start with an edge into the exposure,
-    in lexicographic order."""
+    in lexicographic order.
+
+    Lists every path, so its cost grows with the path count, which is
+    exponential in density. The registry lists paths with it and the tests
+    use it as the oracle; verdicts and witnesses do not call it.
+    """
     return tuple(
         p for p in enumerate_paths(dag, dag.exposure, dag.outcome) if p.starts_into_source
     )
@@ -91,11 +100,34 @@ def _sufficient(dag, covariates):
     )
 
 
+def _first_backdoor_path(dag, noncollider_ok, collider_ok, through=0):
+    """The first backdoor path, in the order of `backdoor_paths`, whose
+    interior nodes are admissible and which visits every node of `through`.
+
+    Masks over the Dag's node indices: an interior node where the path
+    passes through must be in `noncollider_ok`, one where both edges point
+    in must be in `collider_ok`. None when no backdoor path qualifies.
+    """
+    a = dag._index[dag.exposure]
+    return _first_path(
+        dag,
+        a,
+        dag._index[dag.outcome],
+        dag._kernel.parents_mask(a),
+        noncollider_ok,
+        collider_ok,
+        through,
+    )
+
+
 def _open_backdoor_witness(dag, covariates):
-    for path in backdoor_paths(dag):
-        if not is_blocked(dag, path, covariates):
-            return path
-    raise AssertionError("insufficient set with every backdoor path blocked")
+    # open: an unconditioned non-collider, or a collider with itself or a
+    # descendant conditioned on, i.e. a collider among the ancestors of S
+    given = dag._mask(covariates)
+    path = _first_backdoor_path(dag, ~given, dag._kernel.closure_up(given))
+    if path is None:
+        raise AssertionError("insufficient set with every backdoor path blocked")
+    return path
 
 
 def _is_minimal(dag, covariates):
@@ -110,6 +142,9 @@ def is_sufficient(dag, covariates):
 
     When the set is insufficient the verdict carries the first open
     backdoor path as a witness; when sufficient, whether it is minimal.
+    The verdict is one kernel query, the witness a first-hit path search
+    and minimality a scan of the proper subsets; callers that read only
+    the verdict call `_sufficient`.
     """
     covariates = _require_pool(dag, covariates)
     if _sufficient(dag, covariates):

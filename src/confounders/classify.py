@@ -28,8 +28,8 @@ from functools import cache
 
 from .adjust import (
     MAX_POOL,
+    _first_backdoor_path,
     _sufficient,
-    backdoor_paths,
     minimal_sufficient_sets,
     subsets_canonical,
 )
@@ -127,11 +127,10 @@ def classify_d2(dag, variable):
     """(verdict, witness path): C appears as a non-collider on some
     backdoor path; the witness is the first such path."""
     _require_covariate(dag, variable)
-    for path in backdoor_paths(dag):
-        for i in range(1, len(path.nodes) - 1):
-            if path.nodes[i] == variable and not path.is_collider_at(i):
-                return True, path
-    return False, None
+    c = 1 << dag._index[variable]
+    # any node may pass along the path; C must, and not as a collider
+    path = _first_backdoor_path(dag, -1, ~c, through=c)
+    return path is not None, path
 
 
 def classify_d3(dag, variable, _catalog=None):

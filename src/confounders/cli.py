@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .adjust import is_sufficient, minimal_sufficient_sets, union_of_minimal
+from .adjust import _sufficient, minimal_sufficient_sets
 from .classify import (
     DEFINITIONS,
     GRAPH_DEFINITIONS,
@@ -80,18 +80,18 @@ def _parse_names(raw):
 def cmd_minimal_sets(args):
     dag = load_graph(args.graph)
     catalog = minimal_sufficient_sets(dag)
-    union_verdict = union_of_minimal(dag, catalog)
+    union_sufficient = _sufficient(dag, catalog.union)
     if args.format == "json":
         _emit_json(
             {
                 "sets": [list(s) for s in catalog.sets],
                 "union": list(catalog.union),
-                "union_sufficient": union_verdict.sufficient,
+                "union_sufficient": union_sufficient,
             }
         )
         return 0
     listed = ", ".join(_set_text(s) for s in catalog.sets)
-    word = "sufficient" if union_verdict.sufficient else "NOT sufficient"
+    word = "sufficient" if union_sufficient else "NOT sufficient"
     _emit(f"{listed}; union {_set_text(catalog.union)} {word}\n")
     return 0
 
@@ -129,7 +129,8 @@ def cmd_classify(args):
     if model is None and any(d in MODEL_DEFINITIONS for d in wanted):
         raise MissingModel("D5/D6 verdicts need --model")
     variables = (args.variable,) if args.variable else dag.covariate_pool
-    reports = [classify_variable(dag, v, model=model) for v in variables]
+    catalog = minimal_sufficient_sets(dag if model is None else model.dag)
+    reports = [classify_variable(dag, v, model=model, _catalog=catalog) for v in variables]
     cf_empty = model.cf_unconfounded(()) if model is not None else None
 
     if args.format == "json":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .adjust import _sufficient, minimal_sufficient_sets, subsets_canonical, union_of_minimal
+from .adjust import _sufficient, minimal_sufficient_sets, subsets_canonical
 from .classify import DASHED_EDGES, SOLID_MODEL_EDGES, check_implications, classify_variable
 from .errors import InvalidConfig
 from .graph import Dag
@@ -164,8 +164,7 @@ def _run_trial(index, dag, model, failures, counters):
         stray = set(s) - anc
         if stray:
             fail(f"minimal set {s} reaches outside the ancestor hull via {sorted(stray)}")
-    union_verdict = union_of_minimal(dag, catalog)
-    if not union_verdict.sufficient:
+    if not _sufficient(dag, catalog.union):
         fail(f"union of minimal sets {catalog.union} is not sufficient")
 
     has_model = model is not None

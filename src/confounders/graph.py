@@ -1,9 +1,12 @@
 """Directed acyclic graphs with named nodes, paths, and d-separation.
 
-Two independent routes decide separation questions: a bitmask reachability
-kernel (`d_separated`, backed by confounders._kernels) and literal path
-enumeration (`enumerate_paths` + `is_blocked`). They must agree; the test
-suite cross-checks them on random graphs.
+Separation questions are decided by a bitmask reachability kernel
+(`d_separated`, backed by confounders._kernels). Literal path enumeration
+(`enumerate_paths` + `is_blocked`) is the oracle: the test suite
+cross-checks the kernel against it on random graphs, and the registry uses
+it to list paths. A single path that explains a verdict comes from
+`_first_path`, a depth-first search in the same lexicographic order that
+stops at the first admissible path instead of listing them all.
 
 Node sets returned by queries are frozensets; anything order-sensitive
 (paths, topological order) comes back as tuples. All tie-breaking is
@@ -33,6 +36,7 @@ from .errors import (
 _BAD_NAME = re.compile(r"[\s,]")
 
 MAX_NODES = 64
+MAX_PATH_EXPANSIONS = 1_000_000  # nodes one `_first_path` search may expand
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,7 @@ class Dag(Graph):
     outcome) is eligible for adjustment.
     """
 
-    __slots__ = ("exposure", "outcome", "declared_pre", "_no_out")
+    __slots__ = ("exposure", "outcome", "declared_pre", "_no_out", "_pool")
 
     def __init__(self, nodes, edges, exposure, outcome, declared_pre=None):
         super().__init__(nodes, edges)
@@ -255,16 +259,19 @@ class Dag(Graph):
                 self._require(name)
         self.declared_pre = declared_pre
         self._no_out = None
+        self._pool = None
 
     @property
     def covariate_pool(self):
         """Adjustable names: nondescendants of the exposure, minus exposure
         and outcome, narrowed to the declared pre-exposure set if given.
-        Sorted tuple."""
-        pool = self.nondescendants(self.exposure) - {self.exposure, self.outcome}
-        if self.declared_pre is not None:
-            pool &= self.declared_pre
-        return tuple(sorted(pool))
+        Sorted tuple (cached)."""
+        if self._pool is None:
+            pool = self.nondescendants(self.exposure) - {self.exposure, self.outcome}
+            if self.declared_pre is not None:
+                pool &= self.declared_pre
+            self._pool = tuple(sorted(pool))
+        return self._pool
 
     def without_exposure_out_edges(self):
         """The graph with the exposure's outgoing edges removed (cached).
@@ -331,6 +338,8 @@ def enumerate_paths(graph, source, target):
 
     Returned in lexicographic order of the node-name sequence (the DFS
     expands neighbors in name order, which yields exactly that order).
+    The count grows exponentially with density; this listing is the
+    oracle for `_first_path`, which stops at the first path it needs.
     """
     si, ti = graph._require(source), graph._require(target)
     if si == ti:
@@ -360,6 +369,100 @@ def enumerate_paths(graph, source, target):
 
     dfs(source)
     return tuple(out)
+
+
+def _reaches(adjacency, start, allowed, needed):
+    """True iff every node of mask `needed` is reachable from `start` over
+    the skeleton, stepping only onto nodes of mask `allowed`."""
+    seen = frontier = 1 << start
+    while needed & ~seen:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & allowed & ~seen
+        if not frontier:
+            return False
+        seen |= frontier
+    return True
+
+
+def _first_path(graph, source, target, first_step, noncollider_ok, collider_ok, through=0):
+    """The lexicographically first simple path from source to target whose
+    second node is in `first_step`, whose interior nodes are each admissible
+    (in `noncollider_ok` where the path passes through, in `collider_ok`
+    where both its edges point in) and which visits every node of `through`.
+    None when no such path exists.
+
+    Nodes are indices and sets are bitmasks. Neighbors are expanded in name
+    order, as in `enumerate_paths`, so the result is the first admissible
+    entry of that listing. Two cuts drop a prefix early, and both keep the
+    order: an interior node is checked as soon as the step after it fixes
+    whether it is a collider, and a prefix is dropped when the target, or a
+    node of `through` it has not visited, is unreachable over the skeleton
+    minus the prefix. A prefix can only be completed by a simple path from
+    its last node over nodes outside it, so neither cut drops a prefix that
+    has an admissible completion.
+
+    Raises SizeLimit once it has expanded more than MAX_PATH_EXPANSIONS
+    nodes.
+    """
+    kernel = graph._kernel
+    n = len(graph.nodes)
+    parents = [kernel.parents_mask(i) for i in range(n)]
+    children = [kernel.children_mask(i) for i in range(n)]
+    adjacency = [p | c for p, c in zip(parents, children)]
+    by_name = sorted(range(n), key=graph.nodes.__getitem__)
+    neighbors = [[j for j in by_name if adjacency[i] >> j & 1] for i in range(n)]
+    goal = (1 << target) | through
+    path = [source]
+    expanded = 0
+
+    def extend(current, on_path):
+        nonlocal expanded
+        if current == source:
+            step = first_step
+        elif parents[current] >> path[-2] & 1:
+            # entered along an arrow into `current`: it is a collider
+            # exactly when the next step is to one of its parents
+            step = (parents[current] if collider_ok >> current & 1 else 0) | (
+                children[current] if noncollider_ok >> current & 1 else 0
+            )
+        else:
+            step = adjacency[current] if noncollider_ok >> current & 1 else 0
+        step &= ~on_path
+        for nxt in neighbors[current]:
+            bit = 1 << nxt
+            if not step & bit:
+                continue
+            if nxt == target:
+                if through & ~on_path:
+                    continue
+                path.append(nxt)
+                return True
+            expanded += 1
+            if expanded > MAX_PATH_EXPANSIONS:
+                raise SizeLimit(
+                    f"path search from {graph.nodes[source]!r} to {graph.nodes[target]!r} "
+                    f"expanded {expanded} nodes, over the cap of {MAX_PATH_EXPANSIONS}"
+                )
+            inside = on_path | bit
+            if not _reaches(adjacency, nxt, ~inside, goal & ~inside):
+                continue
+            path.append(nxt)
+            if extend(nxt, inside):
+                return True
+            path.pop()
+        return False
+
+    if not extend(source, 1 << source):
+        return None
+    names = tuple(graph.nodes[i] for i in path)
+    arrows = tuple(
+        "->" if parents[v] >> u & 1 else "<-" for u, v in zip(path, path[1:])
+    )
+    return Path(names, arrows)
 
 
 def _validate_path(graph, path):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adjust import is_sufficient, subsets_canonical
+from .adjust import _open_backdoor_witness, _sufficient, subsets_canonical
 from .classify import DEFINITIONS, MODEL_DEFINITIONS, _context_sets, _evaluators, classify_d5
 from .errors import InvalidConfig, MissingModel
 
@@ -62,10 +62,9 @@ def check_property1(dag, model, def_id):
     if model is not None:
         dag = model.dag
     positives = positive_covariates(dag, def_id, model=model)
-    verdict = is_sufficient(dag, positives)
     witness = {"set": positives}
-    if not verdict.sufficient:
-        witness["open_backdoor"] = str(verdict.open_backdoor_witness)
+    if not _sufficient(dag, positives):
+        witness["open_backdoor"] = str(_open_backdoor_witness(dag, positives))
         return PropertyVerdict("P1", def_id, False, witness)
     if model is not None and not model.cf_unconfounded(positives):
         witness["cf_dependent"] = True
@@ -88,9 +87,9 @@ def distinguishing_context(dag, variable):
     alone is not; None when no context distinguishes C."""
     others = _context_sets(dag, variable)
     for context in subsets_canonical(others):
-        if not is_sufficient(dag, set(context) | {variable}).sufficient:
+        if not _sufficient(dag, set(context) | {variable}):
             continue
-        if not is_sufficient(dag, context).sufficient:
+        if not _sufficient(dag, context):
             return context
     return None
 
@@ -108,7 +107,7 @@ def check_property2a(dag, def_id, variable):
     if context is not None:
         witness = {
             "context": context,
-            "open_without": str(is_sufficient(dag, context).open_backdoor_witness),
+            "open_without": str(_open_backdoor_witness(dag, context)),
         }
         return PropertyVerdict("P2A", def_id, True, witness)
     witness = {"variable": variable, "note": f"no context distinguishes {variable}"}

@@ -4,6 +4,9 @@ from importlib.resources import files
 
 import pytest
 
+import confounders.adjust
+import confounders.classify
+import confounders.cli
 from confounders.cli import main
 
 FIXTURES = files("confounders").joinpath("fixtures")
@@ -94,6 +97,23 @@ def test_classify_json_filters_witnesses(capsys):
     assert all(k.split("_")[0] in {"D1", "D5"} for k in c2["witnesses"])
     assert c2["surrogate"] is True
     assert doc["cf_unconfounded_empty"] is False
+
+
+def test_classify_lists_the_catalog_once(capsys, monkeypatch):
+    calls = []
+    real = confounders.adjust.minimal_sufficient_sets
+
+    def counted(dag):
+        calls.append(dag)
+        return real(dag)
+
+    monkeypatch.setattr(confounders.cli, "minimal_sufficient_sets", counted)
+    monkeypatch.setattr(confounders.classify, "minimal_sufficient_sets", counted)
+    code, out, _ = run(
+        capsys, "classify", fx("fig4.graph"), "--model", fx("fig4.json"), "--defs", "D1"
+    )
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len(calls) == 1
 
 
 def test_classify_unknown_definition(capsys):

@@ -1,0 +1,132 @@
+"""First-hit backdoor path search, checked against full path enumeration.
+
+The oracle is `backdoor_paths` filtered by `is_blocked` (for witnesses) or
+by the non-collider position of the variable (for D2): the search must
+return exactly the first path that filter keeps, or None when it keeps
+none.
+"""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import confounders.graph as graph_module
+from confounders.adjust import _first_backdoor_path, backdoor_paths, is_sufficient
+from confounders.classify import classify_d2
+from confounders.cli import main
+from confounders.errors import SizeLimit
+from confounders.graph import Dag, is_blocked
+
+
+@st.composite
+def dags(draw, max_nodes=10):
+    n = draw(st.integers(2, max_nodes))
+    names = [f"V{i}" for i in range(n)]
+    order = draw(st.permutations(names))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    exposure, outcome = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+    return Dag(names, [e for e, k in zip(pairs, keep) if k], exposure, outcome)
+
+
+def _first_open(dag, given):
+    return next((p for p in backdoor_paths(dag) if not is_blocked(dag, p, given)), None)
+
+
+def _first_d2(dag, variable):
+    for path in backdoor_paths(dag):
+        for i in range(1, len(path.nodes) - 1):
+            if path.nodes[i] == variable and not path.is_collider_at(i):
+                return path
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag=dags(), data=st.data())
+def test_witness_is_first_open_backdoor_path(dag, data):
+    # any nodes but the endpoints, so descendants of the exposure can be
+    # conditioned on and open colliders from below
+    others = [v for v in dag.nodes if v not in (dag.exposure, dag.outcome)]
+    given_set = data.draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+    mask = dag._mask(given_set)
+    got = _first_backdoor_path(dag, ~mask, dag._kernel.closure_up(mask))
+    assert got == _first_open(dag, given_set)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=dags(), data=st.data())
+def test_is_sufficient_witness_matches_enumeration(dag, data):
+    pool = dag.covariate_pool
+    subset = data.draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+    verdict = is_sufficient(dag, subset)
+    assert verdict.open_backdoor_witness == _first_open(dag, subset)
+    assert verdict.sufficient == (verdict.open_backdoor_witness is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=dags())
+def test_d2_matches_enumeration(dag):
+    for variable in dag.covariate_pool:
+        want = _first_d2(dag, variable)
+        assert classify_d2(dag, variable) == (want is not None, want)
+
+
+# -- the complete DAG: every path search answers -----------------------------
+
+N_COMPLETE = 16
+
+
+def complete_dag():
+    names = [f"C{i}" for i in range(N_COMPLETE)] + ["A", "Y"]
+    edges = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
+    return Dag(names, edges, "A", "Y")
+
+
+def write_graph(path, dag):
+    lines = [f"node {v}" for v in dag.nodes if v not in (dag.exposure, dag.outcome)]
+    lines += [f"node {dag.exposure} exposure", f"node {dag.outcome} outcome"]
+    lines += [f"edge {u} {v}" for u, v in dag.edges]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_complete_dag_witness_is_an_open_backdoor_path():
+    dag = complete_dag()
+    verdict = is_sufficient(dag, ["C1"])
+    assert not verdict.sufficient
+    witness = verdict.open_backdoor_witness
+    assert str(witness) == "A <- C0 -> C10 -> C11 -> C12 -> C13 -> C14 -> C15 -> Y"
+    assert witness.starts_into_source and witness.nodes[-1] == "Y"
+    assert not is_blocked(dag, witness, ["C1"])
+
+
+def test_complete_dag_d2_answers_for_every_covariate():
+    dag = complete_dag()
+    for variable in dag.covariate_pool:
+        verdict, path = classify_d2(dag, variable)
+        assert verdict and variable in path.interior
+        i = path.nodes.index(variable)
+        assert not path.is_collider_at(i) and path.starts_into_source
+
+
+def test_complete_dag_cli_classify_one_definition(tmp_path, capsys):
+    graph = write_graph(tmp_path / "complete.graph", complete_dag())
+    assert main(["classify", graph, "--variable", "C0", "--defs", "D1"]) == 0
+    assert capsys.readouterr().out == "C0: D1 yes (context {})\n"
+
+
+# -- the expansion cap ----------------------------------------------------------
+
+
+def test_cap_raises_size_limit_with_count_and_cap(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_PATH_EXPANSIONS", 3)
+    with pytest.raises(SizeLimit) as info:
+        is_sufficient(complete_dag(), ["C1"])
+    message = str(info.value)
+    assert "expanded 4 nodes" in message and "cap of 3" in message
+
+
+def test_cap_exits_3_from_cli(monkeypatch, tmp_path, capsys):
+    graph = write_graph(tmp_path / "complete.graph", complete_dag())
+    monkeypatch.setattr(graph_module, "MAX_PATH_EXPANSIONS", 3)
+    assert main(["classify", graph, "--variable", "C0", "--defs", "D2"]) == 3
+    assert "cap of 3" in capsys.readouterr().err
