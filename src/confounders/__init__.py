@@ -13,7 +13,6 @@ from .adjust import (
     backdoor_paths,
     is_sufficient,
     minimal_sufficient_sets,
-    union_of_minimal,
 )
 from .classify import (
     ConfounderReport,
@@ -88,5 +87,4 @@ __all__ = [
     "robins_reduction",
     "run_paper_suite",
     "surrogate_confounder",
-    "union_of_minimal",
 ]

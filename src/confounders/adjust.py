@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NonCovariateInSet, SizeLimit
+from .errors import SizeLimit
 from .graph import Path, _first_path, enumerate_paths
 
 MAX_POOL = 24
@@ -48,9 +48,6 @@ class MinimalSetCatalog:
     def member_of_all(self, name):
         return bool(self.sets) and all(name in s for s in self.sets)
 
-    def member_of_any(self, name):
-        return any(name in s for s in self.sets)
-
 
 def subsets_canonical(names, max_size=None):
     """Subsets of `names` in canonical order (size, then lexicographic)."""
@@ -58,16 +55,6 @@ def subsets_canonical(names, max_size=None):
     top = len(names) if max_size is None else min(max_size, len(names))
     for r in range(top + 1):
         yield from combinations(names, r)
-
-
-def _require_pool(dag, covariates):
-    pool = set(dag.covariate_pool)
-    out = []
-    for name in sorted(set(covariates)):
-        if name not in pool:
-            raise NonCovariateInSet(f"{name!r} is not in the covariate pool")
-        out.append(name)
-    return tuple(out)
 
 
 def _require_enumerable(pool, what):
@@ -146,7 +133,7 @@ def is_sufficient(dag, covariates):
     and minimality a scan of the proper subsets; callers that read only
     the verdict call `_sufficient`.
     """
-    covariates = _require_pool(dag, covariates)
+    covariates = dag._require_pool(covariates)
     if _sufficient(dag, covariates):
         return AdjustmentVerdict(covariates, True, _is_minimal(dag, covariates), None)
     return AdjustmentVerdict(covariates, False, False, _open_backdoor_witness(dag, covariates))
@@ -172,13 +159,3 @@ def minimal_sufficient_sets(dag):
     union = tuple(sorted(set().union(*map(set, minimal)))) if minimal else ()
     return MinimalSetCatalog(tuple(minimal), union)
 
-
-def union_of_minimal(dag, catalog=None):
-    """Sufficiency verdict for the union of all minimal sets.
-
-    On any DAG whose outcome is not an ancestor of the exposure this union
-    is itself sufficient; the fuzzer asserts exactly that.
-    """
-    if catalog is None:
-        catalog = minimal_sufficient_sets(dag)
-    return is_sufficient(dag, catalog.union)

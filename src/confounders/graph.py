@@ -26,6 +26,7 @@ from .errors import (
     InvalidNodeName,
     InvalidPath,
     MissingExposureOrOutcome,
+    NonCovariateInSet,
     OverlappingConditioningSet,
     OverlappingSets,
     SelfLoop,
@@ -272,6 +273,15 @@ class Dag(Graph):
                 pool &= self.declared_pre
             self._pool = tuple(sorted(pool))
         return self._pool
+
+    def _require_pool(self, names):
+        """The distinct names, sorted; each must be in the covariate pool."""
+        out = tuple(sorted(set(names)))
+        pool = self.covariate_pool
+        for name in out:
+            if name not in pool:
+                raise NonCovariateInSet(f"{name!r} is not in the covariate pool")
+        return out
 
     def without_exposure_out_edges(self):
         """The graph with the exposure's outgoing edges removed (cached).

@@ -8,8 +8,13 @@ equalities: no tolerances anywhere.
 Interventions follow truncated factorization (replace the node's CPT by a
 point mass, drop its incoming edges). Counterfactual quantities are
 confined to identified joints: for the exposure A, the joint of
-(Y_a, A, W) with W the nondescendants of A is fully determined by the
-CPTs, and conditional unconfoundedness Y_a ⟂ A | S is tested inside it.
+(Y_a, A, W) with W the nondescendants of A is read off the joint of the
+model under do(A=a), and conditional unconfoundedness Y_a ⟂ A | S is
+tested inside it. The average causal effect is the difference of the two
+counterfactual means, E(Y_1) - E(Y_0), taken from those same joints.
+
+One loop multiplies CPT entries (`_product`); the joint, the intervened
+joints and every quantity above are built from it.
 """
 from __future__ import annotations
 
@@ -22,7 +27,6 @@ from .errors import (
     IncompleteAssignment,
     ModelError,
     NonBinaryExposure,
-    NonCovariateInSet,
     OverlappingSets,
     PositivityViolation,
     SizeLimit,
@@ -32,6 +36,13 @@ from .errors import (
 )
 
 MAX_JOINT = 1 << 20
+
+
+def _numeric_value(node, state):
+    """The state as a number; expectations need int (or Fraction) states."""
+    if isinstance(state, bool) or not isinstance(state, (int, Fraction)):
+        raise ModelError(f"node {node!r} has non-numeric state {state!r}")
+    return Fraction(state)
 
 
 def as_fraction(value, where="probability"):
@@ -156,15 +167,20 @@ class DiscreteModel:
             raise UnknownState(f"{value!r} is not a state of {node!r}")
         return value
 
-    def _numeric_value(self, node, state):
-        if isinstance(state, bool) or not isinstance(state, (int, Fraction)):
-            raise ModelError(f"node {node!r} has non-numeric state {state!r}")
-        return Fraction(state)
-
     def _cpt_entry(self, node, own_state, assignment):
         cpt = self.cpts[node]
         key = tuple(assignment[p] for p in cpt.parent_order)
         return cpt.table[key][self.state_spaces[node].index(own_state)]
+
+    def _product(self, assignment):
+        """P of a full assignment: the product of one CPT entry per node,
+        stopping at the first zero."""
+        p = Fraction(1)
+        for node in self.dag.nodes:
+            p *= self._cpt_entry(node, assignment[node], assignment)
+            if p == 0:
+                break
+        return p
 
     # -- joint table ---------------------------------------------------------
 
@@ -180,12 +196,7 @@ class DiscreteModel:
             nodes = self.dag.nodes
             items = []
             for vals in product(*(self.state_spaces[n] for n in nodes)):
-                assignment = dict(zip(nodes, vals))
-                p = Fraction(1)
-                for node in nodes:
-                    p *= self._cpt_entry(node, assignment[node], assignment)
-                    if p == 0:
-                        break
+                p = self._product(dict(zip(nodes, vals)))
                 if p != 0:
                     items.append((vals, p))
             self._joint = items
@@ -218,10 +229,7 @@ class DiscreteModel:
             raise IncompleteAssignment(f"assignment misses {missing[0]!r}")
         for node, value in assignment.items():
             self._require_state(node, value)
-        p = Fraction(1)
-        for node in self.dag.nodes:
-            p *= self._cpt_entry(node, assignment[node], assignment)
-        return p
+        return self._product(assignment)
 
     def cond_probability(self, event, given):
         den = self.probability(given)
@@ -242,10 +250,10 @@ class DiscreteModel:
         if den == 0:
             raise ZeroProbabilityCondition(f"conditioning event {given!r} has probability 0")
         if target in given:
-            return self._numeric_value(target, given[target])
+            return _numeric_value(target, given[target])
         out = Fraction(0)
         for state in self.state_spaces[target]:
-            value = self._numeric_value(target, state)
+            value = _numeric_value(target, state)
             out += value * self.probability({**given, target: state})
         return out / den
 
@@ -294,13 +302,17 @@ class DiscreteModel:
             )
 
     def ace(self):
-        """E(Y_1) - E(Y_0) by intervention on the exposure."""
+        """E(Y_1) - E(Y_0): the difference of the counterfactual means.
+
+        Every outcome state must be numeric, including states of
+        probability zero, as for `cond_expectation`.
+        """
         if self._ace is None:
             self._require_binary_exposure()
-            dag = self.dag
-            e1 = self.intervene(dag.exposure, 1).cond_expectation(dag.outcome)
-            e0 = self.intervene(dag.exposure, 0).cond_expectation(dag.outcome)
-            self._ace = e1 - e0
+            outcome = self.dag.outcome
+            for state in self.state_spaces[outcome]:
+                _numeric_value(outcome, state)
+            self._ace = self.cf_joint(1).mean_y() - self.cf_joint(0).mean_y()
         return self._ace
 
     def standardized_rd(self, covariates=()):
@@ -311,11 +323,7 @@ class DiscreteModel:
         """
         self._require_binary_exposure()
         dag = self.dag
-        covariates = sorted(set(covariates))
-        pool = set(dag.covariate_pool)
-        for name in covariates:
-            if name not in pool:
-                raise NonCovariateInSet(f"{name!r} is not in the covariate pool")
+        covariates = dag._require_pool(covariates)
         out = Fraction(0)
         for x_vals in product(*(self.state_spaces[n] for n in covariates)):
             stratum = dict(zip(covariates, x_vals))
@@ -342,9 +350,14 @@ class DiscreteModel:
     def cf_joint(self, a):
         """Joint of (Y_a, A, W), W = nondescendants of the exposure.
 
-        P(Y_a=y, A=a', W=w) = P(w) * P(a' | pa_A(w)) * Q(y | do(A=a), w),
-        with every factor read off the CPTs; W is ancestrally closed, so
-        P(w) is itself a product of CPT rows.
+        P(Y_a=y, A=a', W=w) = P(w) * P(a' | pa_A(w)) * Q(y | do(A=a), w).
+        The joint of the model under do(A=a) already holds
+        P(w) * Q(y | do(A=a), w): W is ancestrally closed and holds neither
+        A nor a descendant of A, so its CPTs, and the parents pa_A ⊆ W, are
+        untouched by the intervention, and summing the remaining nodes out
+        leaves Q. One pass over that joint, with each entry multiplied by
+        the exposure's own CPT row P(a' | pa_A), gives the table; an
+        outcome inside W needs no special case.
         """
         self._require_binary_exposure()
         self._require_state(self.dag.exposure, a)
@@ -352,54 +365,27 @@ class DiscreteModel:
             return self._cf_cache[a]
         dag = self.dag
         w_set = dag.nondescendants(dag.exposure)
-        w_nodes = tuple(n for n in dag.nodes if n in w_set)
-        down_nodes = tuple(
-            n for n in dag.nodes if n not in w_set and n != dag.exposure
-        )
-        outcome = dag.outcome
+        w_idx = [i for i, n in enumerate(dag.nodes) if n in w_set]
         a_cpt = self.cpts[dag.exposure]
+        pa_idx = [dag._index[n] for n in a_cpt.parent_order]
+        y_idx = dag._index[dag.outcome]
+        a_states = self.state_spaces[dag.exposure]
         table = {}
-        for w_vals in product(*(self.state_spaces[n] for n in w_nodes)):
-            w = dict(zip(w_nodes, w_vals))
-            pw = Fraction(1)
-            for node in w_nodes:
-                pw *= self._cpt_entry(node, w[node], w)
-            if pw == 0:
-                continue
-            a_key = tuple(w[p] for p in a_cpt.parent_order)
-            a_states = self.state_spaces[dag.exposure]
-            if outcome in w:
-                y_dist = {w[outcome]: Fraction(1)}
-            else:
-                y_dist = {}
-                base = {**w, dag.exposure: a}
-                for d_vals in product(*(self.state_spaces[n] for n in down_nodes)):
-                    full = {**base, **dict(zip(down_nodes, d_vals))}
-                    q = Fraction(1)
-                    for node in down_nodes:
-                        q *= self._cpt_entry(node, full[node], full)
-                        if q == 0:
-                            break
-                    if q != 0:
-                        y_dist[full[outcome]] = y_dist.get(full[outcome], Fraction(0)) + q
-            for a_prime in a_states:
-                pa = pw * a_cpt.table[a_key][a_states.index(a_prime)]
-                if pa == 0:
-                    continue
-                for y, q in y_dist.items():
-                    key = (y, a_prime, w_vals)
-                    table[key] = table.get(key, Fraction(0)) + pa * q
-        joint = CounterfactualJoint(a, dag.exposure, outcome, w_nodes, table)
+        for vals, p in self.intervene(dag.exposure, a)._joint_items():
+            w_vals = tuple(vals[i] for i in w_idx)
+            row = a_cpt.table[tuple(vals[i] for i in pa_idx)]
+            for a_prime, pa in zip(a_states, row):
+                if pa != 0:
+                    key = (vals[y_idx], a_prime, w_vals)
+                    table[key] = table.get(key, Fraction(0)) + p * pa
+        w_nodes = tuple(dag.nodes[i] for i in w_idx)
+        joint = CounterfactualJoint(a, dag.exposure, dag.outcome, w_nodes, table)
         self._cf_cache[a] = joint
         return joint
 
     def cf_unconfounded(self, covariates=()):
         """True iff Y_a ⟂ A | covariates inside cf_joint, for both arms."""
-        pool = set(self.dag.covariate_pool)
-        covariates = sorted(set(covariates))
-        for name in covariates:
-            if name not in pool:
-                raise NonCovariateInSet(f"{name!r} is not in the covariate pool")
+        covariates = self.dag._require_pool(covariates)
         return all(
             self.cf_joint(arm).independent_given(covariates)
             for arm in self.state_spaces[self.dag.exposure]
@@ -426,10 +412,11 @@ class CounterfactualJoint:
         return out
 
     def mean_y(self):
-        out = Fraction(0)
-        for y, p in self.marginal_y().items():
-            out += Fraction(y) * p
-        return out
+        """E(Y_a); every outcome state in the table must be numeric."""
+        return sum(
+            (_numeric_value(self.outcome, y) * p for y, p in self.marginal_y().items()),
+            Fraction(0),
+        )
 
     def independent_given(self, covariates):
         """Exact test of Y_a ⟂ A | covariates (covariates ⊆ W)."""

@@ -75,8 +75,9 @@ def check_property1(dag, model, def_id):
 def _check_positive(dag, def_id, variable, model=None):
     if def_id in MODEL_DEFINITIONS and model is None:
         return
-    hits = positive_covariates(dag, def_id, model=model)
-    if variable not in hits:
+    if model is not None:
+        dag = model.dag
+    if variable not in dag.covariate_pool or not _evaluators(dag, model)[def_id](variable)[0]:
         raise InvalidConfig(
             f"{variable!r} is not {def_id}-positive; property 2 applies to positives only"
         )

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib.resources import files
 
-from .adjust import backdoor_paths, is_sufficient, minimal_sufficient_sets, union_of_minimal
+from .adjust import backdoor_paths, is_sufficient, minimal_sufficient_sets
 from .classify import (
     classify_d1_graphical,
     classify_d1_numeric,
@@ -402,7 +402,7 @@ def _fig3_claims():
         Claim(
             "Prop4: the union of the minimal sets is sufficient",
             True,
-            lambda e: union_of_minimal(e.dag).sufficient,
+            lambda e: is_sufficient(e.dag, minimal_sufficient_sets(e.dag).union).sufficient,
         ),
         Claim("Prop3: the ace is 2/5", Fraction(2, 5), lambda e: e.model.ace()),
         Claim(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .adjust import subsets_canonical
-from .errors import InvalidConfig, NonCovariateInSet, OverlappingSets, SizeLimit
+from .errors import InvalidConfig, OverlappingSets, SizeLimit
 from .graph import d_separated
 
 MAX_REDUCTION = 16
@@ -76,15 +76,6 @@ class SelectionTrace:
     caveats: tuple[str, ...] = field(default=())
 
 
-def _require_covariates(oracle, names, what):
-    pool = set(oracle.dag.covariate_pool)
-    out = tuple(sorted(set(names)))
-    for name in out:
-        if name not in pool:
-            raise NonCovariateInSet(f"{what} member {name!r} is not in the covariate pool")
-    return out
-
-
 def _query_text(target, variable, given):
     shown = ", ".join(given)
     return f"{target} _|_ {variable} | {shown}" if shown else f"{target} _|_ {variable}"
@@ -98,8 +89,8 @@ def robins_reduction(oracle, s1, s2):
     sufficient and such a split exists, S1 alone is sufficient. Returns
     (found, (T1, T2)) with the canonically first split, or (False, None).
     """
-    s1 = _require_covariates(oracle, s1, "S1")
-    s2 = _require_covariates(oracle, s2, "S2")
+    s1 = oracle.dag._require_pool(s1)
+    s2 = oracle.dag._require_pool(s2)
     if set(s1) & set(s2):
         raise OverlappingSets("S1 and S2 share members")
     if len(s2) > MAX_REDUCTION:
@@ -119,7 +110,7 @@ def backward_select(oracle, start):
     """Prune a covariate set from the back: scan in lexicographic order,
     drop the first V with Y independent of V given (A, rest), restart;
     stop when a full scan drops nothing."""
-    start = _require_covariates(oracle, start, "start set")
+    start = oracle.dag._require_pool(start)
     dag = oracle.dag
     a, y = dag.exposure, dag.outcome
     current = list(start)
@@ -148,7 +139,7 @@ def forward_select(oracle, candidates):
     With a numeric oracle the procedure can stop early on unfaithful
     CPTs; every such exact independence gets a caveat entry.
     """
-    candidates = _require_covariates(oracle, candidates, "candidate set")
+    candidates = oracle.dag._require_pool(candidates)
     dag = oracle.dag
     a, y = dag.exposure, dag.outcome
     current = []

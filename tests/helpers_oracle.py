@@ -181,3 +181,86 @@ class NaiveModel:
         return self.standardized_rd(exposure, outcome, covariates) - self.ace(
             exposure, outcome
         )
+
+
+# -- counterfactual side ------------------------------------------------------
+
+
+def naive_joint(order, spaces, cpts, forced=None):
+    """Flat joint {state tuple in `order`: p > 0} over any finite states.
+
+    cpts: node -> (parent tuple, {parent states tuple: row aligned with
+    spaces[node]}). forced = (node, state) swaps that node's CPT for a
+    point mass at state: the truncated factorization of do(node=state).
+    """
+    out = {}
+    for values in product(*(spaces[n] for n in order)):
+        assignment = dict(zip(order, values))
+        p = Fraction(1)
+        for node in order:
+            if forced is not None and node == forced[0]:
+                p *= int(assignment[node] == forced[1])
+                continue
+            parents, table = cpts[node]
+            row = table[tuple(assignment[q] for q in parents)]
+            p *= row[spaces[node].index(assignment[node])]
+        if p:
+            out[values] = p
+    return out
+
+
+def _marginal(order, joint, nodes):
+    pos = [order.index(n) for n in nodes]
+    out = {}
+    for values, p in joint.items():
+        key = tuple(values[i] for i in pos)
+        out[key] = out.get(key, Fraction(0)) + p
+    return out
+
+
+def naive_cf_joint(order, edges, spaces, cpts, exposure, outcome, a):
+    """(w_nodes, {(y, a_observed, w_states): P(Y_a=y, A=a_observed, W=w)})
+    with W the nondescendants of the exposure, listed in `order`.
+
+    Textbook identification: given W, Y_a is independent of A, so the
+    entry is P(A=a_observed, W=w) * P(Y=y | do(A=a), W=w), each factor
+    taken from its own flat joint.
+    """
+    order = tuple(order)
+    down = naive_descendants(edges, exposure) | {exposure}
+    w_nodes = tuple(n for n in order if n not in down)
+    observed = _marginal(order, naive_joint(order, spaces, cpts), (exposure,) + w_nodes)
+    forced = naive_joint(order, spaces, cpts, (exposure, a))
+    do_w = _marginal(order, forced, w_nodes)
+    do_yw = _marginal(order, forced, (outcome,) + w_nodes)
+    table = {}
+    for (a_obs, *w), p_aw in observed.items():
+        for (y, *w_do), p_yw in do_yw.items():
+            if w_do == w:
+                table[(y, a_obs, tuple(w))] = p_aw * p_yw / do_w[tuple(w)]
+    return w_nodes, table
+
+
+def naive_cf_independent(w_nodes, table, covariates):
+    """Y_a independent of A given the covariates (a subset of W), tested
+    cell by cell: P(y, a', s) P(s) = P(y, s) P(a', s)."""
+    idx = [w_nodes.index(c) for c in covariates]
+    p_s, p_ys, p_as, p_yas = {}, {}, {}, {}
+    for (y, a_obs, w), p in table.items():
+        s = tuple(w[i] for i in idx)
+        for cell, key in ((p_s, s), (p_ys, (y, s)), (p_as, (a_obs, s)), (p_yas, (y, a_obs, s))):
+            cell[key] = cell.get(key, Fraction(0)) + p
+    for (y, s), py in p_ys.items():
+        for (a_obs, s2), pa in p_as.items():
+            if s2 == s and p_yas.get((y, a_obs, s), 0) * p_s[s] != py * pa:
+                return False
+    return True
+
+
+def naive_forced_mean(order, spaces, cpts, outcome, forced):
+    """E(outcome) under do(forced), by summing the forced flat joint."""
+    order = tuple(order)
+    return sum(
+        (y * p for (y,), p in _marginal(order, naive_joint(order, spaces, cpts, forced), (outcome,)).items()),
+        Fraction(0),
+    )

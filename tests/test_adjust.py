@@ -11,7 +11,6 @@ from confounders.adjust import (
     is_sufficient,
     minimal_sufficient_sets,
     subsets_canonical,
-    union_of_minimal,
 )
 from confounders.errors import NonCovariateInSet, SizeLimit
 from confounders.graph import Dag
@@ -74,7 +73,7 @@ def test_minimal_sets_two_routes():
     assert catalog.union == ("C1", "C2")
     assert ("C1",) in catalog and ("C2", "C1") not in catalog
     assert not catalog.member_of_all("C1")
-    assert catalog.member_of_any("C2")
+    assert not catalog.member_of_all("C2")
 
 
 def test_minimal_sets_empty_when_no_backdoor():
@@ -85,14 +84,9 @@ def test_minimal_sets_empty_when_no_backdoor():
 
 
 def test_union_of_minimal_is_sufficient_verdict():
-    verdict = union_of_minimal(TWO_ROUTES)
+    verdict = is_sufficient(TWO_ROUTES, minimal_sufficient_sets(TWO_ROUTES).union)
     assert isinstance(verdict, AdjustmentVerdict)
-    assert verdict.set == ("C1", "C2") and verdict.sufficient
-
-
-def test_union_accepts_precomputed_catalog():
-    catalog = minimal_sufficient_sets(TWO_ROUTES)
-    assert union_of_minimal(TWO_ROUTES, catalog) == union_of_minimal(TWO_ROUTES)
+    assert verdict.set == ("C1", "C2") and verdict.sufficient and not verdict.minimal
 
 
 def test_pool_size_cap():
@@ -141,4 +135,4 @@ def test_union_of_minimal_always_sufficient():
     rng = random.Random(31)
     for _ in range(60):
         dag = random_dag(rng, rng.randint(3, 8), 0.4)
-        assert union_of_minimal(dag).sufficient
+        assert is_sufficient(dag, minimal_sufficient_sets(dag).union).sufficient

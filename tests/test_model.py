@@ -2,6 +2,7 @@
 estimand is cross-checked against an independent flat-joint evaluator."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,14 @@ from confounders.errors import (
 from confounders.graph import Dag
 from confounders.model import Cpt, DiscreteModel, as_fraction
 from confounders.fuzz import random_dag, random_model
-from helpers_oracle import NaiveModel
+from helpers_oracle import (
+    NaiveModel,
+    all_subsets,
+    naive_cf_independent,
+    naive_cf_joint,
+    naive_descendants,
+    naive_forced_mean,
+)
 
 F = Fraction
 
@@ -245,17 +253,19 @@ def test_ace_exact():
 
 
 def test_ace_requires_binary_exposure():
+    # the exposure is checked before the outcome's states
     dag = Dag(("A", "Y"), (("A", "Y"),), "A", "Y")
-    m = DiscreteModel(
-        dag,
-        {"A": (0, 1, 2), "Y": (0, 1)},
-        {
-            "A": Cpt("A", (), {(): (F(1, 3), F(1, 3), F(1, 3))}),
-            "Y": Cpt("Y", ("A",), {(s,): (F(1, 2), F(1, 2)) for s in (0, 1, 2)}),
-        },
-    )
-    with pytest.raises(NonBinaryExposure):
-        m.ace()
+    for y_states in ((0, 1), ("no", "yes")):
+        m = DiscreteModel(
+            dag,
+            {"A": (0, 1, 2), "Y": y_states},
+            {
+                "A": Cpt("A", (), {(): (F(1, 3), F(1, 3), F(1, 3))}),
+                "Y": Cpt("Y", ("A",), {(s,): (F(1, 2), F(1, 2)) for s in (0, 1, 2)}),
+            },
+        )
+        with pytest.raises(NonBinaryExposure):
+            m.ace()
 
 
 def test_standardized_rd():
@@ -314,6 +324,40 @@ def test_cf_independence_given_unknown_covariate():
         CANCEL.cf_joint(1).independent_given(("Q",))
 
 
+@pytest.mark.parametrize("y_states", [("no", "yes"), ("0", "1")])
+def test_counterfactual_mean_needs_numeric_outcome_states(y_states):
+    # strings that look like numbers are no more numeric than words
+    m = DiscreteModel(
+        Dag(("A", "Y"), (("A", "Y"),), "A", "Y"),
+        {"A": (0, 1), "Y": y_states},
+        {
+            "A": Cpt("A", (), {(): (F(1, 2), F(1, 2))}),
+            "Y": Cpt("Y", ("A",), {(0,): (F(3, 4), F(1, 4)), (1,): (F(1, 4), F(3, 4))}),
+        },
+    )
+    for call in (m.cf_joint(1).mean_y, m.ace, lambda: m.cond_expectation("Y")):
+        with pytest.raises(ModelError, match="non-numeric state") as info:
+            call()
+        assert type(info.value) is ModelError
+    assert m.cf_unconfounded(())  # the joint itself needs no numbers
+
+
+def test_ace_rejects_a_non_numeric_outcome_state_of_probability_zero():
+    dag = Dag(("A", "Y"), (("A", "Y"),), "A", "Y")
+    m = DiscreteModel(
+        dag,
+        {"A": (0, 1), "Y": (0, 1, "x")},
+        {
+            "A": Cpt("A", (), {(): (F(1, 2), F(1, 2))}),
+            "Y": Cpt("Y", ("A",), {(0,): (F(1, 2), F(1, 2), F(0)), (1,): (F(1, 4), F(3, 4), F(0))}),
+        },
+    )
+    with pytest.raises(ModelError, match="non-numeric state 'x'"):
+        m.ace()
+    with pytest.raises(ModelError, match="non-numeric state 'x'"):
+        m.cond_expectation("Y")
+
+
 # -- random cross-checks against the flat evaluator ----------------------------------------
 
 
@@ -366,3 +410,56 @@ def test_cf_mean_matches_forced_model():
         for arm in (0, 1):
             want = model.intervene(dag.exposure, arm).cond_expectation(dag.outcome)
             assert model.cf_joint(arm).mean_y() == want
+
+
+def raw_model(rng, n_nodes):
+    """Random DAG and CPTs as raw data: any exposure/outcome pair, states
+    (0, 1) or (0, 1, 2) off the exposure, integer weights with zeros."""
+    names = [f"V{i}" for i in range(n_nodes)]
+    order = rng.sample(names, n_nodes)
+    edges = [
+        (order[i], order[j])
+        for i in range(n_nodes)
+        for j in range(i + 1, n_nodes)
+        if rng.random() < 0.45
+    ]
+    exposure, outcome = rng.sample(names, 2)
+    spaces = {v: (0, 1) if v == exposure else rng.choice(((0, 1), (0, 1, 2))) for v in names}
+    cpts = {}
+    for v in names:
+        parents = tuple(sorted(u for u, w in edges if w == v))
+        table = {}
+        for key in product(*(spaces[q] for q in parents)):
+            weights = [rng.choice((0, 1, 2, 3)) for _ in spaces[v]]
+            if not any(weights):
+                weights[rng.randrange(len(weights))] = 1
+            table[key] = tuple(F(w, sum(weights)) for w in weights)
+        cpts[v] = (parents, table)
+    return names, edges, exposure, outcome, spaces, cpts
+
+
+def test_cf_joint_matches_naive_identification():
+    rng = random.Random(59)
+    seen = {"outcome_not_downstream": 0, "zero_entry": 0, "three_states": 0}
+    for _ in range(150):
+        names, edges, exposure, outcome, spaces, cpts = raw_model(rng, rng.randint(2, 5))
+        dag = Dag(names, edges, exposure, outcome)
+        model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+        seen["outcome_not_downstream"] += outcome not in naive_descendants(edges, exposure)
+        seen["zero_entry"] += any(0 in row for _, t in cpts.values() for row in t.values())
+        seen["three_states"] += any(len(s) == 3 for s in spaces.values())
+        tables = {}
+        for arm in (0, 1):
+            w_nodes, table = naive_cf_joint(names, edges, spaces, cpts, exposure, outcome, arm)
+            joint = model.cf_joint(arm)
+            assert joint.w_nodes == w_nodes
+            assert joint.table == table
+            tables[arm] = table
+        for subset in all_subsets(dag.covariate_pool):
+            want = all(naive_cf_independent(w_nodes, tables[arm], subset) for arm in (0, 1))
+            assert model.cf_unconfounded(subset) == want
+        want_ace = naive_forced_mean(names, spaces, cpts, outcome, (exposure, 1)) - naive_forced_mean(
+            names, spaces, cpts, outcome, (exposure, 0)
+        )
+        assert model.ace() == want_ace
+    assert min(seen.values()) >= 20, seen

@@ -3,6 +3,7 @@ and each positive has a context where it matters (P2A graphical, P2B model)."""
 import pytest
 
 import confounders.classify
+import confounders.cli
 from confounders.errors import InvalidConfig, MissingModel
 from confounders.graph import Dag
 from confounders.properties import (
@@ -146,6 +147,47 @@ def test_p2a_fails_for_d2_positive_that_never_matters():
 def test_p2a_rejects_non_positive_variable():
     with pytest.raises(InvalidConfig):
         check_property2a(COLLIDER_CHILD.dag, "D4", "C3")
+
+
+def test_p2a_rejects_names_outside_the_pool():
+    for name in ("A", "Y", "nope"):
+        with pytest.raises(InvalidConfig, match="not D1-positive"):
+            check_property2a(COLLIDER_CHILD.dag, "D1", name)
+
+
+def counted_d1(monkeypatch):
+    calls = []
+    real = confounders.classify.classify_d1_graphical
+
+    def counted(dag, variable):
+        calls.append(variable)
+        return real(dag, variable)
+
+    monkeypatch.setattr(confounders.classify, "classify_d1_graphical", counted)
+    return calls
+
+
+def test_property2_evaluates_only_the_variable_asked(monkeypatch):
+    calls = counted_d1(monkeypatch)
+    assert check_property2a(COLLIDER_CHILD.dag, "D1", "C2").holds
+    assert not check_property2b(COLLIDER_CHILD.model, "D1", "C3").holds
+    assert calls == ["C2", "C3"]
+
+
+def test_properties_command_evaluates_each_positive_three_times(monkeypatch, tmp_path, capsys):
+    # every Ci is a common cause of A and Y, so all six are D1-positive:
+    # once for P1's positive set, once for the row list, once for the P2A
+    # precondition (before: the whole pool again for every P2A row)
+    n = 6
+    lines = [f"node C{i} pre" for i in range(n)] + ["node A exposure", "node Y outcome"]
+    lines += [f"edge C{i} {v}" for i in range(n) for v in ("A", "Y")] + ["edge A Y"]
+    graph = tmp_path / "forks.graph"
+    graph.write_text("\n".join(lines) + "\n")
+    calls = counted_d1(monkeypatch)
+    assert confounders.cli.main(["properties", str(graph), "--def", "D1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("P2A D1 C") == n
+    assert len(calls) == 3 * n
 
 
 def test_p2a_for_model_definitions_trusts_caller():

@@ -153,6 +153,23 @@ def test_selection_rejects_non_covariates():
         forward_select(graphical(), ("nope",))
 
 
+def test_every_covariate_set_check_says_the_same():
+    # selection, adjustment and the model share one check and one message
+    entry = TWO_ROUTES
+    calls = (
+        lambda: backward_select(graphical(), ("C1", "Y")),
+        lambda: forward_select(graphical(), ("Y",)),
+        lambda: robins_reduction(graphical(), ("Y",), ("C2",)),
+        lambda: is_sufficient(entry.dag, ("Y", "C1")),
+        lambda: entry.model.standardized_rd(("Y",)),
+        lambda: entry.model.cf_unconfounded(("Y",)),
+    )
+    for call in calls:
+        with pytest.raises(NonCovariateInSet) as info:
+            call()
+        assert str(info.value) == "'Y' is not in the covariate pool"
+
+
 def test_selection_from_empty_set():
     assert backward_select(graphical(), ()).final == ()
     assert forward_select(graphical(), ()).final == ()
