@@ -3,16 +3,30 @@
 A covariate set S is sufficient when conditioning on it blocks every
 backdoor path from exposure to outcome; equivalently, when exposure and
 outcome are d-separated by S after deleting the exposure's outgoing edges.
-The verdict is that second characterization, one kernel query
+For one set the verdict is that second characterization, one kernel query
 (`_sufficient`). When a set is insufficient, its witness, the first open
 backdoor path, comes from a first-hit search (`_first_backdoor_path`) that
 stops at that path. `backdoor_paths` lists every backdoor path; it is the
 oracle the tests check the search against.
 
-All candidate sets are visited in canonical order: by size, then
-lexicographically by the sorted name tuple. Every "first witness" set in
-the package means first in that order, and every first witness path means
-first in the lexicographic order of `backdoor_paths`.
+Questions about every subset of a pool are answered by lanes instead of
+one query per subset. Give each of the 2**k subsets of a k-member pool one
+bit ("lane") of an int: lane l holds pool member i when bit i of l is set,
+the members taken in sorted order. One sliced pass (`graph._sliced_dsep`)
+decides the separation in every lane at once, and its answer is a lane
+vector. Each Dag keeps its pool's sufficiency vector (`_sufficiency_vector`):
+lane l is set when the subset l is sufficient. The catalog is that
+vector's minimal lanes, found with a subset-closure transform
+(`_minimal_lanes`); the distinguishing contexts of property 2A and the
+fuzzer's per-subset verdicts read the same vector, and D1 and the
+conditional confounder run passes of their own.
+
+A lane vector is turned back into sets in canonical order: by size, then
+lexicographically by the sorted name tuple (`graph._lane_sets`); this is
+also the order of `subsets_canonical`, which the model-side scans still
+walk. Every "first witness" set in the package means first in that order,
+and every first witness path means first in the lexicographic order of
+`backdoor_paths`.
 """
 from __future__ import annotations
 
@@ -20,7 +34,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeLimit
-from .graph import Path, _first_path, enumerate_paths
+from .graph import (
+    Path,
+    _first_path,
+    _joined,
+    _lane_pattern,
+    _lane_sets,
+    _sliced_dsep,
+    enumerate_paths,
+)
 
 MAX_POOL = 24
 
@@ -117,9 +139,55 @@ def _open_backdoor_witness(dag, covariates):
     return path
 
 
+def _sufficient_blocks(dag, members, fixed=()):
+    """One sliced pass over the subsets of `members` (sorted pool names),
+    as the blocks of `graph._sliced_dsep`: a lane is set iff `fixed` plus
+    the members it selects is sufficient."""
+    graph = dag.without_exposure_out_edges()
+    return _sliced_dsep(
+        graph,
+        graph._index[dag.exposure],
+        1 << graph._index[dag.outcome],
+        graph._mask(fixed),
+        [graph._index[name] for name in members],
+    )
+
+
+def _sufficiency_vector(dag):
+    """The pool's sufficiency vector: one pass over the whole covariate
+    pool, joined, computed once per Dag. Its callers cap the pool."""
+    if dag._sufficiency is None:
+        dag._sufficiency = _joined(_sufficient_blocks(dag, dag.covariate_pool))
+    return dag._sufficiency
+
+
+def _minimal_lanes(sufficient, k):
+    """The lanes of `sufficient` (a 2**k-lane vector) that have no
+    sufficient strict subset.
+
+    A subset-closure (zeta) transform, one shift per member: after step j
+    a lane is set when some lane that differs from it only by dropping
+    members among the first j + 1 is sufficient.
+    """
+    closed = sufficient
+    for j in range(k):
+        closed |= (closed & ~_lane_pattern(k, j)) << (1 << j)
+    strict = 0
+    for j in range(k):
+        strict |= (closed & ~_lane_pattern(k, j)) << (1 << j)
+    return sufficient & ~strict
+
+
 def _is_minimal(dag, covariates):
-    for sub in subsets_canonical(covariates, len(covariates) - 1):
-        if _sufficient(dag, sub):
+    """No strict subset of the (sufficient) set is sufficient: one sliced
+    pass whose lanes are the set's own members, stopping at the first
+    block with a sufficient strict subset."""
+    whole = (1 << len(covariates)) - 1
+    for first, sufficient in _sufficient_blocks(dag, covariates):
+        own = whole - first  # the set's own lane, held by the last block only
+        if sufficient >> own & 1:
+            sufficient ^= 1 << own
+        if sufficient:
             return False
     return True
 
@@ -130,8 +198,8 @@ def is_sufficient(dag, covariates):
     When the set is insufficient the verdict carries the first open
     backdoor path as a witness; when sufficient, whether it is minimal.
     The verdict is one kernel query, the witness a first-hit path search
-    and minimality a scan of the proper subsets; callers that read only
-    the verdict call `_sufficient`.
+    and minimality one sliced pass over the set's own subsets; callers
+    that read only the verdict call `_sufficient`.
     """
     covariates = dag._require_pool(covariates)
     if _sufficient(dag, covariates):
@@ -142,20 +210,12 @@ def is_sufficient(dag, covariates):
 def minimal_sufficient_sets(dag):
     """Enumerate every minimally sufficient adjustment set.
 
-    Ascends by subset size, skipping supersets of sets already found; any
-    sufficient set must contain a smaller minimal one, so the survivors are
-    exactly the minimal sets. An insufficiency everywhere yields an empty
-    catalog; a sufficient empty set yields the one-entry catalog (()).
+    The minimal lanes of the pool's sufficiency vector, in canonical order.
+    An insufficiency everywhere yields an empty catalog; a sufficient empty
+    set yields the one-entry catalog (()).
     """
     pool = dag.covariate_pool
     _require_enumerable(pool, "minimal_sufficient_sets")
-    minimal = []
-    for candidate in subsets_canonical(pool):
-        cand_set = set(candidate)
-        if any(set(m) <= cand_set for m in minimal):
-            continue
-        if _sufficient(dag, candidate):
-            minimal.append(candidate)
-    union = tuple(sorted(set().union(*map(set, minimal)))) if minimal else ()
-    return MinimalSetCatalog(tuple(minimal), union)
-
+    minimal = tuple(_lane_sets(_minimal_lanes(_sufficiency_vector(dag), len(pool)), pool))
+    union = tuple(sorted(set().union(*minimal)))
+    return MinimalSetCatalog(minimal, union)

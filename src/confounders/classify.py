@@ -29,7 +29,8 @@ from functools import cache
 from .adjust import (
     MAX_POOL,
     _first_backdoor_path,
-    _sufficient,
+    _minimal_lanes,
+    _sufficient_blocks,
     minimal_sufficient_sets,
     subsets_canonical,
 )
@@ -39,7 +40,8 @@ from .errors import (
     OverlappingSets,
     SizeLimit,
 )
-from .graph import d_separated
+from .formats import format_effect, format_set
+from .graph import _joined, _lane_pattern, _lane_sets, _sliced_dsep
 
 DEFINITIONS = ("D1", "D2", "D3", "D4", "D5", "D6")
 GRAPH_DEFINITIONS = ("D1", "D2", "D3", "D4")
@@ -98,16 +100,25 @@ def _context_sets(dag, variable):
 
 def classify_d1_graphical(dag, variable):
     """(verdict, witness X): C d-connected to A given X and to Y given
-    (A, X), for the canonically first context X that works."""
+    (A, X), for the canonically first context X that works.
+
+    The empty context, the usual witness, is one scalar probe; on a miss
+    two sliced passes from C, given X and given X plus A, mark every
+    context at once."""
     others = _context_sets(dag, variable)
-    a, y = dag.exposure, dag.outcome
-    for context in subsets_canonical(others):
-        if d_separated(dag, {variable}, {a}, context):
-            continue
-        if d_separated(dag, {variable}, {y}, set(context) | {a}):
-            continue
-        return True, context
-    return False, None
+    kernel = dag._kernel
+    c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
+    if not kernel.dsep(1 << c, 1 << a, 0) and not kernel.dsep(1 << c, 1 << y, 1 << a):
+        return True, ()
+    if not others:
+        return False, None
+    members = [dag._index[name] for name in others]
+    full = (1 << (1 << len(others))) - 1
+    connected = full & ~_joined(_sliced_dsep(dag, c, 1 << a, 0, members))
+    if connected:
+        connected &= ~_joined(_sliced_dsep(dag, c, 1 << y, 1 << a, members))
+    context = next(_lane_sets(connected, others), None)
+    return context is not None, context
 
 
 def classify_d1_numeric(model, variable):
@@ -188,7 +199,9 @@ def conditional_confounder(dag, variable, conditioning=(), _catalog=None):
     top of the fixed set L, with nothing in (X, C) removable.
 
     True iff for some X: (X, L, C) is sufficient and no proper subset T of
-    (X, C) makes (T, L) sufficient. With L = () this is exactly D4.
+    (X, C) makes (T, L) sufficient. With L = () this is exactly D4. Read
+    off one sliced pass over the pool minus L, with L conditioned in every
+    lane: the minimal lanes that contain C.
     """
     pool = set(_require_covariate(dag, variable))
     conditioning = tuple(sorted(set(conditioning)))
@@ -198,18 +211,14 @@ def conditional_confounder(dag, variable, conditioning=(), _catalog=None):
     if variable in conditioning:
         raise OverlappingSets(f"{variable!r} appears in the conditioning set")
     others = _capped(sorted(pool - {variable} - set(conditioning)))
-    base = set(conditioning)
-    for context in subsets_canonical(others):
-        full = set(context) | {variable}
-        if not _sufficient(dag, base | full):
-            continue
-        if any(
-            _sufficient(dag, base | set(sub))
-            for sub in subsets_canonical(full, len(full) - 1)
-        ):
-            continue
-        return True, context
-    return False, None
+    members = sorted(others + [variable])
+    k = len(members)
+    minimal = _minimal_lanes(_joined(_sufficient_blocks(dag, members, conditioning)), k)
+    with_c = minimal & _lane_pattern(k, members.index(variable))
+    full = next(_lane_sets(with_c, members), None)
+    if full is None:
+        return False, None
+    return True, tuple(name for name in full if name != variable)
 
 
 def check_implications(report, has_model):
@@ -271,6 +280,26 @@ def _evaluators(dag, model=None, catalog=None):
         "D5": lambda c: classify_d5(model, c),
         "D6": lambda c: classify_d6(model, c),
     }
+
+
+def _witness_text(def_id, witness, exact=False):
+    """The text `confounders classify` prints after a held verdict; empty
+    without a witness."""
+    if witness is None:
+        return ""
+    if def_id in ("D1", "D6"):
+        return f" (context {format_set(witness)})"
+    if def_id == "D2":
+        return f" (path {witness})"
+    if def_id == "D4":
+        return f" (minimal set {format_set(witness)})"
+    if def_id == "D5":
+        context, (with_c, without) = witness
+        return (
+            f" (context {format_set(context)}; |bias| "
+            f"{format_effect(without, exact)} -> {format_effect(with_c, exact)})"
+        )
+    return ""
 
 
 def classify_variable(dag, variable, model=None, _catalog=None):

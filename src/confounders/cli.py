@@ -26,6 +26,7 @@ from .classify import (
     DEFINITIONS,
     GRAPH_DEFINITIONS,
     MODEL_DEFINITIONS,
+    _witness_text,
     classify_variable,
 )
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     PositivityViolation,
     SizeLimit,
 )
-from .formats import format_effect, json_ready, load_graph, load_model
+from .formats import format_effect, format_set, json_ready, load_graph, load_model
 from .fuzz import FuzzConfig, fuzz
 from .properties import (
     check_property1,
@@ -46,10 +47,6 @@ from .properties import (
 )
 from .registry import run_paper_suite
 from .selection import IndependenceOracle, backward_select, forward_select, robins_reduction
-
-
-def _set_text(names):
-    return "{" + ", ".join(names) + "}"
 
 
 def _emit(text):
@@ -90,31 +87,13 @@ def cmd_minimal_sets(args):
             }
         )
         return 0
-    listed = ", ".join(_set_text(s) for s in catalog.sets)
+    listed = ", ".join(format_set(s) for s in catalog.sets)
     word = "sufficient" if union_sufficient else "NOT sufficient"
-    _emit(f"{listed}; union {_set_text(catalog.union)} {word}\n")
+    _emit(f"{listed}; union {format_set(catalog.union)} {word}\n")
     return 0
 
 
 # -- classify -------------------------------------------------------------
-
-
-def _witness_text(def_id, witness, exact):
-    if witness is None:
-        return ""
-    if def_id in ("D1", "D6"):
-        return f" (context {_set_text(witness)})"
-    if def_id == "D2":
-        return f" (path {witness})"
-    if def_id == "D4":
-        return f" (minimal set {_set_text(witness)})"
-    if def_id == "D5":
-        context, (with_c, without) = witness
-        return (
-            f" (context {_set_text(context)}; |bias| "
-            f"{format_effect(without, exact)} -> {format_effect(with_c, exact)})"
-        )
-    return ""
 
 
 def cmd_classify(args):
@@ -184,13 +163,14 @@ def cmd_properties(args):
     def_id = args.definition
     if def_id in MODEL_DEFINITIONS and model is None:
         raise MissingModel(f"{def_id} needs --model")
-    p1 = check_property1(dag, model, def_id)
     positives = positive_covariates(dag, def_id, model=model)
-    rows = [(p1, None)]
+    rows = [(check_property1(dag, model, def_id, _positives=positives), None)]
     for c in positives:
-        rows.append((check_property2a(dag if model is None else model.dag, def_id, c), c))
+        rows.append(
+            (check_property2a(dag if model is None else model.dag, def_id, c, _positives=positives), c)
+        )
         if model is not None:
-            rows.append((check_property2b(model, def_id, c), c))
+            rows.append((check_property2b(model, def_id, c, _positives=positives), c))
 
     if args.format == "json":
         _emit_json(
@@ -221,7 +201,7 @@ def _describe_witness(verdict, exact):
     for key in sorted(w):
         value = w[key]
         if key in ("set", "context"):
-            parts.append(f"{key} {_set_text(value)}")
+            parts.append(f"{key} {format_set(value)}")
         elif key in ("abs_bias_with", "abs_bias_without"):
             parts.append(f"{key} {format_effect(Fraction(value), exact)}")
         else:
@@ -285,12 +265,12 @@ def cmd_select(args):
             return 0
         lines = [
             f"mode: robins ({args.oracle})",
-            f"S1: {_set_text(base)}  S2: {_set_text(chosen)}",
+            f"S1: {format_set(base)}  S2: {format_set(chosen)}",
             f"reducible: {'yes' if found else 'no'}",
         ]
         if found:
             t1, t2 = split
-            lines.append(f"T1: {_set_text(t1)}  T2: {_set_text(t2)}")
+            lines.append(f"T1: {format_set(t1)}  T2: {format_set(t2)}")
         _emit("\n".join(lines) + "\n")
         return 0
 
@@ -311,10 +291,10 @@ def cmd_select(args):
             }
         )
         return 0
-    lines = [f"mode: {args.mode} ({args.oracle})", f"initial: {_set_text(trace.initial)}"]
+    lines = [f"mode: {args.mode} ({args.oracle})", f"initial: {format_set(trace.initial)}"]
     for i, (_, query, verdict) in enumerate(trace.steps, 1):
         lines.append(f"{i}. query {query} -> {'independent' if verdict else 'dependent'}")
-    lines.append(f"final: {_set_text(trace.final)}")
+    lines.append(f"final: {format_set(trace.final)}")
     for caveat in trace.caveats:
         lines.append(f"caveat: {caveat}")
     _emit("\n".join(lines) + "\n")

@@ -219,6 +219,11 @@ def format_effect(value, exact=False):
     return str(Fraction(value)) if exact else format_3dec(value)
 
 
+def format_set(names):
+    """Display form for a set of names: {A, B}."""
+    return "{" + ", ".join(names) + "}"
+
+
 def json_ready(obj):
     """Recursively convert package objects into JSON-serializable ones.
 

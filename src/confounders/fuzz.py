@@ -32,7 +32,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .adjust import _sufficient, minimal_sufficient_sets, subsets_canonical
+from .adjust import (
+    _sufficiency_vector,
+    _sufficient,
+    minimal_sufficient_sets,
+    subsets_canonical,
+)
 from .classify import DASHED_EDGES, SOLID_MODEL_EDGES, check_implications, classify_variable
 from .errors import InvalidConfig
 from .graph import Dag
@@ -201,8 +206,10 @@ def _run_trial(index, dag, model, failures, counters):
         return
 
     ace = model.ace()
+    lanes = _sufficiency_vector(dag)
+    lane_of = {c: 1 << i for i, c in enumerate(pool)}
     for subset in subsets_canonical(pool):
-        sufficient = _sufficient(dag, subset)
+        sufficient = lanes >> sum(lane_of[c] for c in subset) & 1
         unconfounded = model.cf_unconfounded(subset)
         if sufficient:
             if not unconfounded:

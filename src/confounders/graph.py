@@ -6,7 +6,11 @@ Separation questions are decided by a bitmask reachability kernel
 cross-checks the kernel against it on random graphs, and the registry uses
 it to list paths. A single path that explains a verdict comes from
 `_first_path`, a depth-first search in the same lexicographic order that
-stops at the first admissible path instead of listing them all.
+stops at the first admissible path instead of listing them all. A question
+asked of every subset of a set of nodes, such as "which conditioning sets
+separate these two nodes?", is one `_sliced_dsep` pass that answers all the
+subsets at once, one bit ("lane") of an int per subset; `_lane_sets` reads
+the marked subsets back in canonical order.
 
 Node sets returned by queries are frozensets; anything order-sensitive
 (paths, topological order) comes back as tuples. All tie-breaking is
@@ -17,6 +21,8 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from ._kernels import BitDag
 from .errors import (
@@ -38,6 +44,7 @@ _BAD_NAME = re.compile(r"[\s,]")
 
 MAX_NODES = 64
 MAX_PATH_EXPANSIONS = 1_000_000  # nodes one `_first_path` search may expand
+_LANE_BITS = 16  # a `_sliced_dsep` pass holds lane masks of at most 2**16 bits
 
 
 @dataclass(frozen=True)
@@ -243,7 +250,7 @@ class Dag(Graph):
     outcome) is eligible for adjustment.
     """
 
-    __slots__ = ("exposure", "outcome", "declared_pre", "_no_out", "_pool")
+    __slots__ = ("exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency")
 
     def __init__(self, nodes, edges, exposure, outcome, declared_pre=None):
         super().__init__(nodes, edges)
@@ -261,6 +268,7 @@ class Dag(Graph):
         self.declared_pre = declared_pre
         self._no_out = None
         self._pool = None
+        self._sufficiency = None  # adjust._sufficiency_vector
 
     @property
     def covariate_pool(self):
@@ -473,6 +481,171 @@ def _first_path(graph, source, target, first_step, noncollider_ok, collider_ok, 
         "->" if parents[v] >> u & 1 else "<-" for u, v in zip(path, path[1:])
     )
     return Path(names, arrows)
+
+
+def _bits(mask):
+    """The set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _build_lane_pattern(k, j):
+    pattern = ((1 << (1 << j)) - 1) << (1 << j)
+    period = 2 << j
+    while period < 1 << k:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern
+
+
+@cache
+def _lane_patterns(k):
+    return tuple(_build_lane_pattern(k, j) for j in range(k))
+
+
+def _lane_pattern(k, j):
+    """The lanes of a 2**k-lane vector whose index has bit j set.
+
+    Built once per k for k <= _LANE_BITS, the widths a pass holds; wider
+    vectors (pools past _LANE_BITS members) build theirs on each call.
+    """
+    return _lane_patterns(k)[j] if k <= _LANE_BITS else _build_lane_pattern(k, j)
+
+
+@cache
+def _lane_layers(k):
+    """For each size r <= k, the lanes of a 2**k-lane vector whose index
+    has r bits set."""
+    layers = [1]
+    for j in range(k):
+        shifted = [0] + [layer << (1 << j) for layer in layers]
+        layers = [a | b for a, b in zip(layers + [0], shifted)]
+    return tuple(layers)
+
+
+def _sliced_dsep(graph, source, target, fixed, members):
+    """Whether `target` is d-separated from `source`, in every conditioning
+    set at once: one bit ("lane") per subset of `members`.
+
+    Lane l conditions on `fixed` plus members[i] for each bit i set in l.
+    Nodes are indices and sets are bitmasks; `members` lists node indices,
+    disjoint from `fixed`, `source` and `target`. Yields (first lane, lane
+    vector) per block: bit l of a vector is set when every node of `target`
+    is d-separated from `source` in lane first + l. With k members a block
+    spans the 2**w lanes of the low w = min(k, _LANE_BITS) members, and each
+    of the 2**(k - w) blocks conditions on a subset of the top members, like
+    `fixed`. So no pass holds a mask wider than 2**_LANE_BITS bits. The
+    blocks come in canonical order of those subsets (by size, then by
+    index), so a caller that stops at the first block with a hit meets the
+    small conditioning sets first.
+
+    This is Shachter's Bayes-Ball with one lane mask per node and
+    direction in place of one bit: a ball moves on in exactly the lanes
+    where the step it takes is open. A ball that comes down into a
+    conditioned node bounces back up to its parents, so a collider with a
+    conditioned descendant is opened by the ball running down to that
+    descendant and climbing back, and no ancestor set is needed. It reads
+    only the kernel's parent and child masks, so it serves either backend.
+    """
+    kernel = graph._kernel
+    n = len(graph.nodes)
+    parents = list(map(kernel.parents_mask, range(n)))
+    children = list(map(kernel.children_mask, range(n)))
+    width = min(len(members), _LANE_BITS)
+    low, high = members[:width], members[width:]
+    full = (1 << (1 << width)) - 1
+    # per node: the lanes that condition on it, counting the low members only
+    low_given = [0] * n
+    for member, pattern in zip(low, _lane_patterns(width)):
+        low_given[member] = pattern
+    for size in range(len(high) + 1):
+        for top in combinations(range(len(high)), size):
+            given = fixed
+            for t in top:
+                given |= 1 << high[t]
+            up = [0] * n
+            down = [0] * n
+            # lanes that reached a node but have not yet been passed on
+            up_new = [0] * n
+            down_new = [0] * n
+            up[source] = up_new[source] = full
+            stack = [(source, True)]
+            while stack:
+                i, going_up = stack.pop()
+                blocked = full if given >> i & 1 else low_given[i]
+                if going_up:
+                    lanes = up_new[i]
+                    up_new[i] = 0
+                    onward = bounce = lanes & ~blocked
+                else:
+                    lanes = down_new[i]
+                    down_new[i] = 0
+                    onward = lanes & ~blocked
+                    bounce = lanes & blocked
+                if bounce:
+                    mask = parents[i]
+                    while mask:
+                        bit = mask & -mask
+                        mask ^= bit
+                        p = bit.bit_length() - 1
+                        new = bounce & ~up[p]
+                        if new:
+                            up[p] |= new
+                            if not up_new[p]:
+                                stack.append((p, True))
+                            up_new[p] |= new
+                if onward:
+                    mask = children[i]
+                    while mask:
+                        bit = mask & -mask
+                        mask ^= bit
+                        c = bit.bit_length() - 1
+                        new = onward & ~down[c]
+                        if new:
+                            down[c] |= new
+                            if not down_new[c]:
+                                stack.append((c, False))
+                            down_new[c] |= new
+            reached = 0
+            for t in _bits(target):
+                reached |= (up[t] | down[t]) & ~(full if given >> t & 1 else low_given[t])
+            yield sum(1 << t for t in top) << width, full & ~reached
+
+
+def _joined(blocks):
+    """The blocks of a `_sliced_dsep` pass joined into one lane vector."""
+    vector = 0
+    for first, separated in blocks:
+        vector |= separated << first
+    return vector
+
+
+def _lane_sets(vector, names):
+    """The sets a lane vector marks, in canonical order: by size, then by
+    the sorted name tuple. Lane l holds names[i] for each bit i set in l;
+    `names` is sorted, so that order is the order of the index tuples."""
+    k = len(names)
+    width = min(k, _LANE_BITS)
+    layers = _lane_layers(width)
+    mask = (1 << (1 << width)) - 1
+    blocks = [(b, vector >> (b << width) & mask) for b in range(1 << (k - width))]
+    for size in range(k + 1):
+        hits = []
+        for b, block in blocks:
+            r = size - b.bit_count()
+            if 0 <= r <= width and block & layers[r]:
+                digits = bin(block & layers[r])[:1:-1]  # digits[l] is bit l
+                l = digits.find("1")
+                while l >= 0:
+                    hits.append(_bits((b << width) | l))
+                    l = digits.find("1", l + 1)
+        hits.sort()
+        for members in hits:
+            yield tuple(names[i] for i in members)
 
 
 def _validate_path(graph, path):

@@ -189,10 +189,10 @@ class DiscreteModel:
             total = 1
             for node in self.dag.nodes:
                 total *= len(self.state_spaces[node])
-                if total > MAX_JOINT:
-                    raise SizeLimit(
-                        f"joint state space exceeds {MAX_JOINT} assignments"
-                    )
+            if total > MAX_JOINT:
+                raise SizeLimit(
+                    f"joint state space has {total} assignments, over the cap of {MAX_JOINT}"
+                )
             nodes = self.dag.nodes
             items = []
             for vals in product(*(self.state_spaces[n] for n in nodes)):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adjust import _open_backdoor_witness, _sufficient, subsets_canonical
+from .adjust import _open_backdoor_witness, _sufficiency_vector, _sufficient
 from .classify import DEFINITIONS, MODEL_DEFINITIONS, _context_sets, _evaluators, classify_d5
 from .errors import InvalidConfig, MissingModel
+from .graph import _lane_pattern, _lane_sets
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,18 @@ def positive_covariates(dag, def_id, model=None):
     return tuple(c for c in dag.covariate_pool if evaluate(c)[0])
 
 
-def check_property1(dag, model, def_id):
+def check_property1(dag, model, def_id, _positives=None):
     """Does adjusting for all def_id-positive covariates suffice?
 
     Graph check: the positive set is sufficient. Model check (when one is
     given): additionally the counterfactual outcome under each arm is
-    independent of exposure given that set.
+    independent of exposure given that set. `_positives`, when given, is
+    that set as `positive_covariates` lists it.
     """
     _require_definition(def_id)
     if model is not None:
         dag = model.dag
-    positives = positive_covariates(dag, def_id, model=model)
+    positives = positive_covariates(dag, def_id, model=model) if _positives is None else _positives
     witness = {"set": positives}
     if not _sufficient(dag, positives):
         witness["open_backdoor"] = str(_open_backdoor_witness(dag, positives))
@@ -72,12 +74,16 @@ def check_property1(dag, model, def_id):
     return PropertyVerdict("P1", def_id, True, witness)
 
 
-def _check_positive(dag, def_id, variable, model=None):
+def _check_positive(dag, def_id, variable, model=None, positives=None):
     if def_id in MODEL_DEFINITIONS and model is None:
         return
     if model is not None:
         dag = model.dag
-    if variable not in dag.covariate_pool or not _evaluators(dag, model)[def_id](variable)[0]:
+    if positives is not None:
+        positive = variable in positives
+    else:
+        positive = variable in dag.covariate_pool and _evaluators(dag, model)[def_id](variable)[0]
+    if not positive:
         raise InvalidConfig(
             f"{variable!r} is not {def_id}-positive; property 2 applies to positives only"
         )
@@ -85,25 +91,29 @@ def _check_positive(dag, def_id, variable, model=None):
 
 def distinguishing_context(dag, variable):
     """First context X (canonical order) where (X, C) is sufficient but X
-    alone is not; None when no context distinguishes C."""
-    others = _context_sets(dag, variable)
-    for context in subsets_canonical(others):
-        if not _sufficient(dag, set(context) | {variable}):
-            continue
-        if not _sufficient(dag, context):
-            return context
-    return None
+    alone is not; None when no context distinguishes C.
+
+    Read off the pool's sufficiency vector S, with C as pool member i:
+    lane l without bit i is a distinguishing context when lane l + 2**i is
+    sufficient and lane l is not, so the contexts are (S >> 2**i) & ~S,
+    less P_i, the lanes with bit i set."""
+    _context_sets(dag, variable)  # the covariate check and the size cap
+    pool = dag.covariate_pool
+    i = pool.index(variable)
+    sufficient = _sufficiency_vector(dag)
+    hits = (sufficient >> (1 << i)) & ~sufficient & ~_lane_pattern(len(pool), i)
+    return next(_lane_sets(hits, pool), None)
 
 
-def check_property2a(dag, def_id, variable):
+def check_property2a(dag, def_id, variable, _positives=None):
     """Is there a context X where (X, C) is sufficient but X is not?
 
     Precondition: C is def_id-positive. That is verified here for the
-    graph definitions; for D5/D6 (model definitions) the caller vouches,
-    since this check takes no model.
+    graph definitions, against `_positives` when given; for D5/D6 (model
+    definitions) the caller vouches, since this check takes no model.
     """
     _require_definition(def_id)
-    _check_positive(dag, def_id, variable)
+    _check_positive(dag, def_id, variable, positives=_positives)
     context = distinguishing_context(dag, variable)
     if context is not None:
         witness = {
@@ -115,13 +125,14 @@ def check_property2a(dag, def_id, variable):
     return PropertyVerdict("P2A", def_id, False, witness)
 
 
-def check_property2b(model, def_id, variable):
+def check_property2b(model, def_id, variable, _positives=None):
     """Is there a context X where adding C strictly shrinks |bias|?
 
-    Precondition: C is def_id-positive (verified; D1 read graphically).
+    Precondition: C is def_id-positive (verified, against `_positives`
+    when given; D1 read graphically).
     """
     _require_definition(def_id)
-    _check_positive(model.dag, def_id, variable, model=model)
+    _check_positive(model.dag, def_id, variable, model=model, positives=_positives)
     hit, witness = classify_d5(model, variable)
     if hit:
         context, (with_c, without) = witness

@@ -103,6 +103,58 @@ def naive_minimal_sets(edges, exposure, outcome, pool):
     )
 
 
+# -- subset scans ---------------------------------------------------------------
+#
+# The package once answered every conditioning-set question with one
+# separation query per subset, in canonical order. These are those scans,
+# kept as the oracle for the sliced pass. Each takes the single-set test it
+# asks: `sufficient(names)` for backdoor sufficiency, `separated(a, b,
+# given)` for d-separation of two single nodes.
+
+
+def scan_minimal_sets(pool, sufficient):
+    minimal = []
+    for candidate in all_subsets(pool):
+        if any(set(m) <= set(candidate) for m in minimal):
+            continue
+        if sufficient(candidate):
+            minimal.append(candidate)
+    return tuple(minimal)
+
+
+def scan_is_minimal(covariates, sufficient):
+    return not any(sufficient(s) for s in all_subsets(covariates) if len(s) < len(covariates))
+
+
+def scan_d1(variable, others, exposure, outcome, separated):
+    for context in all_subsets(others):
+        if separated(variable, exposure, context):
+            continue
+        if separated(variable, outcome, set(context) | {exposure}):
+            continue
+        return True, context
+    return False, None
+
+
+def scan_distinguishing_context(variable, others, sufficient):
+    for context in all_subsets(others):
+        if sufficient(set(context) | {variable}) and not sufficient(context):
+            return context
+    return None
+
+
+def scan_conditional(variable, others, conditioning, sufficient):
+    base = set(conditioning)
+    for context in all_subsets(others):
+        full = set(context) | {variable}
+        if not sufficient(base | full):
+            continue
+        if any(sufficient(base | set(sub)) for sub in all_subsets(full) if len(sub) < len(full)):
+            continue
+        return True, context
+    return False, None
+
+
 # -- model side --------------------------------------------------------------
 
 

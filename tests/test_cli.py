@@ -416,3 +416,29 @@ def test_model_against_wrong_graph_exits_2(capsys):
         capsys, "classify", fx("fig1.graph"), "--model", fx("prop5.json")
     )
     assert code == 2
+
+
+def test_joint_cap_reports_the_full_state_space(capsys, tmp_path):
+    # 19 three-state covariates and a binary exposure and outcome: the cap
+    # message names the whole product, not the partial one where it stopped
+    names = [f"C{i:02d}" for i in range(19)]
+    graph = tmp_path / "wide.graph"
+    graph.write_text(
+        "\n".join([f"node {c} pre" for c in names] + ["node A exposure", "node Y outcome", "edge A Y"])
+        + "\n"
+    )
+    third = ["1/3", "1/3", "1/3"]
+    doc = {
+        "states": dict({c: [0, 1, 2] for c in names}, A=[0, 1], Y=[0, 1]),
+        "cpts": dict(
+            {c: {"parents": [], "table": {"": third}} for c in names},
+            A={"parents": [], "table": {"": ["1/2", "1/2"]}},
+            Y={"parents": ["A"], "table": {"0": ["1/2", "1/2"], "1": ["1/4", "3/4"]}},
+        ),
+    }
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(graph), "--model", str(model), "--variable", "C00")
+    assert code == 3 and out == ""
+    total = 3**19 * 2 * 2
+    assert err == f"error: joint state space has {total} assignments, over the cap of 1048576\n"

@@ -174,10 +174,11 @@ def test_property2_evaluates_only_the_variable_asked(monkeypatch):
     assert calls == ["C2", "C3"]
 
 
-def test_properties_command_evaluates_each_positive_three_times(monkeypatch, tmp_path, capsys):
-    # every Ci is a common cause of A and Y, so all six are D1-positive:
-    # once for P1's positive set, once for the row list, once for the P2A
-    # precondition (before: the whole pool again for every P2A row)
+def test_properties_command_evaluates_each_positive_once(monkeypatch, tmp_path, capsys):
+    # every Ci is a common cause of A and Y, so all six are D1-positive; the
+    # command lists them once and hands that set to P1 and to every P2A row
+    # (before: 18 calls, the set listed for P1, again for the rows, and each
+    # row's precondition evaluated once more)
     n = 6
     lines = [f"node C{i} pre" for i in range(n)] + ["node A exposure", "node Y outcome"]
     lines += [f"edge C{i} {v}" for i in range(n) for v in ("A", "Y")] + ["edge A Y"]
@@ -187,7 +188,7 @@ def test_properties_command_evaluates_each_positive_three_times(monkeypatch, tmp
     assert confounders.cli.main(["properties", str(graph), "--def", "D1"]) == 0
     out = capsys.readouterr().out
     assert out.count("P2A D1 C") == n
-    assert len(calls) == 3 * n
+    assert len(calls) == n
 
 
 def test_p2a_for_model_definitions_trusts_caller():
