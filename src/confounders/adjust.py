@@ -15,9 +15,9 @@ bit ("lane") of an int: lane l holds pool member i when bit i of l is set,
 the members taken in sorted order. One sliced pass (`graph._sliced_dsep`)
 decides the separation in every lane at once, and its answer is a lane
 vector. Each Dag keeps its pool's sufficiency vector (`_sufficiency_vector`):
-lane l is set when the subset l is sufficient. The catalog is that
+lane l is set when the subset l is sufficient, and its catalog: that
 vector's minimal lanes, found with a subset-closure transform
-(`_minimal_lanes`); the distinguishing contexts of property 2A and the
+(`_minimal_lanes`). The distinguishing contexts of property 2A and the
 fuzzer's per-subset verdicts read the same vector, and D1 and the
 conditional confounder run passes of their own.
 
@@ -35,6 +35,7 @@ from itertools import combinations
 
 from .errors import SizeLimit
 from .graph import (
+    _LANE_BITS,
     Path,
     _first_path,
     _joined,
@@ -71,20 +72,21 @@ class MinimalSetCatalog:
         return bool(self.sets) and all(name in s for s in self.sets)
 
 
-def subsets_canonical(names, max_size=None):
+def subsets_canonical(names):
     """Subsets of `names` in canonical order (size, then lexicographic)."""
     names = sorted(names)
-    top = len(names) if max_size is None else min(max_size, len(names))
-    for r in range(top + 1):
+    for r in range(len(names) + 1):
         yield from combinations(names, r)
 
 
-def _require_enumerable(pool, what):
-    if len(pool) > MAX_POOL:
+def _require_enumerable(names, what):
+    """The names, unless `what` would enumerate the subsets of too many."""
+    if len(names) > MAX_POOL:
         raise SizeLimit(
-            f"covariate pool has {len(pool)} members; {what} enumerates subsets "
+            f"{what} enumerates the subsets of {len(names)} covariates "
             f"and refuses beyond {MAX_POOL}"
         )
+    return names
 
 
 def backdoor_paths(dag):
@@ -181,9 +183,16 @@ def _minimal_lanes(sufficient, k):
 def _is_minimal(dag, covariates):
     """No strict subset of the (sufficient) set is sufficient: one sliced
     pass whose lanes are the set's own members, stopping at the first
-    block with a sufficient strict subset."""
+    block with a sufficient strict subset. A set that is still minimal
+    after the blocks of a MAX_POOL-member set raises SizeLimit."""
     whole = (1 << len(covariates)) - 1
-    for first, sufficient in _sufficient_blocks(dag, covariates):
+    cap = 1 << (MAX_POOL - _LANE_BITS)
+    for count, (first, sufficient) in enumerate(_sufficient_blocks(dag, covariates)):
+        if count == cap:
+            raise SizeLimit(
+                f"the minimality check of a {len(covariates)}-member set found no "
+                f"sufficient strict subset in {cap} blocks, the cap for {MAX_POOL} members"
+            )
         own = whole - first  # the set's own lane, held by the last block only
         if sufficient >> own & 1:
             sufficient ^= 1 << own
@@ -210,12 +219,12 @@ def is_sufficient(dag, covariates):
 def minimal_sufficient_sets(dag):
     """Enumerate every minimally sufficient adjustment set.
 
-    The minimal lanes of the pool's sufficiency vector, in canonical order.
-    An insufficiency everywhere yields an empty catalog; a sufficient empty
-    set yields the one-entry catalog (()).
+    The minimal lanes of the pool's sufficiency vector, in canonical order,
+    listed once per Dag. An insufficiency everywhere yields an empty
+    catalog; a sufficient empty set yields the one-entry catalog (()).
     """
-    pool = dag.covariate_pool
-    _require_enumerable(pool, "minimal_sufficient_sets")
-    minimal = tuple(_lane_sets(_minimal_lanes(_sufficiency_vector(dag), len(pool)), pool))
-    union = tuple(sorted(set().union(*minimal)))
-    return MinimalSetCatalog(minimal, union)
+    pool = _require_enumerable(dag.covariate_pool, "minimal_sufficient_sets")
+    if dag._catalog is None:
+        minimal = tuple(_lane_sets(_minimal_lanes(_sufficiency_vector(dag), len(pool)), pool))
+        dag._catalog = MinimalSetCatalog(minimal, tuple(sorted(set().union(*minimal))))
+    return dag._catalog

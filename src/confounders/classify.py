@@ -24,12 +24,11 @@ observations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 
 from .adjust import (
-    MAX_POOL,
     _first_backdoor_path,
     _minimal_lanes,
+    _require_enumerable,
     _sufficient_blocks,
     minimal_sufficient_sets,
     subsets_canonical,
@@ -38,7 +37,6 @@ from .errors import (
     IncompleteReport,
     NotACovariate,
     OverlappingSets,
-    SizeLimit,
 )
 from .formats import format_effect, format_set
 from .graph import _joined, _lane_pattern, _lane_sets, _sliced_dsep
@@ -85,17 +83,10 @@ def _require_covariate(dag, variable):
     return pool
 
 
-def _capped(others):
-    if len(others) > MAX_POOL:
-        raise SizeLimit(
-            f"context enumeration over {len(others)} covariates exceeds {MAX_POOL}"
-        )
-    return others
-
-
 def _context_sets(dag, variable):
     pool = _require_covariate(dag, variable)
-    return _capped([name for name in pool if name != variable])
+    others = [name for name in pool if name != variable]
+    return _require_enumerable(others, f"the context search for {variable!r}")
 
 
 def classify_d1_graphical(dag, variable):
@@ -144,20 +135,18 @@ def classify_d2(dag, variable):
     return path is not None, path
 
 
-def classify_d3(dag, variable, _catalog=None):
+def classify_d3(dag, variable):
     """C belongs to every minimally sufficient set (vacuously false when
     the only minimal set is the empty one, or none exists)."""
     _require_covariate(dag, variable)
-    catalog = minimal_sufficient_sets(dag) if _catalog is None else _catalog
-    return catalog.member_of_all(variable)
+    return minimal_sufficient_sets(dag).member_of_all(variable)
 
 
-def classify_d4(dag, variable, _catalog=None):
+def classify_d4(dag, variable):
     """(verdict, witness minimal set): C belongs to at least one minimally
     sufficient set."""
     _require_covariate(dag, variable)
-    catalog = minimal_sufficient_sets(dag) if _catalog is None else _catalog
-    for s in catalog.sets:
+    for s in minimal_sufficient_sets(dag).sets:
         if variable in s:
             return True, s
     return False, None
@@ -194,7 +183,7 @@ def surrogate_confounder(model, variable):
     return not d4
 
 
-def conditional_confounder(dag, variable, conditioning=(), _catalog=None):
+def conditional_confounder(dag, variable, conditioning=()):
     """(verdict, witness X): C completes some context X to sufficiency on
     top of the fixed set L, with nothing in (X, C) removable.
 
@@ -210,7 +199,9 @@ def conditional_confounder(dag, variable, conditioning=(), _catalog=None):
             raise NotACovariate(f"{name!r} is not in the covariate pool")
     if variable in conditioning:
         raise OverlappingSets(f"{variable!r} appears in the conditioning set")
-    others = _capped(sorted(pool - {variable} - set(conditioning)))
+    others = _require_enumerable(
+        sorted(pool - {variable} - set(conditioning)), "conditional_confounder"
+    )
     members = sorted(others + [variable])
     k = len(members)
     minimal = _minimal_lanes(_joined(_sufficient_blocks(dag, members, conditioning)), k)
@@ -264,19 +255,18 @@ def dashed_observations(report, has_model):
     return tuple(out)
 
 
-def _evaluators(dag, model=None, catalog=None):
+def _evaluators(dag, model=None):
     """Definition id -> evaluator(variable) returning (verdict, witness).
 
     The one place that knows how each definition is decided. D3 has no
-    witness. D3 and D4 share one minimal-set catalog, listed on first use
-    unless one is passed in.
+    witness. D3 and D4 read the Dag's minimal-set catalog, listed on first
+    use.
     """
-    shared = cache(lambda: minimal_sufficient_sets(dag) if catalog is None else catalog)
     return {
         "D1": lambda c: classify_d1_graphical(dag, c),
         "D2": lambda c: classify_d2(dag, c),
-        "D3": lambda c: (classify_d3(dag, c, _catalog=shared()), None),
-        "D4": lambda c: classify_d4(dag, c, _catalog=shared()),
+        "D3": lambda c: (classify_d3(dag, c), None),
+        "D4": lambda c: classify_d4(dag, c),
         "D5": lambda c: classify_d5(model, c),
         "D6": lambda c: classify_d6(model, c),
     }
@@ -302,14 +292,13 @@ def _witness_text(def_id, witness, exact=False):
     return ""
 
 
-def classify_variable(dag, variable, model=None, _catalog=None):
+def classify_variable(dag, variable, model=None):
     """Full report for one covariate: all applicable definitions,
     witnesses, surrogate status, and the lattice verdict."""
     if model is not None and model.dag is not dag:
         dag = model.dag
     has_model = model is not None
-    catalog = minimal_sufficient_sets(dag) if _catalog is None else _catalog
-    evaluate = _evaluators(dag, model, catalog)
+    evaluate = _evaluators(dag, model)
     results = {
         def_id: evaluate[def_id](variable)
         for def_id in (DEFINITIONS if has_model else GRAPH_DEFINITIONS)

@@ -108,8 +108,7 @@ def cmd_classify(args):
     if model is None and any(d in MODEL_DEFINITIONS for d in wanted):
         raise MissingModel("D5/D6 verdicts need --model")
     variables = (args.variable,) if args.variable else dag.covariate_pool
-    catalog = minimal_sufficient_sets(dag if model is None else model.dag)
-    reports = [classify_variable(dag, v, model=model, _catalog=catalog) for v in variables]
+    reports = [classify_variable(dag, v, model=model) for v in variables]
     cf_empty = model.cf_unconfounded(()) if model is not None else None
 
     if args.format == "json":

@@ -173,7 +173,7 @@ def _run_trial(index, dag, model, failures, counters):
         fail(f"union of minimal sets {catalog.union} is not sufficient")
 
     has_model = model is not None
-    reports = [classify_variable(dag, c, model, _catalog=catalog) for c in pool]
+    reports = [classify_variable(dag, c, model) for c in pool]
     numeric_failures = []
     for report in reports:
         for arrow in check_implications(report, has_model)[1]:

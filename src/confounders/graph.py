@@ -250,7 +250,9 @@ class Dag(Graph):
     outcome) is eligible for adjustment.
     """
 
-    __slots__ = ("exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency")
+    __slots__ = (
+        "exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency", "_catalog"
+    )
 
     def __init__(self, nodes, edges, exposure, outcome, declared_pre=None):
         super().__init__(nodes, edges)
@@ -269,6 +271,7 @@ class Dag(Graph):
         self._no_out = None
         self._pool = None
         self._sufficiency = None  # adjust._sufficiency_vector
+        self._catalog = None  # adjust.minimal_sufficient_sets
 
     @property
     def covariate_pool(self):

@@ -14,7 +14,10 @@ tested inside it. The average causal effect is the difference of the two
 counterfactual means, E(Y_1) - E(Y_0), taken from those same joints.
 
 One loop multiplies CPT entries (`_product`); the joint, the intervened
-joints and every quantity above are built from it.
+joints and every quantity above are built from it. One loop sums a table
+by some key entries (`_sum_by`); probabilities and risk differences read
+the marginal table of their node set (`_margin`, one per set), and one
+exact test (`_independent`) serves `ci_test` and `independent_given`.
 """
 from __future__ import annotations
 
@@ -43,6 +46,35 @@ def _numeric_value(node, state):
     if isinstance(state, bool) or not isinstance(state, (int, Fraction)):
         raise ModelError(f"node {node!r} has non-numeric state {state!r}")
     return Fraction(state)
+
+
+def _sum_by(items, positions):
+    """{sub-key: total P} of (key, P) pairs, the sub-key being the key's
+    entries at `positions`."""
+    out = {}
+    for key, p in items:
+        sub = tuple([key[i] for i in positions])
+        out[sub] = out[sub] + p if sub in out else p
+    return out
+
+
+def _independent(table, na, nb):
+    """Exact test, in a table {key: P >= 0}, that the first `na` key
+    entries are independent of the next `nb` given the rest.
+
+    P(a, b, z) P(z) = P(a, z) P(b, z) is checked on the table's keys only.
+    Where it holds on all of them, the right sides summed over the keys and
+    over every cell with P(a, z) P(b, z) > 0 both give the sum of P(z)^2,
+    so no such cell is missing from the table."""
+    width = len(next(iter(table)))
+    ab = na + nb
+    p_z = _sum_by(table.items(), range(ab, width))
+    p_az = _sum_by(table.items(), [*range(na), *range(ab, width)])
+    p_bz = _sum_by(table.items(), range(na, width))
+    return all(
+        p * p_z[key[ab:]] == p_az[key[:na] + key[ab:]] * p_bz[key[na:]]
+        for key, p in table.items()
+    )
 
 
 def as_fraction(value, where="probability"):
@@ -110,7 +142,7 @@ class DiscreteModel:
         self.cpts = normalized
 
         self._joint = None
-        self._prob_cache = {}
+        self._margins = {}
         self._cf_cache = {}
         self._ace = None
 
@@ -202,23 +234,19 @@ class DiscreteModel:
             self._joint = items
         return self._joint
 
+    def _margin(self, nodes):
+        """{states of `nodes`: P > 0}, one pass over the joint per node tuple."""
+        if nodes not in self._margins:
+            index = self.dag._index
+            self._margins[nodes] = _sum_by(self._joint_items(), [index[n] for n in nodes])
+        return self._margins[nodes]
+
     def probability(self, partial):
         """Exact marginal probability of a partial assignment."""
-        fixed = []
         for node, value in partial.items():
             self._require_state(node, value)
-            fixed.append((self.dag._index[node], value))
-        fixed.sort()
-        key = tuple(fixed)
-        cached = self._prob_cache.get(key)
-        if cached is not None:
-            return cached
-        out = Fraction(0)
-        for vals, p in self._joint_items():
-            if all(vals[i] == v for i, v in fixed):
-                out += p
-        self._prob_cache[key] = out
-        return out
+        nodes = tuple(sorted(partial, key=self.dag._index.__getitem__))
+        return self._margin(nodes).get(tuple([partial[n] for n in nodes]), Fraction(0))
 
     # -- queries -------------------------------------------------------------
 
@@ -268,21 +296,7 @@ class DiscreteModel:
                 raise UnknownNode(f"unknown node {node!r}")
         if not set_a or not set_b:
             return True
-        for z_vals in product(*(self.state_spaces[n] for n in z)):
-            given = dict(zip(z, z_vals))
-            pz = self.probability(given)
-            if pz == 0:
-                continue
-            for a_vals in product(*(self.state_spaces[n] for n in set_a)):
-                a_part = dict(zip(set_a, a_vals))
-                pa = self.probability({**given, **a_part})
-                for b_vals in product(*(self.state_spaces[n] for n in set_b)):
-                    b_part = dict(zip(set_b, b_vals))
-                    pb = self.probability({**given, **b_part})
-                    pab = self.probability({**given, **a_part, **b_part})
-                    if pab * pz != pa * pb:
-                        return False
-        return True
+        return _independent(self._margin(tuple(flat)), len(set_a), len(set_b))
 
     # -- interventions ---------------------------------------------------------
 
@@ -322,23 +336,27 @@ class DiscreteModel:
         with positive probability must have both exposure arms represented.
         """
         self._require_binary_exposure()
-        dag = self.dag
-        covariates = dag._require_pool(covariates)
+        covariates = self.dag._require_pool(covariates)
+        a, y = self.dag.exposure, self.dag.outcome
+        cells = self._margin(covariates + (a, y))
+        arms = _sum_by(cells.items(), range(len(covariates) + 1))
         out = Fraction(0)
-        for x_vals in product(*(self.state_spaces[n] for n in covariates)):
-            stratum = dict(zip(covariates, x_vals))
-            px = self.probability(stratum)
-            if px == 0:
+        for x in product(*(self.state_spaces[n] for n in covariates)):
+            p_arm = [arms.get(x + (arm,), 0) for arm in (0, 1)]
+            if not any(p_arm):
                 continue
             for arm in (0, 1):
-                if self.probability({**stratum, dag.exposure: arm}) == 0:
+                if p_arm[arm] == 0:
                     raise PositivityViolation(
-                        f"stratum {stratum!r}: P({dag.exposure}={arm}, stratum) = 0"
+                        f"stratum {dict(zip(covariates, x))!r}: P({a}={arm}, stratum) = 0"
                     )
-            diff = self.cond_expectation(
-                dag.outcome, {**stratum, dag.exposure: 1}
-            ) - self.cond_expectation(dag.outcome, {**stratum, dag.exposure: 0})
-            out += px * diff
+            # sums[a] = sum over y of y * P(x, a, y), so E[Y | a, x] = sums[a] / P(x, a)
+            sums = [Fraction(0), Fraction(0)]
+            for state in self.state_spaces[y]:
+                value = _numeric_value(y, state)
+                for arm in (0, 1):
+                    sums[arm] += value * cells.get(x + (arm, state), 0)
+            out += (p_arm[0] + p_arm[1]) * (sums[1] / p_arm[1] - sums[0] / p_arm[0])
         return out
 
     def bias(self, covariates=()):
@@ -370,14 +388,13 @@ class DiscreteModel:
         pa_idx = [dag._index[n] for n in a_cpt.parent_order]
         y_idx = dag._index[dag.outcome]
         a_states = self.state_spaces[dag.exposure]
-        table = {}
-        for vals, p in self.intervene(dag.exposure, a)._joint_items():
-            w_vals = tuple(vals[i] for i in w_idx)
-            row = a_cpt.table[tuple(vals[i] for i in pa_idx)]
-            for a_prime, pa in zip(a_states, row):
-                if pa != 0:
-                    key = (vals[y_idx], a_prime, w_vals)
-                    table[key] = table.get(key, Fraction(0)) + p * pa
+        cells = (
+            ((vals[y_idx], a_prime, tuple([vals[i] for i in w_idx])), p * pa)
+            for vals, p in self.intervene(dag.exposure, a)._joint_items()
+            for a_prime, pa in zip(a_states, a_cpt.table[tuple([vals[i] for i in pa_idx])])
+            if pa != 0
+        )
+        table = _sum_by(cells, range(3))
         w_nodes = tuple(dag.nodes[i] for i in w_idx)
         joint = CounterfactualJoint(a, dag.exposure, dag.outcome, w_nodes, table)
         self._cf_cache[a] = joint
@@ -406,10 +423,7 @@ class CounterfactualJoint:
         return sum(self.table.values(), Fraction(0))
 
     def marginal_y(self):
-        out = {}
-        for (y, _a, _w), p in self.table.items():
-            out[y] = out.get(y, Fraction(0)) + p
-        return out
+        return {y: p for (y,), p in _sum_by(self.table.items(), (0,)).items()}
 
     def mean_y(self):
         """E(Y_a); every outcome state in the table must be numeric."""
@@ -424,21 +438,6 @@ class CounterfactualJoint:
         for name in covariates:
             if name not in self.w_nodes:
                 raise UnknownNode(f"{name!r} is not among the joint's covariates")
-        idx = [self.w_nodes.index(name) for name in covariates]
-        strata = {}
-        for (y, a_obs, w), p in self.table.items():
-            s = tuple(w[i] for i in idx)
-            cell = strata.setdefault(s, {})
-            cell[(y, a_obs)] = cell.get((y, a_obs), Fraction(0)) + p
-        for cell in strata.values():
-            total = sum(cell.values(), Fraction(0))
-            y_margin = {}
-            a_margin = {}
-            for (y, a_obs), p in cell.items():
-                y_margin[y] = y_margin.get(y, Fraction(0)) + p
-                a_margin[a_obs] = a_margin.get(a_obs, Fraction(0)) + p
-            for y, py in y_margin.items():
-                for a_obs, pa in a_margin.items():
-                    if cell.get((y, a_obs), Fraction(0)) * total != py * pa:
-                        return False
-        return True
+        flat = (((y, a_obs, *w), p) for (y, a_obs, w), p in self.table.items())
+        positions = [0, 1] + [2 + self.w_nodes.index(name) for name in covariates]
+        return _independent(_sum_by(flat, positions), 1, 1)

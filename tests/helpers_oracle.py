@@ -270,6 +270,41 @@ def _marginal(order, joint, nodes):
     return out
 
 
+def naive_independent(order, spaces, joint, set_a, set_b, z=()):
+    """set_a independent of set_b given z in a flat joint, checked in every
+    cell of the state spaces: P(a, b, z) P(z) = P(a, z) P(b, z)."""
+    set_a, set_b, z = tuple(set_a), tuple(set_b), tuple(z)
+    p_z = _marginal(order, joint, z)
+    p_az = _marginal(order, joint, set_a + z)
+    p_bz = _marginal(order, joint, set_b + z)
+    p_abz = _marginal(order, joint, set_a + set_b + z)
+    for vz in product(*(spaces[n] for n in z)):
+        for va in product(*(spaces[n] for n in set_a)):
+            for vb in product(*(spaces[n] for n in set_b)):
+                left = p_abz.get(va + vb + vz, 0) * p_z.get(vz, 0)
+                if left != p_az.get(va + vz, 0) * p_bz.get(vb + vz, 0):
+                    return False
+    return True
+
+
+def naive_standardized_rd(order, spaces, joint, exposure, outcome, covariates):
+    """Sum over strata x of P(x) (E[Y | A=1, x] - E[Y | A=0, x]) in a flat
+    joint; None when a stratum of positive probability lacks an arm."""
+    covariates = tuple(covariates)
+    p_x = _marginal(order, joint, covariates)
+    p_xa = _marginal(order, joint, covariates + (exposure,))
+    p_xay = _marginal(order, joint, covariates + (exposure, outcome))
+    out = Fraction(0)
+    for x, px in p_x.items():
+        if x + (0,) not in p_xa or x + (1,) not in p_xa:
+            return None
+        for y in spaces[outcome]:
+            treated = p_xay.get(x + (1, y), 0) / p_xa[x + (1,)]
+            untreated = p_xay.get(x + (0, y), 0) / p_xa[x + (0,)]
+            out += px * y * (treated - untreated)
+    return out
+
+
 def naive_cf_joint(order, edges, spaces, cpts, exposure, outcome, a):
     """(w_nodes, {(y, a_observed, w_states): P(Y_a=y, A=a_observed, W=w)})
     with W the nondescendants of the exposure, listed in `order`.

@@ -31,11 +31,6 @@ def test_subsets_canonical_order():
     assert got == ((), ("A",), ("B",), ("A", "B"))
 
 
-def test_subsets_canonical_max_size():
-    got = tuple(subsets_canonical(("A", "B", "C"), max_size=1))
-    assert got == ((), ("A",), ("B",), ("C",))
-
-
 def test_backdoor_paths_fork():
     assert [str(p) for p in backdoor_paths(FORK)] == ["A <- C1 -> Y"]
 

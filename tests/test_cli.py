@@ -5,8 +5,6 @@ from importlib.resources import files
 import pytest
 
 import confounders.adjust
-import confounders.classify
-import confounders.cli
 from confounders.cli import main
 
 FIXTURES = files("confounders").joinpath("fixtures")
@@ -101,14 +99,13 @@ def test_classify_json_filters_witnesses(capsys):
 
 def test_classify_lists_the_catalog_once(capsys, monkeypatch):
     calls = []
-    real = confounders.adjust.minimal_sufficient_sets
+    real = confounders.adjust._minimal_lanes
 
-    def counted(dag):
-        calls.append(dag)
-        return real(dag)
+    def counted(sufficient, k):
+        calls.append(k)
+        return real(sufficient, k)
 
-    monkeypatch.setattr(confounders.cli, "minimal_sufficient_sets", counted)
-    monkeypatch.setattr(confounders.classify, "minimal_sufficient_sets", counted)
+    monkeypatch.setattr(confounders.adjust, "_minimal_lanes", counted)
     code, out, _ = run(
         capsys, "classify", fx("fig4.graph"), "--model", fx("fig4.json"), "--defs", "D1"
     )

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confounders.errors import (
     BadProbability,
@@ -23,11 +25,15 @@ from confounders.model import Cpt, DiscreteModel, as_fraction
 from confounders.fuzz import random_dag, random_model
 from helpers_oracle import (
     NaiveModel,
+    _marginal,
     all_subsets,
     naive_cf_independent,
     naive_cf_joint,
     naive_descendants,
     naive_forced_mean,
+    naive_independent,
+    naive_joint,
+    naive_standardized_rd,
 )
 
 F = Fraction
@@ -463,3 +469,42 @@ def test_cf_joint_matches_naive_identification():
         )
         assert model.ace() == want_ace
     assert min(seen.values()) >= 20, seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_exact_queries_match_the_flat_joint(seed, n_nodes):
+    # zero CPT entries make empty strata and empty arms; three-state nodes
+    # make strata and sets that binary models never have
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = raw_model(rng, n_nodes)
+    dag = Dag(names, edges, exposure, outcome)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    joint = naive_joint(names, spaces, cpts)
+
+    picks = tuple(rng.sample(names, rng.randint(0, n_nodes)))
+    partial = {v: rng.choice(spaces[v]) for v in picks}
+    want = _marginal(names, joint, picks).get(tuple(partial[v] for v in picks), 0)
+    assert model.probability(partial) == want
+
+    shuffled = rng.sample(names, n_nodes)
+    cut_a = rng.randint(1, n_nodes - 1)
+    cut_b = rng.randint(cut_a + 1, n_nodes)
+    set_a, set_b = shuffled[:cut_a], shuffled[cut_a:cut_b]
+    z = [v for v in shuffled[cut_b:] if rng.random() < 0.7]
+    want = naive_independent(names, spaces, joint, set_a, set_b, z)
+    assert model.ci_test(set_a, set_b, z) == want
+
+    subset = tuple(v for v in dag.covariate_pool if rng.random() < 0.6)
+    want = naive_standardized_rd(names, spaces, joint, exposure, outcome, subset)
+    if want is None:
+        with pytest.raises(PositivityViolation):
+            model.standardized_rd(subset)
+    else:
+        assert model.standardized_rd(subset) == want
+
+    want = all(
+        naive_cf_independent(*naive_cf_joint(names, edges, spaces, cpts, exposure, outcome, a), subset)
+        for a in (0, 1)
+    )
+    assert model.cf_unconfounded(subset) == want

@@ -2,6 +2,7 @@
 and each positive has a context where it matters (P2A graphical, P2B model)."""
 import pytest
 
+import confounders.adjust
 import confounders.classify
 import confounders.cli
 from confounders.errors import InvalidConfig, MissingModel
@@ -52,15 +53,18 @@ def test_positive_covariates_d3_d4_on_registry(name, d3, d4):
 
 def test_positive_covariates_lists_the_catalog_once(monkeypatch):
     calls = []
-    real = confounders.classify.minimal_sufficient_sets
+    real = confounders.adjust._minimal_lanes
 
-    def counted(dag):
-        calls.append(dag)
-        return real(dag)
+    def counted(sufficient, k):
+        calls.append(k)
+        return real(sufficient, k)
 
-    monkeypatch.setattr(confounders.classify, "minimal_sufficient_sets", counted)
-    assert positive_covariates(COLLIDER_CHILD.dag, "D4") == ()
-    assert len(COLLIDER_CHILD.dag.covariate_pool) == 3 and len(calls) == 1
+    monkeypatch.setattr(confounders.adjust, "_minimal_lanes", counted)
+    shared = COLLIDER_CHILD.dag
+    dag = Dag(shared.nodes, shared.edges, shared.exposure, shared.outcome, shared.declared_pre)
+    assert positive_covariates(dag, "D4") == ()
+    assert positive_covariates(dag, "D3") == ()
+    assert len(dag.covariate_pool) == 3 and len(calls) == 1
 
 
 def test_positive_covariates_needs_model_for_numeric_defs():

@@ -26,6 +26,7 @@ from confounders.adjust import (
     subsets_canonical,
 )
 from confounders.classify import classify_d1_graphical, classify_variable, conditional_confounder
+from confounders.errors import SizeLimit
 from confounders.fuzz import random_dag
 from confounders.graph import Dag, d_separated
 from confounders.properties import distinguishing_context
@@ -182,16 +183,21 @@ def test_complete_dag_catalog_matches_the_scan():
     catalog = minimal_sufficient_sets(dag)
     assert catalog.sets == scan_minimal_sets(dag.covariate_pool, sufficient_scan(dag))
     for variable in dag.covariate_pool:
-        report = classify_variable(dag, variable, _catalog=catalog)
+        report = classify_variable(dag, variable)
         assert report.lattice_ok
         assert report.verdicts["D4"] == any(variable in s for s in catalog.sets)
 
 
-def test_no_pass_holds_a_mask_wider_than_a_block(monkeypatch):
-    # 24 independent common causes: only the whole pool is sufficient
-    names = [f"C{i:02d}" for i in range(MAX_POOL)]
+def forks(size):
+    """`size` independent common causes of A and Y: the whole pool is the
+    one minimal sufficient set."""
+    names = [f"C{i:02d}" for i in range(size)]
     edges = [(c, v) for c in names for v in ("A", "Y")] + [("A", "Y")]
-    dag = Dag(names + ["A", "Y"], edges, "A", "Y")
+    return Dag(names + ["A", "Y"], edges, "A", "Y"), names
+
+
+def test_no_pass_holds_a_mask_wider_than_a_block(monkeypatch):
+    dag, names = forks(MAX_POOL)
     widths, blocks = [], []
     real_patterns, real_pass = graph_module._lane_patterns, graph_module._sliced_dsep
 
@@ -258,6 +264,21 @@ def test_minimality_meets_a_small_subset_of_the_top_members_first(monkeypatch):
     blocks = counted_blocks(monkeypatch)
     assert not _is_minimal(dag, names)
     assert len(blocks) <= 1 + (34 - graph_module._LANE_BITS)
+
+
+def test_minimality_past_the_pool_cap_is_refused():
+    dag, names = forks(MAX_POOL + 1)
+    with pytest.raises(SizeLimit, match=f"{MAX_POOL + 1}-member set"):
+        is_sufficient(dag, names)
+    dag, names = forks(MAX_POOL)
+    assert is_sufficient(dag, names).minimal
+    # a set that is not minimal stops at the block of its sufficient
+    # subset, however large it is: {C39} is the last of the top members
+    dag, names = one_confounder(40, "C39")
+    start = time.process_time()
+    verdict = is_sufficient(dag, names)
+    assert verdict.sufficient and not verdict.minimal
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize(
