@@ -3,12 +3,12 @@
 /* BEGIN: Cython Metadata
 {
     "distutils": {
-        "name": "_kernels._fast",
+        "name": "confounders._kernels._fast",
         "sources": [
             "src/confounders/_kernels/_fast.pyx"
         ]
     },
-    "module_name": "_kernels._fast"
+    "module_name": "confounders._kernels._fast"
 }
 END: Cython Metadata */
 
@@ -2412,18 +2412,18 @@ static int __Pyx_State_RemoveModule(void*);
 static __pyx_t_8_kernels_5_fast_u64 __pyx_f_8_kernels_5_fast_6BitDag__closure(struct __pyx_obj_8_kernels_5_fast_BitDag *__pyx_v_self, __pyx_t_8_kernels_5_fast_u64 __pyx_v_mask, __pyx_t_8_kernels_5_fast_u64 *__pyx_v_adj); /* proto*/
 static __pyx_t_8_kernels_5_fast_u64 __pyx_f_8_kernels_5_fast_6BitDag__reach(struct __pyx_obj_8_kernels_5_fast_BitDag *__pyx_v_self, __pyx_t_8_kernels_5_fast_u64 __pyx_v_src, __pyx_t_8_kernels_5_fast_u64 __pyx_v_z); /* proto*/
 
-/* Module declarations from "_kernels._fast" */
+/* Module declarations from "confounders._kernels._fast" */
 static PyObject *__pyx_f_8_kernels_5_fast___pyx_unpickle_BitDag__set_state(struct __pyx_obj_8_kernels_5_fast_BitDag *, PyObject *); /*proto*/
 static CYTHON_INLINE PyObject *__Pyx_carray_to_py___pyx_t_8_kernels_5_fast_u64(__pyx_t_8_kernels_5_fast_u64 *, Py_ssize_t); /*proto*/
 static CYTHON_INLINE PyObject *__Pyx_carray_to_tuple___pyx_t_8_kernels_5_fast_u64(__pyx_t_8_kernels_5_fast_u64 *, Py_ssize_t); /*proto*/
 static int __Pyx_carray_from_py___pyx_t_8_kernels_5_fast_u64(PyObject *, __pyx_t_8_kernels_5_fast_u64 *, Py_ssize_t); /*proto*/
 /* #### Code section: typeinfo ### */
 /* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "_kernels._fast"
+#define __Pyx_MODULE_NAME "confounders._kernels._fast"
 extern int __pyx_module_is_main__kernels___fast;
 int __pyx_module_is_main__kernels___fast = 0;
 
-/* Implementation of "_kernels._fast" */
+/* Implementation of "confounders._kernels._fast" */
 /* #### Code section: global_var ### */
 static PyObject *__pyx_builtin_enumerate;
 /* #### Code section: string_decls ### */
@@ -3278,7 +3278,7 @@ static int __pyx_pw_8_kernels_5_fast_6BitDag_1__init__(PyObject *__pyx_v_self, P
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return -1;
   __pyx_L4_argument_unpacking_done:;
@@ -3566,7 +3566,7 @@ static int __pyx_pf_8_kernels_5_fast_6BitDag___init__(struct __pyx_obj_8_kernels
   __Pyx_XDECREF(__pyx_t_11);
   __Pyx_XDECREF(__pyx_t_12);
   __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = -1;
   __pyx_L0:;
   __Pyx_RefNannyFinishContext();
@@ -3652,7 +3652,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.parents_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.parents_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -3700,7 +3700,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_2parents_mask(struct __pyx_ob
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.parents_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.parents_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -3787,7 +3787,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.children_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.children_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -3835,7 +3835,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_4children_mask(struct __pyx_o
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.children_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.children_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -4063,7 +4063,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.closure_up", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.closure_up", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -4115,7 +4115,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_6closure_up(struct __pyx_obj_
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.closure_up", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.closure_up", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -4203,7 +4203,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.closure_down", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.closure_down", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -4255,7 +4255,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_8closure_down(struct __pyx_ob
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.closure_down", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.closure_down", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -4343,7 +4343,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.ancestors", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.ancestors", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -4393,7 +4393,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_10ancestors(struct __pyx_obj_
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.ancestors", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.ancestors", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -4481,7 +4481,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.descendants", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.descendants", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -4531,7 +4531,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_12descendants(struct __pyx_ob
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.descendants", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.descendants", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -5065,7 +5065,7 @@ static __pyx_t_8_kernels_5_fast_u64 __pyx_f_8_kernels_5_fast_6BitDag__reach(stru
 
   /* function exit code */
   __pyx_L1_error:;
-  __Pyx_AddTraceback("_kernels._fast.BitDag._reach", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag._reach", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = 0;
   __pyx_L0:;
   return __pyx_r;
@@ -5159,7 +5159,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.reachable", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.reachable", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -5213,7 +5213,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_14reachable(struct __pyx_obj_
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.reachable", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.reachable", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -5317,7 +5317,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.dsep", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.dsep", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -5370,7 +5370,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_16dsep(struct __pyx_obj_8_ker
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.dsep", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.dsep", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -5419,7 +5419,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_1n___get__(struct __pyx_obj_8
   /* function exit code */
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.n.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.n.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -5699,7 +5699,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_18__reduce_cython__(struct __
   __Pyx_XDECREF(__pyx_t_2);
   __Pyx_XDECREF(__pyx_t_3);
   __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XDECREF(__pyx_v_state);
@@ -5787,7 +5787,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.BitDag.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -5841,7 +5841,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_20__setstate_cython__(struct 
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_1);
   __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("_kernels._fast.BitDag.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.BitDag.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -5944,7 +5944,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
     Py_XDECREF(values[__pyx_temp]);
   }
-  __Pyx_AddTraceback("_kernels._fast.__pyx_unpickle_BitDag", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.__pyx_unpickle_BitDag", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
@@ -6069,7 +6069,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast___pyx_unpickle_BitDag(CYTHON_UNUSED P
   __pyx_L1_error:;
   __Pyx_XDECREF(__pyx_t_2);
   __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("_kernels._fast.__pyx_unpickle_BitDag", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.__pyx_unpickle_BitDag", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XDECREF(__pyx_v___pyx_result);
@@ -6128,7 +6128,7 @@ static PyObject *__pyx_f_8_kernels_5_fast___pyx_unpickle_BitDag__set_state(struc
   __pyx_r = Py_None; __Pyx_INCREF(Py_None);
   goto __pyx_L0;
   __pyx_L1_error:;
-  __Pyx_AddTraceback("_kernels._fast.__pyx_unpickle_BitDag__set_state", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __Pyx_AddTraceback("confounders._kernels._fast.__pyx_unpickle_BitDag__set_state", __pyx_clineno, __pyx_lineno, __pyx_filename);
   __pyx_r = 0;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -6202,7 +6202,7 @@ static PyType_Slot __pyx_type_8_kernels_5_fast_BitDag_slots[] = {
   {0, 0},
 };
 static PyType_Spec __pyx_type_8_kernels_5_fast_BitDag_spec = {
-  "_kernels._fast.BitDag",
+  "confounders._kernels._fast.BitDag",
   sizeof(struct __pyx_obj_8_kernels_5_fast_BitDag),
   0,
   Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE,
@@ -6212,7 +6212,7 @@ static PyType_Spec __pyx_type_8_kernels_5_fast_BitDag_spec = {
 
 static PyTypeObject __pyx_type_8_kernels_5_fast_BitDag = {
   PyVarObject_HEAD_INIT(0, 0)
-  "_kernels._fast.""BitDag", /*tp_name*/
+  "confounders._kernels._fast.""BitDag", /*tp_name*/
   sizeof(struct __pyx_obj_8_kernels_5_fast_BitDag), /*tp_basicsize*/
   0, /*tp_itemsize*/
   __pyx_tp_dealloc_8_kernels_5_fast_BitDag, /*tp_dealloc*/
@@ -6643,8 +6643,8 @@ __Pyx_RefNannySetupContext("PyInit__fast", 0);
   }
   {
     PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "_kernels._fast")) {
-      if (unlikely((PyDict_SetItemString(modules, "_kernels._fast", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
+    if (!PyDict_GetItemString(modules, "confounders._kernels._fast")) {
+      if (unlikely((PyDict_SetItemString(modules, "confounders._kernels._fast", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
     }
   }
   /*--- Builtin init code ---*/
@@ -6906,25 +6906,25 @@ static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
 static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
   CYTHON_UNUSED_VAR(__pyx_mstate);
   {
-    const struct { const unsigned int length: 8; } index[] = {{1},{179},{8},{40},{7},{6},{2},{9},{20},{20},{34},{14},{7},{6},{24},{26},{16},{20},{19},{17},{18},{11},{19},{16},{20},{1},{9},{12},{18},{1},{13},{18},{12},{10},{8},{11},{8},{5},{4},{9},{8},{12},{1},{13},{5},{14},{8},{4},{10},{8},{7},{7},{12},{3},{14},{12},{11},{10},{21},{14},{12},{9},{10},{17},{13},{4},{12},{10},{12},{19},{3},{5},{8},{6},{12},{6},{1},{11},{13},{19},{19},{33},{27},{99},{55}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (906 bytes) */
-const char* const cstring = "BZh91AY&SY0\243X\254\000\000V\177\377\366\315\274\340\377\307\367\357\277\251\177\200\277\377\377\364@@@@@@@@@\000@@@\000@\000@\003\035T\000\001!\252dL\322\236\243\365OS\324\332\236\221\223L#A\246A\352\000h\r\001\241\265\032mF\236\241\351\251\355Se\016\006\200\320h\3202h\0004\000\030\232\032h\032h\001\243F\200\006\215\016\006\200\320h\3202h\0004\000\030\232\032h\032h\001\243F\200\006\215\004\240\200\2044\320h\232\236\251\264\312\036\246\230\2324\332F\200\000\000\000\r\r\036\005%\357\"\177\274\377\332st\211\324\261\247@\327'G\\\246\202\212\244(\271\272\314\250\226\013\016\253\007\010\302\217\005\241) \261\003\260\337%\225>L0\252\252\304\230\276\267\272\374\350X}\304\311\324)\215\221\2275\307\n^\276\r\222hy0\355\233\253\370_!o`\326\251\202\333\023\311o^\\\352/\307\361{\271\247\024\336\245\246\254^\n\265o\310\354\t\325\322\006\233`7V\214i\2217\246]e\206\237\240\002U\234~\221LJ-\204\375o\036\363A\316\3756\362\345\375p\273$\346\220\341XX\201\331\257\013\201\270\203\"y\314\016\261\3542\305\207\206\356\235\374\361\221\331S\325\273\274\361\205\216\366\222\272\000\342\247\3337\037\2321\205\035\231\232\236\233\010UP\242\262\311\225\\v\263\232k*/\202\2076N@K\374_\307MR\331\363\361g\3664\030\205\310\213\3434\222\262\232M\n\202\325\211w{]\235x\3528\037\001.\273J\310!2\010\306m;!\2726\333\023|\325g\253\261d2T*@&\332X\245\260\361\032\263\312\332F\244ob\230\223\253\204\370\353\261c\272\316\033\023r\264P\276\020W\202\252\3405\363pxX\375\031j8Q\274\271 \360e\262\014T\254H\321\254\024.\201+\261\337\261.\254\312]\004\254K8&\034\n\221'\257\277\254\362\350\302\"\222e\340\004\177\201\370s\026\242\252\212\204\351\237\217\003\014Hh\246Z\325\310\316\307\256\371\2649A/\3316\324$iA\235{\221c\204\333[\324uH\221\275A\206\211\026w\255\266\262\021H3\343(\263O\221\321\225\306f1\321J\302\207\202\254\344+b\350E\262\326&E6\026\322\261\0242\023\222o\241\233\024\"\330\2511\245\234(n\\7\343\240\332g\277C\361KN\211\226Qm\312\333/\225\225\023_\243\277\270rr\256\\T\317j\250[n\325.04\024\334\021\260t\324*""\243Q\306\265\215\246$\025c\255\206\210G-aiR\350\006E\310\211\305la\004\312\245\321!\271\221\311\177\2126\306\240R\035\273\237r\301\363\002wn\037\001c\3505\212\"\274Z\200*\321\3639poB\315$%9\026\024S\\r\241r\021\222\367\202\363/M\206!\233\315g\314\267v\251hA\22421s_\035\357\023@\312\"\344\360\327>\324\360\351\0169(\222\267\253\r^6\365\377(|\351\364}?U+i\004]\215\277BJAZV\242\277\322\370\344\353=\310\307fj\0060\2363\240\240\2101\340\220a\207\000a\032\357\004\"H\230\263-Q\371P\035\225\344\346G\365q\212L\227gJ\034\363\361M\321N\34185'\323\300Z\212\354\252B\000\360\177\374]\311\024\341B@\302\215b\260";
-    PyObject *data = __Pyx_DecompressString(cstring, 906, 2);
+    const struct { const unsigned int length: 8; } index[] = {{1},{179},{8},{40},{7},{6},{2},{9},{20},{20},{34},{14},{7},{6},{24},{26},{16},{20},{19},{17},{18},{11},{19},{16},{20},{1},{9},{12},{18},{1},{13},{18},{12},{10},{8},{11},{8},{5},{4},{9},{8},{12},{1},{13},{5},{26},{8},{4},{10},{8},{7},{7},{12},{3},{14},{12},{11},{10},{21},{14},{12},{9},{10},{17},{13},{4},{12},{10},{12},{19},{3},{5},{8},{6},{12},{6},{1},{11},{13},{19},{19},{33},{27},{99},{55}};
+    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (908 bytes) */
+const char* const cstring = "BZh91AY&SY\246x~\273\000\000V\377\377\366\315\274\340\377\307\367\357\277\251\177\200\277\377\377\364@@@@@@@@@\000@@@\000@\000@\003\035\034\356\212\321Z\347\015S\322\001O\325\036\232\236\246\324\364\230\232h\321\240\323 \320\003M\006A\210\332\2322\017H\304\336\251\262\202T\310L\042\0314S\362S\324\375Q\246CC@\030\200\000\000\000\000\003@\015\001D\323\042h\0154\365\006\232\000\006\200\000\000\000\000\000\000\002QM\032&\247\251\265\031\251\351\036\240\000\000\000\000\000\000\000\000\003\010\335\244O\277\357\204\375\250%Uz\012c\221%:\315}\005\025G`X\353\023\321!\025\332\260\214\010\352>\027\300b\202\214\024\360]*J}00\254\262\344\253;^\354\365!q\367\211\266\2243\014fgGy\343\032)2\0262\227\334\331\022\231\270\332\300\203f\003<\222p\216\250\276x\232\315 U\353U\214\272\251h\2208w%\205\234\255\344\321\304\212\011\006#\321\016\316\231\2152M\365m\266w/K\001)\357^\232f\012c\241;\236\255t\243(\306\231K.\177mt\223\241\204\232\231\264\322\002\342*j\000\2242\021^ \012oj\206\350\025\245\374\266\372x\005\301\214\2311\025\332j\254b\011\030\005\006\134\260\250_\225f\231\002\042$\312\2520\2220\222*P\250\215\032\263\334\202Q\024\346D\334\253\134\031^\337\307\371&S\017\326\255\235\033JA\022\042\351\222\015\206\011\012*\202\316pn5\335\314\264\254\211\231@H\242\221Z\016\276:\216\0313^\355/\246\227\230A\022\031\347\274\245\370\246\023\034\021\134\312J\247m\231\354\240\246/\220\374JF\342\022hCZW\243\364\317Rl\322\212\366\025\271\310\327\042&Qk\203A\256\233\177x\3444\042\277|Nk\225&\345$I\343\342\263\020*qEWa{*%\00259\223\236!\231\360\231Q\341\371re>\250\320xQ\243\2130#7\031u\031\134\212\252*\017\301f\266S-\303\255\2169I\243\3416\313\010+\266\201\225\337\005\3161\361\210\255M\207\251\250h\225\003\012d\341\350\030\010\021\303\242\254Q\306\204\034\231\026\214\016\211\015\362\222\032\204D\027[\031:'2J\321\304\246\226\261'H\244\007\262\362\230\311\342\006\042\0243\010\231.`\365.B\002\321`D\322\231p.\264\320Y]\255\325\2435\260'\024\247\032\337]\023\220\315\327\027\015\203_i1\334\205\224\242\0054\350B\243)i\035 \371\215fq\004b\305\242\322\242\225\0230\306n`\330\254\215\347\304\361\210\204\214\004\343\234ERGf)\346$p\322\2414\243\354\202\336\261\010\273\211St\243\233\220\031\306\250nQ\037\303Y\240\304k\326 \042E\221\260\210-\320\206A\326\276\322\022\005%zz\021 \363W\034,\011\365!)\004w\3163\042U\277\211H9P1)R\326\374\032\362\321Pbb\331\225\232\031\263\2305\250A\224S\375q\336Sr{)\342\225\2136\246\326H\042\3367}\012\042\023\342s\025\336\313\303\242\273Vq\216\355\004\014\241(I\202Z \313\202\021\207\007\310:6\337\010D8\217J)\303\363P4\3330\325G\365\001\222\030\324\344D\036\363\264\2351\247\302y\327\362\334\367\245H*\300\031\200V_\361w$S\205\011\012g\207\353\260";
+    PyObject *data = __Pyx_DecompressString(cstring, 908, 2);
     if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
     const char* const bytes = __Pyx_PyBytes_AsString(data);
     #if !CYTHON_ASSUME_SAFE_MACROS
     if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
     #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (800 bytes) */
-const char* const cstring = "x\332mR=o\033G\020\215\002\n&`#\206\023\003I*\257\034'J\221\320Q ;\t\034;\240%\331\010\002\010\222-\305\345`\271;$\327<\356\036\367C\026\215\024,Y^y\345\225W\262d\251\237\240\222\245~B~Bfy$C\305)no\366\315\354\314\2337\363\333\241\361\310|\227{\2667\364]\243\231rLb\242Zh\271\307d\310\234\267Jx\2641H\263\243\203\243\357w\177\336e\\Kf\361-\n\357\230\013-\221p\347\3201\323f\255\240\022\2574\363\303\024]\203\375\336fC\023\230F\224\314\033\226R\334\372\003\337E\315\034\372h\260m\256\265\361\334+\243\201\236+\335\331fRY*\242\3160\276~\301\023\207\r.%P\034\266\224\357s\327c=\264\032\023\312\232\246\306\022\037\352\245o\234g\217w\2316\022\235T\216\267\022D\035\317\216P\256\262d\312-j\212\2159\210x\214e\324T\033\t\026\304m\016<{\312\234\025\017\205\321m\023\264D\353\036BU\220\2146w\276\221\016\317\177\215\"\351\2163\301\n|\366\274\271\367\307\301\341\376s\345\367y\247:\033\000\026e\020\010b\2562\300\n\247\346\035\365\374\201\207G\016\336X\267\270\213\256J$1\203\310w\211%\306\005\213 \315;\375\037(\244\013\200\004\020\250%\327~\231I:\\:+\t\334zN\213\\t\243>\000G\303s\372\366i\374p\210\347\376\025\266\371\212\025\300bX\024\307\335P\013e\032\302X\023h\366\350Z\327\330\212\2040P4T\313\005\266\270\350\255\023\377\227\2610\375T\321`\326(\003\310X\276\372E\342\250C\177\276\232\000\355\240\005y\240\263T\020\024(\007+\026\312c\337-\207\325\230\017\013\210\017\361\230\263\242\323\310\020\373\004\320\274_\375\361\035\300B\224umR\223\022Nr\210.\212\236\013\375\352f\321\205\304W\366\202B4\343\352WV\320\251\022=\252Q\211[\201g\276\222\027`\020xR\225^S}\261(\360\301\312\254\000<\217k\223\264\347\313\263\340N\226\244\371\314\351\254V\n\376g\275h\233\027N\217Q\220\220J\272\005\207\253\3203\236\004t\357G\033\263\332\203\242Y\374Y\356\214\232\263\372\355\261\317~\314\2163>j^\315/?\345[\371\243b\2638-\267\226\320/y3?-\276)ke\363:t\277\330+\\\371\240\224\223\257&\247\323\373\323\275\351\240\n\010\331~~#\037P\232\327\345f\371z\362\361\344\353\311`\264\361w\375\243\315O\306'\331\335\354$\277\233""\237\024wf\265[\343\227\331N\366\"\377\256\340\263\332\215\321\331\370Mv@\276\343Y\375\323lkV\377<\033\\\305#\372\006\304\366\362\366v\341\313\235\362\345\344\311\264sq|u\035\341\243\215\253\332\275|p\311~\230\334\234>\271\350]\036\277\232\325>\313\036\347_\024w\212\255\230\344\257\330\340\254\376m\271Q~9i\\\220\0307\307;\377\000\255K\t5";
-    PyObject *data = __Pyx_DecompressString(cstring, 800, 1);
+    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (804 bytes) */
+const char* const cstring = "x\332mS1o[7\020\256\013\031\021\220\240A\332\000m\247\320iZwh\225\272p\322\026iR(\266\023\024\005\014;\261\233\221\240\310\223\304\350\211|\342\221\216\025t\320\250\361\215o|\343\0335j\364O\360\250\321\077\241\077\241G=I\225\233\016\342;~w\274\373\356\273\323o\207\326\003\363]\341\331\336\320w\255a\032\231\202D\267\300\011\017\311\220\241wZzp1\310\260\243\203\243\357w\177\336e\302(\346\340-H\217\014CK&\002\021\220\3316k\005\235xm\230\037\246\200\015\366{\233\015m`\006@1oYJq\353\017|\027\014C\360\321`\333\302\030\353\205\327\326pz\256Mg\233)\355\250\210>\203\370\372\205H\020\032B)Nq\320\322\276/\260\307z\340\014$\2245M\255#>\324K\337\242g\217w\231\261\012Pi\024\255\004\300\304\263#5V\226J\205\003C\2611\007\021\217\261\214\232j\003\301\222\270\315\201gO\031:\371PZ\323\266\301(p\370\220W\005\311h\013\364\215tx\376k\024\311t\320\006'\341\331\363\346\336\037\007\207\373\317\265\337\027\235\352lp\356@\005\011\134\316U\346|\205S\363H=\177\340\021\221\203\267\016\027w\331\325\211\042f<\362]b\211\305\340\200+\373\316\374\007\012\351\002 \001$\030%\214_fR\010Kg%\001\256\347t d7\352\303\371\321\360\234~\3734~~\010\347\376\025\264\305\212\025\347\213aQ\234\300\241\221\3326\244u6\320\354\001[\327\330\312\2040\256i\250NHh\011\331['\376/ci\373\251\246\301\254Q\346\134\305\362\325'\022\007\023\372\363\325\344\274\035\214$\017\357,\025\344\232k\344+\026\332C\037\327\006\327X\016\2561\037\034'n\304i\316\220N\253B\354\231s#\372\325\027\336q\276\020h]\247\324\246\204\2234\262\013\262\207\241_\335\034`H|e/\350D3\376\015*+\230T\313\036\325\250\204\256\3003_I\315\371 \210\244*\2756\201\305\322\360\017\326g\005\300y\134\241\244=_\244\005w\262\024\315jNg\265^\374\177V\2156{\341\364\020\005\011\251\242[@X\205\236\211$\000\276\037m\314j\017\212f\361g\2713j\316\352\267\307>\3731;\316\304\250y5\277\374\224o\345\217\212\315\342\264\334ZB\277\344\315\374\264\370\246\254\225\315\353\320\375b\257\300\362A\251&_MN\247\367\247{\323A\025\020\262\375\374F>\2404\257\313\315\362\365\344\343\311\327\223\301h\343\357\372G\233\237\214O\262\273\331I~7\077)\356\314j\267\306/\263\235\354E\376]!f\265\033\243\263\361\233\354\200|\307\263\372\247\331\326\254\376y6\270\212G\364\015\210\355\345\355\355\302\227;\345\313\311\223i\347\342\370\352:\042F\033W\265{\371\340\222\3750\2719}r\321\273<~5\253}\226=\316\277(\356\024[1\311_\261\301Y\375\333r\243\374r\322\270 1n\216w\376\0010j\016\011";
+    PyObject *data = __Pyx_DecompressString(cstring, 804, 1);
     if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
     const char* const bytes = __Pyx_PyBytes_AsString(data);
     #if !CYTHON_ASSUME_SAFE_MACROS
     if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
     #endif
-    #else /* compression: none (1327 bytes) */
-const char* const bytes = "?Note that Cython is deliberately stricter than PEP-484 and rejects subclasses of builtin types. If you need to pass subclasses then set the 'annotation_typing' directive to False.add_notebitmask kernel supports at most 64 nodesdisableenablegcisenabledparent mask of node  references node >= src/confounders/_kernels/_fast.pyx<stringsource>BACKENDBitDagBitDag.__reduce_cython__BitDag.__setstate_cython__BitDag.ancestorsBitDag.children_maskBitDag.closure_downBitDag.closure_upBitDag.descendantsBitDag.dsepBitDag.parents_maskBitDag.reachable__Pyx_PyDict_NextRefaancestors__annotate__asyncio.coroutinesbchildren_maskcline_in_tracebackclosure_downclosure_upcompileddescendants__dict___dictdsepenumerate__func____getstate__i_is_coroutineitems_kernels._fast__main__mask__module____name____new__parentsparents_maskpop__pyx_checksum__pyx_result__pyx_state__pyx_type__pyx_unpickle_BitDag__pyx_vtable____qualname__reachable__reduce____reduce_cython____reduce_ex__self__set_name__setdefault__setstate____setstate_cython__srcstate__test__updateuse_setstatevaluesz\200\001\330\004$\240A\240V\2501\200A\330\010\017\210t\2202\220Q\220a\200A\340\010\017\210t\2207\230!\2305\240\005\240U\250!\200A\340\010\017\210t\2209\230A\230U\240&\250\004\250A\200A\340\010\017\210t\2209\230A\230U\240\"\240C\240s\250$\250d\260#\260U\270\"\270C\270q\200A\340\010\017\210u\220D\230\007\230q\240\005\240S\250\005\250S\260\002\260%\260q\200\001\360\010\000\005\016\210T\220\024\220T\230\024\230T\240\021\330\004\014\210G\2201\220F\230,\240a\330\004\007\200v\210W\220E\230\024\230Q\330\010\022\220!\330\010\027\220q\340\010\027\220q\330\004\007\200q\330\010\017\320\017'\240t\2501\250G\260;\270g\300Q\340\010\017\320\017'\240t\2501\250G\260;\270a\200\001\340\004\037\230q\320 0\260\013\270;\300k\320QR\330\004\023\2206\230\030\240\021\240!\330\004\007\200|\2207\230!\330\010(\250\001\250\031\260.\300\001\330\004\013\2101";
+    #else /* compression: none (1339 bytes) */
+const char* const bytes = "\077Note that Cython is deliberately stricter than PEP-484 and rejects subclasses of builtin types. If you need to pass subclasses then set the 'annotation_typing' directive to False.add_notebitmask kernel supports at most 64 nodesdisableenablegcisenabledparent mask of node  references node >= src/confounders/_kernels/_fast.pyx<stringsource>BACKENDBitDagBitDag.__reduce_cython__BitDag.__setstate_cython__BitDag.ancestorsBitDag.children_maskBitDag.closure_downBitDag.closure_upBitDag.descendantsBitDag.dsepBitDag.parents_maskBitDag.reachable__Pyx_PyDict_NextRefaancestors__annotate__asyncio.coroutinesbchildren_maskcline_in_tracebackclosure_downclosure_upcompileddescendants__dict___dictdsepenumerate__func____getstate__i_is_coroutineitemsconfounders._kernels._fast__main__mask__module____name____new__parentsparents_maskpop__pyx_checksum__pyx_result__pyx_state__pyx_type__pyx_unpickle_BitDag__pyx_vtable____qualname__reachable__reduce____reduce_cython____reduce_ex__self__set_name__setdefault__setstate____setstate_cython__srcstate__test__updateuse_setstatevaluesz\200\001\330\004$\240A\240V\2501\200A\330\010\017\210t\2202\220Q\220a\200A\340\010\017\210t\2207\230!\2305\240\005\240U\250!\200A\340\010\017\210t\2209\230A\230U\240&\250\004\250A\200A\340\010\017\210t\2209\230A\230U\240\042\240C\240s\250$\250d\260#\260U\270\042\270C\270q\200A\340\010\017\210u\220D\230\007\230q\240\005\240S\250\005\250S\260\002\260%\260q\200\001\360\010\000\005\016\210T\220\024\220T\230\024\230T\240\021\330\004\014\210G\2201\220F\230,\240a\330\004\007\200v\210W\220E\230\024\230Q\330\010\022\220!\330\010\027\220q\340\010\027\220q\330\004\007\200q\330\010\017\320\017'\240t\2501\250G\260;\270g\300Q\340\010\017\320\017'\240t\2501\250G\260;\270a\200\001\340\004\037\230q\320 0\260\013\270;\300k\320QR\330\004\023\2206\230\030\240\021\240!\330\004\007\200|\2207\230!\330\010(\250\001\250\031\260.\300\001\330\004\013\2101";
     PyObject *data = NULL;
     CYTHON_UNUSED_VAR(__Pyx_DecompressString);
     #endif

@@ -1,9 +1,15 @@
-"""Exact discrete probability over a Dag, in rational arithmetic.
+"""Exact discrete probability over a Dag, in integer arithmetic.
 
 A DiscreteModel attaches finite state spaces and CPTs to a Dag; the joint
-factorizes over the graph. Everything downstream is computed by exact
-marginalization with `fractions.Fraction`, so equality tests are honest
-equalities: no tolerances anywhere.
+factorizes over the graph. CPT entries are given as rationals. Each node's
+table is scaled by the LCM of its entries' denominators, taken over all of
+its rows, so every entry becomes an integer weight and the joint has one
+denominator: the product of those LCMs. Everything downstream is exact
+integer marginalization over that denominator, so equality tests are
+honest equalities: no tolerances anywhere. Weights turn into
+`fractions.Fraction` only at the public boundary (`probability`,
+`joint_probability`, `cond_*`, `standardized_rd`, `ace`, `mean_y` and
+`CounterfactualJoint.table`).
 
 Interventions follow truncated factorization (replace the node's CPT by a
 point mass, drop its incoming edges). Counterfactual quantities are
@@ -13,17 +19,22 @@ model under do(A=a), and conditional unconfoundedness Y_a ⟂ A | S is
 tested inside it. The average causal effect is the difference of the two
 counterfactual means, E(Y_1) - E(Y_0), taken from those same joints.
 
-One loop multiplies CPT entries (`_product`); the joint, the intervened
-joints and every quantity above are built from it. One loop sums a table
-by some key entries (`_sum_by`); probabilities and risk differences read
-the marginal table of their node set (`_margin`, one per set), and one
-exact test (`_independent`) serves `ci_test` and `independent_given`.
+One loop multiplies integer CPT entries (`_product`); the joint, the
+intervened joints and every quantity above are built from it. One loop
+sums a table by some key entries (`_sum_by`); probabilities and risk
+differences read the marginal table of their node set (`_margin`, one per
+set of nodes, whatever order it is asked in), and one exact test
+(`_independent`) serves `ci_test` and `independent_given`. Each covariate
+set's standardized risk difference is computed once per model and kept,
+a positivity violation included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 from .errors import (
     BadProbability,
@@ -45,12 +56,12 @@ def _numeric_value(node, state):
     """The state as a number; expectations need int (or Fraction) states."""
     if isinstance(state, bool) or not isinstance(state, (int, Fraction)):
         raise ModelError(f"node {node!r} has non-numeric state {state!r}")
-    return Fraction(state)
+    return state
 
 
 def _sum_by(items, positions):
-    """{sub-key: total P} of (key, P) pairs, the sub-key being the key's
-    entries at `positions`."""
+    """{sub-key: total weight} of (key, weight) pairs, the sub-key being the
+    key's entries at `positions`."""
     out = {}
     for key, p in items:
         sub = tuple([key[i] for i in positions])
@@ -59,13 +70,14 @@ def _sum_by(items, positions):
 
 
 def _independent(table, na, nb):
-    """Exact test, in a table {key: P >= 0}, that the first `na` key
+    """Exact test, in a table {key: weight >= 0}, that the first `na` key
     entries are independent of the next `nb` given the rest.
 
-    P(a, b, z) P(z) = P(a, z) P(b, z) is checked on the table's keys only.
-    Where it holds on all of them, the right sides summed over the keys and
-    over every cell with P(a, z) P(b, z) > 0 both give the sum of P(z)^2,
-    so no such cell is missing from the table."""
+    P(a, b, z) P(z) = P(a, z) P(b, z) is checked on the table's keys only;
+    both sides are products of two weights, so the table's denominator
+    cancels. Where it holds on all of them, the right sides summed over the
+    keys and over every cell with P(a, z) P(b, z) > 0 both give the sum of
+    P(z)^2, so no such cell is missing from the table."""
     width = len(next(iter(table)))
     ab = na + nb
     p_z = _sum_by(table.items(), range(ab, width))
@@ -75,6 +87,17 @@ def _independent(table, na, nb):
         p * p_z[key[ab:]] == p_az[key[:na] + key[ab:]] * p_bz[key[na:]]
         for key, p in table.items()
     )
+
+
+def _integer_rows(cpt):
+    """(scale, {parent key: integer row}): the table times the LCM of its
+    entries' denominators, taken over all of its rows."""
+    scale = lcm(*(p.denominator for row in cpt.table.values() for p in row))
+    rows = {
+        key: tuple([p.numerator * (scale // p.denominator) for p in row])
+        for key, row in cpt.table.items()
+    }
+    return scale, rows
 
 
 def as_fraction(value, where="probability"):
@@ -139,10 +162,27 @@ class DiscreteModel:
             if node not in cpts:
                 raise ModelError(f"no cpt for node {node!r}")
             normalized[node] = self._check_cpt(node, cpts[node])
-        self.cpts = normalized
+        self._setup(normalized, {node: _integer_rows(c) for node, c in normalized.items()})
 
+    def _setup(self, cpts, rows):
+        """Attach checked CPTs and their integer rows ({node: (scale, rows)})
+        to a model whose dag and state spaces are set."""
+        self.cpts = cpts
+        self._rows = rows
+        self._den = prod(scale for scale, _ in rows.values())
+        index = self.dag._index
+        self._factors = [
+            (
+                index[node],
+                [index[p] for p in cpts[node].parent_order],
+                {state: i for i, state in enumerate(self.state_spaces[node])},
+                rows[node][1],
+            )
+            for node in self.dag.nodes
+        ]
         self._joint = None
         self._margins = {}
+        self._rd = {}
         self._cf_cache = {}
         self._ace = None
 
@@ -199,20 +239,16 @@ class DiscreteModel:
             raise UnknownState(f"{value!r} is not a state of {node!r}")
         return value
 
-    def _cpt_entry(self, node, own_state, assignment):
-        cpt = self.cpts[node]
-        key = tuple(assignment[p] for p in cpt.parent_order)
-        return cpt.table[key][self.state_spaces[node].index(own_state)]
-
-    def _product(self, assignment):
-        """P of a full assignment: the product of one CPT entry per node,
-        stopping at the first zero."""
-        p = Fraction(1)
-        for node in self.dag.nodes:
-            p *= self._cpt_entry(node, assignment[node], assignment)
-            if p == 0:
+    def _product(self, vals):
+        """Weight of a full assignment, its states in node order: the
+        product of one integer CPT entry per node, stopping at the first
+        zero."""
+        w = 1
+        for i, parents, position, rows in self._factors:
+            w *= rows[tuple([vals[j] for j in parents])][position[vals[i]]]
+            if not w:
                 break
-        return p
+        return w
 
     # -- joint table ---------------------------------------------------------
 
@@ -228,25 +264,36 @@ class DiscreteModel:
             nodes = self.dag.nodes
             items = []
             for vals in product(*(self.state_spaces[n] for n in nodes)):
-                p = self._product(dict(zip(nodes, vals)))
-                if p != 0:
-                    items.append((vals, p))
+                w = self._product(vals)
+                if w:
+                    items.append((vals, w))
             self._joint = items
         return self._joint
 
-    def _margin(self, nodes):
-        """{states of `nodes`: P > 0}, one pass over the joint per node tuple."""
-        if nodes not in self._margins:
-            index = self.dag._index
-            self._margins[nodes] = _sum_by(self._joint_items(), [index[n] for n in nodes])
-        return self._margins[nodes]
+    def _margin(self, names):
+        """{states of `names`, in the order given: weight > 0}. The joint is
+        summed once per node set; the table is kept in the Dag's node order
+        and regrouped for any other order."""
+        index = self.dag._index
+        nodes = tuple(sorted(names, key=index.__getitem__))
+        table = self._margins.get(nodes)
+        if table is None:
+            table = _sum_by(self._joint_items(), [index[n] for n in nodes])
+            self._margins[nodes] = table
+        if nodes != names:
+            table = _sum_by(table.items(), [nodes.index(n) for n in names])
+        return table
 
-    def probability(self, partial):
-        """Exact marginal probability of a partial assignment."""
+    def _weight(self, partial):
+        """Weight of a partial assignment, over the joint's denominator."""
         for node, value in partial.items():
             self._require_state(node, value)
         nodes = tuple(sorted(partial, key=self.dag._index.__getitem__))
-        return self._margin(nodes).get(tuple([partial[n] for n in nodes]), Fraction(0))
+        return self._margin(nodes).get(tuple([partial[n] for n in nodes]), 0)
+
+    def probability(self, partial):
+        """Exact marginal probability of a partial assignment."""
+        return Fraction(self._weight(partial), self._den)
 
     # -- queries -------------------------------------------------------------
 
@@ -257,38 +304,38 @@ class DiscreteModel:
             raise IncompleteAssignment(f"assignment misses {missing[0]!r}")
         for node, value in assignment.items():
             self._require_state(node, value)
-        return self._product(assignment)
+        return Fraction(self._product(tuple([assignment[n] for n in self.dag.nodes])), self._den)
 
     def cond_probability(self, event, given):
-        den = self.probability(given)
+        den = self._weight(given)
         if den == 0:
             raise ZeroProbabilityCondition(f"conditioning event {given!r} has probability 0")
         overlap = set(event) & set(given)
         for node in overlap:
             if event[node] != given[node]:
                 return Fraction(0)
-        return self.probability({**given, **event}) / den
+        return Fraction(self._weight({**given, **event}), den)
 
     def cond_expectation(self, target, given=None):
         """Exact E[target | given]; target's states must be numeric."""
         given = dict(given or {})
         if target not in self.dag._index:
             raise UnknownNode(f"unknown node {target!r}")
-        den = self.probability(given)
+        den = self._weight(given)
         if den == 0:
             raise ZeroProbabilityCondition(f"conditioning event {given!r} has probability 0")
         if target in given:
-            return _numeric_value(target, given[target])
-        out = Fraction(0)
+            return Fraction(_numeric_value(target, given[target]))
+        out = 0
         for state in self.state_spaces[target]:
             value = _numeric_value(target, state)
-            out += value * self.probability({**given, target: state})
-        return out / den
+            out += value * self._weight({**given, target: state})
+        return Fraction(out, den)
 
     def ci_test(self, set_a, set_b, z=()):
         """Exact conditional independence of two node sets given a third."""
         set_a, set_b, z = sorted(set(set_a)), sorted(set(set_b)), sorted(set(z))
-        flat = set_a + set_b + z
+        flat = tuple(set_a + set_b + z)
         if len(set(flat)) != len(flat):
             raise OverlappingSets("ci_test sets must be pairwise disjoint")
         for node in flat:
@@ -296,17 +343,23 @@ class DiscreteModel:
                 raise UnknownNode(f"unknown node {node!r}")
         if not set_a or not set_b:
             return True
-        return _independent(self._margin(tuple(flat)), len(set_a), len(set_b))
+        return _independent(self._margin(flat), len(set_a), len(set_b))
 
     # -- interventions ---------------------------------------------------------
 
     def intervene(self, node, value):
-        """Truncated factorization: point-mass CPT, incoming edges dropped."""
+        """Truncated factorization: point-mass CPT, incoming edges dropped.
+
+        The other CPTs and their integer rows were checked when this model
+        was built, so the intervened model reuses them as they are."""
         self._require_state(node, value)
-        states = self.state_spaces[node]
-        point = Cpt(node, (), {(): tuple(Fraction(int(s == value)) for s in states)})
-        cpts = {n: (point if n == node else c) for n, c in self.cpts.items()}
-        return DiscreteModel(self.dag.without_edges_into(node), self.state_spaces, cpts)
+        row = tuple(int(s == value) for s in self.state_spaces[node])
+        point = Cpt(node, (), {(): tuple(Fraction(w) for w in row)})
+        model = DiscreteModel.__new__(DiscreteModel)
+        model.dag = self.dag.without_edges_into(node)
+        model.state_spaces = self.state_spaces
+        model._setup({**self.cpts, node: point}, {**self._rows, node: (1, {(): row})})
+        return model
 
     def _require_binary_exposure(self):
         if set(self.state_spaces[self.dag.exposure]) != {0, 1}:
@@ -334,30 +387,50 @@ class DiscreteModel:
 
         Sum over x of P(x) * (E[Y | A=1, x] - E[Y | A=0, x]). Every stratum
         with positive probability must have both exposure arms represented.
+        Each covariate set is answered once per model: the value, or the
+        message of its PositivityViolation, is kept for the next call.
         """
         self._require_binary_exposure()
         covariates = self.dag._require_pool(covariates)
+        rd = self._rd.get(covariates)
+        if rd is None:
+            try:
+                rd = self._standardized_rd(covariates)
+            except PositivityViolation as exc:
+                rd = str(exc)
+            self._rd[covariates] = rd
+        if isinstance(rd, str):
+            raise PositivityViolation(rd)
+        return rd
+
+    def _standardized_rd(self, covariates):
+        """standardized_rd of a sorted pool tuple, uncached.
+
+        With w the weights of the margin over (X, A, Y), a stratum adds
+        w(x) (s1 / w(x, 1) - s0 / w(x, 0)), s_a = sum over y of y w(x, a, y);
+        the sum over strata is divided by the joint's denominator once."""
         a, y = self.dag.exposure, self.dag.outcome
         cells = self._margin(covariates + (a, y))
         arms = _sum_by(cells.items(), range(len(covariates) + 1))
+        values = None
         out = Fraction(0)
         for x in product(*(self.state_spaces[n] for n in covariates)):
-            p_arm = [arms.get(x + (arm,), 0) for arm in (0, 1)]
-            if not any(p_arm):
+            w0, w1 = arms.get(x + (0,), 0), arms.get(x + (1,), 0)
+            if not (w0 or w1):
                 continue
-            for arm in (0, 1):
-                if p_arm[arm] == 0:
+            for arm, w in ((0, w0), (1, w1)):
+                if w == 0:
                     raise PositivityViolation(
                         f"stratum {dict(zip(covariates, x))!r}: P({a}={arm}, stratum) = 0"
                     )
-            # sums[a] = sum over y of y * P(x, a, y), so E[Y | a, x] = sums[a] / P(x, a)
-            sums = [Fraction(0), Fraction(0)]
-            for state in self.state_spaces[y]:
-                value = _numeric_value(y, state)
-                for arm in (0, 1):
-                    sums[arm] += value * cells.get(x + (arm, state), 0)
-            out += (p_arm[0] + p_arm[1]) * (sums[1] / p_arm[1] - sums[0] / p_arm[0])
-        return out
+            if values is None:
+                values = [(state, _numeric_value(y, state)) for state in self.state_spaces[y]]
+            s0, s1 = (
+                sum(value * cells.get(x + (arm, state), 0) for state, value in values)
+                for arm in (0, 1)
+            )
+            out += Fraction((w0 + w1) * (s1 * w0 - s0 * w1), w0 * w1)
+        return out / self._den
 
     def bias(self, covariates=()):
         """standardized_rd minus ace; signed."""
@@ -388,15 +461,19 @@ class DiscreteModel:
         pa_idx = [dag._index[n] for n in a_cpt.parent_order]
         y_idx = dag._index[dag.outcome]
         a_states = self.state_spaces[dag.exposure]
+        a_rows = self._rows[dag.exposure][1]
         cells = (
-            ((vals[y_idx], a_prime, tuple([vals[i] for i in w_idx])), p * pa)
-            for vals, p in self.intervene(dag.exposure, a)._joint_items()
-            for a_prime, pa in zip(a_states, a_cpt.table[tuple([vals[i] for i in pa_idx])])
-            if pa != 0
+            ((vals[y_idx], a_prime, tuple([vals[i] for i in w_idx])), w * wa)
+            for vals, w in self.intervene(dag.exposure, a)._joint_items()
+            for a_prime, wa in zip(a_states, a_rows[tuple([vals[i] for i in pa_idx])])
+            if wa
         )
-        table = _sum_by(cells, range(3))
+        # the intervened joint's denominator lacks the exposure's scale,
+        # which its integer row restores: the weights are over self._den
         w_nodes = tuple(dag.nodes[i] for i in w_idx)
-        joint = CounterfactualJoint(a, dag.exposure, dag.outcome, w_nodes, table)
+        joint = CounterfactualJoint(
+            a, dag.exposure, dag.outcome, w_nodes, _sum_by(cells, range(3)), self._den
+        )
         self._cf_cache[a] = joint
         return joint
 
@@ -411,19 +488,26 @@ class DiscreteModel:
 
 @dataclass(frozen=True)
 class CounterfactualJoint:
-    """Distribution of (Y_a, A, W): keys (y, a_observed, w_states)."""
+    """Distribution of (Y_a, A, W): keys (y, a_observed, w_states), each
+    with an integer weight over the denominator `den`."""
 
     a: object
     exposure: str
     outcome: str
     w_nodes: tuple[str, ...]
-    table: dict
+    weights: dict
+    den: int
+
+    @cached_property
+    def table(self):
+        """{(y, a_observed, w_states): P}, the weights as Fractions."""
+        return {key: Fraction(w, self.den) for key, w in self.weights.items()}
 
     def total(self):
-        return sum(self.table.values(), Fraction(0))
+        return Fraction(sum(self.weights.values()), self.den)
 
     def marginal_y(self):
-        return {y: p for (y,), p in _sum_by(self.table.items(), (0,)).items()}
+        return {y: Fraction(w, self.den) for (y,), w in _sum_by(self.weights.items(), (0,)).items()}
 
     def mean_y(self):
         """E(Y_a); every outcome state in the table must be numeric."""
@@ -438,6 +522,6 @@ class CounterfactualJoint:
         for name in covariates:
             if name not in self.w_nodes:
                 raise UnknownNode(f"{name!r} is not among the joint's covariates")
-        flat = (((y, a_obs, *w), p) for (y, a_obs, w), p in self.table.items())
+        flat = (((y, a_obs, *w), p) for (y, a_obs, w), p in self.weights.items())
         positions = [0, 1] + [2 + self.w_nodes.index(name) for name in covariates]
         return _independent(_sum_by(flat, positions), 1, 1)

@@ -117,6 +117,14 @@ def test_compiled_backend_is_available(fast_build):
     assert compiled(fast_build).BACKEND == "compiled"
 
 
+@needs_compiler
+def test_compiled_backend_names_its_package_module(fast_build):
+    # loaded here under a bare name, so the name can only come from the C source
+    module = compiled(fast_build)
+    assert module.BitDag.__module__ == "confounders._kernels._fast"
+    assert module.BitDag.dsep.__module__ == "confounders._kernels._fast"
+
+
 def test_backend_tags(request):
     assert _pure.BACKEND == "pure"
     if not MISSING:

@@ -1,6 +1,7 @@
 """Exact discrete inference: every probability is a Fraction, and every
 estimand is cross-checked against an independent flat-joint evaluator."""
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +23,7 @@ from confounders.errors import (
 )
 from confounders.graph import Dag
 from confounders.model import Cpt, DiscreteModel, as_fraction
-from confounders.fuzz import random_dag, random_model
+from confounders.fuzz import FuzzConfig, fuzz, random_dag, random_model
 from helpers_oracle import (
     NaiveModel,
     _marginal,
@@ -418,9 +419,30 @@ def test_cf_mean_matches_forced_model():
             assert model.cf_joint(arm).mean_y() == want
 
 
-def raw_model(rng, n_nodes):
+def small_row(rng, size):
+    """A CPT row of small integer weights over their sum, zeros allowed."""
+    weights = [rng.choice((0, 1, 2, 3)) for _ in range(size)]
+    if not any(weights):
+        weights[rng.randrange(size)] = 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+# rows over these denominators are pairwise co-prime, so a node's scale is
+# the product of its rows' denominators
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 499, 983, 991, 997)
+
+
+def prime_row(rng, size):
+    """A CPT row over one prime denominator of up to 997, zeros allowed."""
+    den = rng.choice(PRIMES)
+    cuts = sorted(rng.randint(0, den) for _ in range(size - 1))
+    return tuple(F(hi - lo, den) for lo, hi in zip([0, *cuts], [*cuts, den]))
+
+
+def raw_model(rng, n_nodes, row=small_row, outcome_states=None):
     """Random DAG and CPTs as raw data: any exposure/outcome pair, states
-    (0, 1) or (0, 1, 2) off the exposure, integer weights with zeros."""
+    (0, 1) or (0, 1, 2) off the exposure, rows drawn by `row`. The
+    outcome's states are drawn from `outcome_states` when given."""
     names = [f"V{i}" for i in range(n_nodes)]
     order = rng.sample(names, n_nodes)
     edges = [
@@ -431,15 +453,12 @@ def raw_model(rng, n_nodes):
     ]
     exposure, outcome = rng.sample(names, 2)
     spaces = {v: (0, 1) if v == exposure else rng.choice(((0, 1), (0, 1, 2))) for v in names}
+    if outcome_states is not None:
+        spaces[outcome] = rng.choice(outcome_states)
     cpts = {}
     for v in names:
         parents = tuple(sorted(u for u, w in edges if w == v))
-        table = {}
-        for key in product(*(spaces[q] for q in parents)):
-            weights = [rng.choice((0, 1, 2, 3)) for _ in spaces[v]]
-            if not any(weights):
-                weights[rng.randrange(len(weights))] = 1
-            table[key] = tuple(F(w, sum(weights)) for w in weights)
+        table = {key: row(rng, len(spaces[v])) for key in product(*(spaces[q] for q in parents))}
         cpts[v] = (parents, table)
     return names, edges, exposure, outcome, spaces, cpts
 
@@ -508,3 +527,172 @@ def test_exact_queries_match_the_flat_joint(seed, n_nodes):
         for a in (0, 1)
     )
     assert model.cf_unconfounded(subset) == want
+
+
+# outcome states that are numbers but not 0/1: Fractions, negatives
+NUMERIC_OUTCOMES = ((0, 1), (0, 1, 2), (-2, F(1, 3)), (F(-5, 2), 0, 7), (-1, F(3, 4), F(-7, 5)))
+
+
+def naive_mean(names, joint, target, given):
+    """E[target | given] in a flat joint, or None when P(given) = 0."""
+    picks = tuple(given)
+    key = tuple(given[v] for v in picks)
+    den = _marginal(names, joint, picks).get(key, 0)
+    if den == 0:
+        return None
+    cells = _marginal(names, joint, picks + (target,))
+    return sum((y * p for (*k, y), p in cells.items() if tuple(k) == key), F(0)) / den
+
+
+def rd_outcome(model, subset):
+    """(value, None) or (None, (exception class, message)) of one call."""
+    try:
+        return model.standardized_rd(subset), None
+    except ModelError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_integer_weights_match_the_flat_joint(seed, n_nodes):
+    # co-prime row denominators up to 997 make each node's scale a product
+    # of several primes; zero entries and three-state nodes as above;
+    # numeric outcome states off 0/1
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = raw_model(
+        rng, n_nodes, row=prime_row, outcome_states=NUMERIC_OUTCOMES
+    )
+    dag = Dag(names, edges, exposure, outcome)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    joint = naive_joint(names, spaces, cpts)
+
+    full = tuple(rng.choice(spaces[v]) for v in names)
+    assert model.joint_probability(dict(zip(names, full))) == joint.get(full, 0)
+    picks = tuple(rng.sample(names, rng.randint(0, n_nodes)))
+    partial = {v: rng.choice(spaces[v]) for v in picks}
+    assert model.probability(partial) == _marginal(names, joint, picks).get(tuple(partial.values()), 0)
+    given_ = {v: x for v, x in partial.items() if v != outcome}
+    want = naive_mean(names, joint, outcome, given_)
+    if want is None:
+        with pytest.raises(ZeroProbabilityCondition):
+            model.cond_expectation(outcome, given_)
+    else:
+        assert model.cond_expectation(outcome, given_) == want
+
+    shuffled = rng.sample(names, n_nodes)
+    cut = rng.randint(1, n_nodes - 1)
+    set_a, set_b, z = shuffled[:cut], shuffled[cut:cut + 1], shuffled[cut + 1:]
+    assert model.ci_test(set_a, set_b, z) == naive_independent(names, spaces, joint, set_a, set_b, z)
+
+    ace = naive_forced_mean(names, spaces, cpts, outcome, (exposure, 1)) - naive_forced_mean(
+        names, spaces, cpts, outcome, (exposure, 0)
+    )
+    assert model.ace() == ace
+    for subset in all_subsets(dag.covariate_pool):
+        want = naive_standardized_rd(names, spaces, joint, exposure, outcome, subset)
+        first = rd_outcome(model, subset)
+        if want is None:
+            assert first[1][0] is PositivityViolation
+        else:
+            assert first == (want, None)
+            assert model.bias(subset) == want - ace
+        # the second call answers from the cache, a violation included
+        assert rd_outcome(model, subset) == first
+
+    arm = rng.choice((0, 1))
+    forced = model.intervene(exposure, arm)
+    forced_joint = naive_joint(names, spaces, cpts, (exposure, arm))
+    assert forced.probability(partial) == _marginal(names, forced_joint, picks).get(
+        tuple(partial.values()), 0
+    )
+    assert forced.cond_expectation(outcome) == naive_mean(names, forced_joint, outcome, {})
+    want = naive_mean(names, forced_joint, outcome, given_)
+    if want is None:
+        with pytest.raises(ZeroProbabilityCondition):
+            forced.cond_expectation(outcome, given_)
+    else:
+        assert forced.cond_expectation(outcome, given_) == want
+    # intervening on the exposure again replaces the point mass: same ace
+    assert forced.ace() == ace
+
+
+def naive_first_stratum_positive(names, spaces, joint, exposure, subset):
+    """Whether the first stratum of positive probability, in the order of
+    the covariates' state spaces, has both exposure arms."""
+    p_xa = _marginal(names, joint, tuple(subset) + (exposure,))
+    for x in product(*(spaces[v] for v in subset)):
+        arms = [p_xa.get(x + (arm,), 0) for arm in (0, 1)]
+        if any(arms):
+            return all(arms)
+    raise AssertionError("no stratum of positive probability")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_non_numeric_outcome_raises_past_positivity(seed, n_nodes):
+    # positivity is checked first, stratum by stratum; the outcome's states
+    # are read as numbers at the first stratum that has both arms
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = raw_model(
+        rng, n_nodes, outcome_states=((0, "x"), ("no", "yes"), (F(1, 2), "1", 2))
+    )
+    dag = Dag(names, edges, exposure, outcome)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    joint = naive_joint(names, spaces, cpts)
+    bad = next(y for y in spaces[outcome] if isinstance(y, str))
+    for subset in all_subsets(dag.covariate_pool):
+        first = rd_outcome(model, subset)
+        if naive_first_stratum_positive(names, spaces, joint, exposure, subset):
+            assert first == (None, (ModelError, f"node {outcome!r} has non-numeric state {bad!r}"))
+        else:
+            assert first[1][0] is PositivityViolation
+        assert rd_outcome(model, subset) == first
+
+
+# -- work done per model -------------------------------------------------------------------
+
+
+def one_model_trial():
+    """Run one 6-node model fuzz trial; its Dag has a three-member pool."""
+    report = fuzz(FuzzConfig(6, 0.35, 1, 3, with_models=True))
+    assert report.hard_failures == ()
+
+
+def test_each_risk_difference_is_computed_once_per_set(monkeypatch):
+    asked, computed, models = Counter(), Counter(), []
+    public, body = DiscreteModel.standardized_rd, DiscreteModel._standardized_rd
+
+    def counted_public(self, covariates=()):
+        asked[id(self), tuple(sorted(set(covariates)))] += 1
+        models.append(self)  # keeps ids unique for the run
+        return public(self, covariates)
+
+    def counted_body(self, covariates):
+        computed[id(self), covariates] += 1
+        return body(self, covariates)
+
+    monkeypatch.setattr(DiscreteModel, "standardized_rd", counted_public)
+    monkeypatch.setattr(DiscreteModel, "_standardized_rd", counted_body)
+    one_model_trial()
+    assert set(computed) == set(asked)
+    assert set(computed.values()) == {1}
+    assert sum(asked.values()) > len(asked)  # the cache was asked again
+
+
+def test_each_node_set_is_summed_once_per_model(monkeypatch):
+    summed, orders, models = Counter(), {}, []
+    margin = DiscreteModel._margin
+
+    def counted(self, names):
+        before = len(self._margins)
+        out = margin(self, names)
+        key = (id(self), frozenset(names))
+        summed[key] += len(self._margins) - before
+        orders.setdefault(key, set()).add(tuple(names))
+        models.append(self)
+        return out
+
+    monkeypatch.setattr(DiscreteModel, "_margin", counted)
+    one_model_trial()
+    assert set(summed.values()) == {1}
+    assert any(len(seen) > 1 for seen in orders.values())  # asked in two orders
