@@ -2411,6 +2411,7 @@ static int __Pyx_State_RemoveModule(void*);
 
 static __pyx_t_8_kernels_5_fast_u64 __pyx_f_8_kernels_5_fast_6BitDag__closure(struct __pyx_obj_8_kernels_5_fast_BitDag *__pyx_v_self, __pyx_t_8_kernels_5_fast_u64 __pyx_v_mask, __pyx_t_8_kernels_5_fast_u64 *__pyx_v_adj); /* proto*/
 static __pyx_t_8_kernels_5_fast_u64 __pyx_f_8_kernels_5_fast_6BitDag__reach(struct __pyx_obj_8_kernels_5_fast_BitDag *__pyx_v_self, __pyx_t_8_kernels_5_fast_u64 __pyx_v_src, __pyx_t_8_kernels_5_fast_u64 __pyx_v_z); /* proto*/
+static CYTHON_INLINE int __pyx_f_8_kernels_5_fast__node(int __pyx_v_i, int __pyx_v_n); /*proto*/
 
 /* Module declarations from "confounders._kernels._fast" */
 static PyObject *__pyx_f_8_kernels_5_fast___pyx_unpickle_BitDag__set_state(struct __pyx_obj_8_kernels_5_fast_BitDag *, PyObject *); /*proto*/
@@ -3577,7 +3578,7 @@ static int __pyx_pf_8_kernels_5_fast_6BitDag___init__(struct __pyx_obj_8_kernels
  *                     self.c[i] |= <u64>1 << v
  * 
  *     def parents_mask(self, int i):             # <<<<<<<<<<<<<<
- *         return self.p[i]
+ *         return self.p[_node(i, self.n)]
  * 
 */
 
@@ -3670,6 +3671,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_2parents_mask(struct __pyx_ob
   PyObject *__pyx_r = NULL;
   __Pyx_RefNannyDeclarations
   PyObject *__pyx_t_1 = NULL;
+  int __pyx_t_2;
   int __pyx_lineno = 0;
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
@@ -3678,12 +3680,13 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_2parents_mask(struct __pyx_ob
   /* "_kernels/_fast.pyx":39
  * 
  *     def parents_mask(self, int i):
- *         return self.p[i]             # <<<<<<<<<<<<<<
+ *         return self.p[_node(i, self.n)]             # <<<<<<<<<<<<<<
  * 
  *     def children_mask(self, int i):
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_self->p[__pyx_v_i])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 39, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_8_kernels_5_fast__node(__pyx_v_i, __pyx_v_self->n); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 39, __pyx_L1_error)
+  __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_self->p[__pyx_t_2])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 39, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_1);
   __pyx_r = __pyx_t_1;
   __pyx_t_1 = 0;
@@ -3693,7 +3696,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_2parents_mask(struct __pyx_ob
  *                     self.c[i] |= <u64>1 << v
  * 
  *     def parents_mask(self, int i):             # <<<<<<<<<<<<<<
- *         return self.p[i]
+ *         return self.p[_node(i, self.n)]
  * 
 */
 
@@ -3709,10 +3712,10 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_2parents_mask(struct __pyx_ob
 }
 
 /* "_kernels/_fast.pyx":41
- *         return self.p[i]
+ *         return self.p[_node(i, self.n)]
  * 
  *     def children_mask(self, int i):             # <<<<<<<<<<<<<<
- *         return self.c[i]
+ *         return self.c[_node(i, self.n)]
  * 
 */
 
@@ -3805,6 +3808,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_4children_mask(struct __pyx_o
   PyObject *__pyx_r = NULL;
   __Pyx_RefNannyDeclarations
   PyObject *__pyx_t_1 = NULL;
+  int __pyx_t_2;
   int __pyx_lineno = 0;
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
@@ -3813,22 +3817,23 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_4children_mask(struct __pyx_o
   /* "_kernels/_fast.pyx":42
  * 
  *     def children_mask(self, int i):
- *         return self.c[i]             # <<<<<<<<<<<<<<
+ *         return self.c[_node(i, self.n)]             # <<<<<<<<<<<<<<
  * 
  *     cdef u64 _closure(self, u64 mask, u64 *adj):
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_self->c[__pyx_v_i])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 42, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_8_kernels_5_fast__node(__pyx_v_i, __pyx_v_self->n); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 42, __pyx_L1_error)
+  __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_self->c[__pyx_t_2])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 42, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_1);
   __pyx_r = __pyx_t_1;
   __pyx_t_1 = 0;
   goto __pyx_L0;
 
   /* "_kernels/_fast.pyx":41
- *         return self.p[i]
+ *         return self.p[_node(i, self.n)]
  * 
  *     def children_mask(self, int i):             # <<<<<<<<<<<<<<
- *         return self.c[i]
+ *         return self.c[_node(i, self.n)]
  * 
 */
 
@@ -3844,7 +3849,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_4children_mask(struct __pyx_o
 }
 
 /* "_kernels/_fast.pyx":44
- *         return self.c[i]
+ *         return self.c[_node(i, self.n)]
  * 
  *     cdef u64 _closure(self, u64 mask, u64 *adj):             # <<<<<<<<<<<<<<
  *         cdef u64 out = mask
@@ -3971,7 +3976,7 @@ static __pyx_t_8_kernels_5_fast_u64 __pyx_f_8_kernels_5_fast_6BitDag__closure(st
   goto __pyx_L0;
 
   /* "_kernels/_fast.pyx":44
- *         return self.c[i]
+ *         return self.c[_node(i, self.n)]
  * 
  *     cdef u64 _closure(self, u64 mask, u64 *adj):             # <<<<<<<<<<<<<<
  *         cdef u64 out = mask
@@ -4268,7 +4273,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_8closure_down(struct __pyx_ob
  * 
  *     def ancestors(self, int i):             # <<<<<<<<<<<<<<
  *         """Strict ancestors of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)
 */
 
 /* Python wrapper */
@@ -4362,6 +4367,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_10ancestors(struct __pyx_obj_
   __Pyx_RefNannyDeclarations
   __pyx_t_8_kernels_5_fast_u64 __pyx_t_1;
   PyObject *__pyx_t_2 = NULL;
+  int __pyx_t_3;
   int __pyx_lineno = 0;
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
@@ -4370,12 +4376,13 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_10ancestors(struct __pyx_obj_
   /* "_kernels/_fast.pyx":68
  *     def ancestors(self, int i):
  *         """Strict ancestors of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)             # <<<<<<<<<<<<<<
+ *         return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)             # <<<<<<<<<<<<<<
  * 
  *     def descendants(self, int i):
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = ((struct __pyx_vtabstruct_8_kernels_5_fast_BitDag *)__pyx_v_self->__pyx_vtab)->_closure(__pyx_v_self, (((__pyx_t_8_kernels_5_fast_u64)1) << __pyx_v_i), __pyx_v_self->p); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 68, __pyx_L1_error)
+  __pyx_t_3 = __pyx_f_8_kernels_5_fast__node(__pyx_v_i, __pyx_v_self->n); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 68, __pyx_L1_error)
+  __pyx_t_1 = ((struct __pyx_vtabstruct_8_kernels_5_fast_BitDag *)__pyx_v_self->__pyx_vtab)->_closure(__pyx_v_self, (((__pyx_t_8_kernels_5_fast_u64)1) << __pyx_t_3), __pyx_v_self->p); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 68, __pyx_L1_error)
   __pyx_t_2 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_t_1 ^ (((__pyx_t_8_kernels_5_fast_u64)1) << __pyx_v_i))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 68, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
   __pyx_r = __pyx_t_2;
@@ -4387,7 +4394,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_10ancestors(struct __pyx_obj_
  * 
  *     def ancestors(self, int i):             # <<<<<<<<<<<<<<
  *         """Strict ancestors of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)
 */
 
   /* function exit code */
@@ -4402,11 +4409,11 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_10ancestors(struct __pyx_obj_
 }
 
 /* "_kernels/_fast.pyx":70
- *         return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)
  * 
  *     def descendants(self, int i):             # <<<<<<<<<<<<<<
  *         """Strict descendants of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.c) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.c) ^ (<u64>1 << i)
 */
 
 /* Python wrapper */
@@ -4500,6 +4507,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_12descendants(struct __pyx_ob
   __Pyx_RefNannyDeclarations
   __pyx_t_8_kernels_5_fast_u64 __pyx_t_1;
   PyObject *__pyx_t_2 = NULL;
+  int __pyx_t_3;
   int __pyx_lineno = 0;
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
@@ -4508,12 +4516,13 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_12descendants(struct __pyx_ob
   /* "_kernels/_fast.pyx":72
  *     def descendants(self, int i):
  *         """Strict descendants of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.c) ^ (<u64>1 << i)             # <<<<<<<<<<<<<<
+ *         return self._closure(<u64>1 << _node(i, self.n), self.c) ^ (<u64>1 << i)             # <<<<<<<<<<<<<<
  * 
  *     cdef u64 _reach(self, u64 src, u64 z):
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = ((struct __pyx_vtabstruct_8_kernels_5_fast_BitDag *)__pyx_v_self->__pyx_vtab)->_closure(__pyx_v_self, (((__pyx_t_8_kernels_5_fast_u64)1) << __pyx_v_i), __pyx_v_self->c); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 72, __pyx_L1_error)
+  __pyx_t_3 = __pyx_f_8_kernels_5_fast__node(__pyx_v_i, __pyx_v_self->n); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 72, __pyx_L1_error)
+  __pyx_t_1 = ((struct __pyx_vtabstruct_8_kernels_5_fast_BitDag *)__pyx_v_self->__pyx_vtab)->_closure(__pyx_v_self, (((__pyx_t_8_kernels_5_fast_u64)1) << __pyx_t_3), __pyx_v_self->c); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 72, __pyx_L1_error)
   __pyx_t_2 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_t_1 ^ (((__pyx_t_8_kernels_5_fast_u64)1) << __pyx_v_i))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 72, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
   __pyx_r = __pyx_t_2;
@@ -4521,11 +4530,11 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_12descendants(struct __pyx_ob
   goto __pyx_L0;
 
   /* "_kernels/_fast.pyx":70
- *         return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)
  * 
  *     def descendants(self, int i):             # <<<<<<<<<<<<<<
  *         """Strict descendants of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.c) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.c) ^ (<u64>1 << i)
 */
 
   /* function exit code */
@@ -4540,7 +4549,7 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_12descendants(struct __pyx_ob
 }
 
 /* "_kernels/_fast.pyx":74
- *         return self._closure(<u64>1 << i, self.c) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.c) ^ (<u64>1 << i)
  * 
  *     cdef u64 _reach(self, u64 src, u64 z):             # <<<<<<<<<<<<<<
  *         cdef u64 anz = self._closure(z, self.p)
@@ -5056,7 +5065,7 @@ static __pyx_t_8_kernels_5_fast_u64 __pyx_f_8_kernels_5_fast_6BitDag__reach(stru
   goto __pyx_L0;
 
   /* "_kernels/_fast.pyx":74
- *         return self._closure(<u64>1 << i, self.c) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.c) ^ (<u64>1 << i)
  * 
  *     cdef u64 _reach(self, u64 src, u64 z):             # <<<<<<<<<<<<<<
  *         cdef u64 anz = self._closure(z, self.p)
@@ -5423,6 +5432,58 @@ static PyObject *__pyx_pf_8_kernels_5_fast_6BitDag_1n___get__(struct __pyx_obj_8
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
+  __Pyx_RefNannyFinishContext();
+  return __pyx_r;
+}
+
+/* "_kernels/_fast.pyx":130
+ * 
+ * 
+ * cdef inline int _node(int i, int n) except -1:             # <<<<<<<<<<<<<<
+ *     """i, unless it is not one of the n node indices."""
+ *     if i < 0 or i >= n:
+*/
+
+static CYTHON_INLINE int __pyx_f_8_kernels_5_fast__node(int __pyx_v_i, int __pyx_v_n) {
+  int __pyx_r;
+  __Pyx_RefNannyDeclarations
+  int __pyx_lineno = 0;
+  const char *__pyx_filename = NULL;
+  int __pyx_clineno = 0;
+  __Pyx_RefNannySetupContext("_node", 0);
+
+  /* "_kernels/_fast.pyx":132
+ * cdef inline int _node(int i, int n) except -1:
+ *     """i, unless it is not one of the n node indices."""
+ *     if i < 0 or i >= n:             # <<<<<<<<<<<<<<
+ *         raise IndexError(f"node index {i} out of range for {n} nodes")
+ *     return i
+*/
+  if (unlikely(__pyx_v_i < 0 || __pyx_v_i >= __pyx_v_n)) {
+
+    /* "_kernels/_fast.pyx":133
+ *     """i, unless it is not one of the n node indices."""
+ *     if i < 0 or i >= n:
+ *         raise IndexError(f"node index {i} out of range for {n} nodes")             # <<<<<<<<<<<<<<
+ *     return i
+*/
+    PyErr_Format(PyExc_IndexError, "node index %d out of range for %d nodes", __pyx_v_i, __pyx_v_n);
+    __PYX_ERR(0, 133, __pyx_L1_error)
+  }
+
+  /* "_kernels/_fast.pyx":134
+ *     if i < 0 or i >= n:
+ *         raise IndexError(f"node index {i} out of range for {n} nodes")
+ *     return i             # <<<<<<<<<<<<<<
+*/
+  __pyx_r = __pyx_v_i;
+  goto __pyx_L0;
+
+  /* function exit code */
+  __pyx_L1_error:;
+  __Pyx_AddTraceback("confounders._kernels._fast._node", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __pyx_r = -1;
+  __pyx_L0:;
   __Pyx_RefNannyFinishContext();
   return __pyx_r;
 }
@@ -6675,7 +6736,7 @@ __Pyx_RefNannySetupContext("PyInit__fast", 0);
  *                     self.c[i] |= <u64>1 << v
  * 
  *     def parents_mask(self, int i):             # <<<<<<<<<<<<<<
- *         return self.p[i]
+ *         return self.p[_node(i, self.n)]
  * 
 */
   __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8_kernels_5_fast_6BitDag_3parents_mask, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_BitDag_parents_mask, NULL, __pyx_mstate_global->__pyx_n_u_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 38, __pyx_L1_error)
@@ -6687,10 +6748,10 @@ __Pyx_RefNannySetupContext("PyInit__fast", 0);
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
 
   /* "_kernels/_fast.pyx":41
- *         return self.p[i]
+ *         return self.p[_node(i, self.n)]
  * 
  *     def children_mask(self, int i):             # <<<<<<<<<<<<<<
- *         return self.c[i]
+ *         return self.c[_node(i, self.n)]
  * 
 */
   __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8_kernels_5_fast_6BitDag_5children_mask, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_BitDag_children_mask, NULL, __pyx_mstate_global->__pyx_n_u_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 41, __pyx_L1_error)
@@ -6736,7 +6797,7 @@ __Pyx_RefNannySetupContext("PyInit__fast", 0);
  * 
  *     def ancestors(self, int i):             # <<<<<<<<<<<<<<
  *         """Strict ancestors of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)
 */
   __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8_kernels_5_fast_6BitDag_11ancestors, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_BitDag_ancestors, NULL, __pyx_mstate_global->__pyx_n_u_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 66, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
@@ -6747,11 +6808,11 @@ __Pyx_RefNannySetupContext("PyInit__fast", 0);
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
 
   /* "_kernels/_fast.pyx":70
- *         return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)
  * 
  *     def descendants(self, int i):             # <<<<<<<<<<<<<<
  *         """Strict descendants of node i, as a mask."""
- *         return self._closure(<u64>1 << i, self.c) ^ (<u64>1 << i)
+ *         return self._closure(<u64>1 << _node(i, self.n), self.c) ^ (<u64>1 << i)
 */
   __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8_kernels_5_fast_6BitDag_13descendants, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_BitDag_descendants, NULL, __pyx_mstate_global->__pyx_n_u_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 70, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);

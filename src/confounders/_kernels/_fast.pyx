@@ -36,10 +36,10 @@ cdef class BitDag:
                     self.c[i] |= <u64>1 << v
 
     def parents_mask(self, int i):
-        return self.p[i]
+        return self.p[_node(i, self.n)]
 
     def children_mask(self, int i):
-        return self.c[i]
+        return self.c[_node(i, self.n)]
 
     cdef u64 _closure(self, u64 mask, u64 *adj):
         cdef u64 out = mask
@@ -65,11 +65,11 @@ cdef class BitDag:
 
     def ancestors(self, int i):
         """Strict ancestors of node i, as a mask."""
-        return self._closure(<u64>1 << i, self.p) ^ (<u64>1 << i)
+        return self._closure(<u64>1 << _node(i, self.n), self.p) ^ (<u64>1 << i)
 
     def descendants(self, int i):
         """Strict descendants of node i, as a mask."""
-        return self._closure(<u64>1 << i, self.c) ^ (<u64>1 << i)
+        return self._closure(<u64>1 << _node(i, self.n), self.c) ^ (<u64>1 << i)
 
     cdef u64 _reach(self, u64 src, u64 z):
         cdef u64 anz = self._closure(z, self.p)
@@ -125,3 +125,10 @@ cdef class BitDag:
     def dsep(self, a, b, z):
         """True iff every path between masks a and b is blocked by z."""
         return not (self._reach(<u64>a, <u64>z) & <u64>b)
+
+
+cdef inline int _node(int i, int n) except -1:
+    """i, unless it is not one of the n node indices."""
+    if i < 0 or i >= n:
+        raise IndexError(f"node index {i} out of range for {n} nodes")
+    return i

@@ -38,10 +38,10 @@ class BitDag:
         self._children = children
 
     def parents_mask(self, i):
-        return self._parents[i]
+        return self._parents[_node(i, self.n)]
 
     def children_mask(self, i):
-        return self._children[i]
+        return self._children[_node(i, self.n)]
 
     def closure_up(self, mask):
         """mask plus all its ancestors."""
@@ -75,11 +75,11 @@ class BitDag:
 
     def ancestors(self, i):
         """Strict ancestors of node i, as a mask."""
-        return self.closure_up(1 << i) ^ (1 << i)
+        return self.closure_up(1 << _node(i, self.n)) ^ (1 << i)
 
     def descendants(self, i):
         """Strict descendants of node i, as a mask."""
-        return self.closure_down(1 << i) ^ (1 << i)
+        return self.closure_down(1 << _node(i, self.n)) ^ (1 << i)
 
     def reachable(self, src, z):
         """Nodes d-connected to the source set given z (sources included)."""
@@ -129,3 +129,10 @@ class BitDag:
     def dsep(self, a, b, z):
         """True iff every path between masks a and b is blocked by z."""
         return not (self.reachable(a, z) & b)
+
+
+def _node(i, n):
+    """i, unless it is not one of the n node indices."""
+    if not 0 <= i < n:
+        raise IndexError(f"node index {i} out of range for {n} nodes")
+    return i

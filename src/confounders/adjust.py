@@ -16,10 +16,10 @@ the members taken in sorted order. One sliced pass (`graph._sliced_dsep`)
 decides the separation in every lane at once, and its answer is a lane
 vector. Each Dag keeps its pool's sufficiency vector (`_sufficiency_vector`):
 lane l is set when the subset l is sufficient, and its catalog: that
-vector's minimal lanes, found with a subset-closure transform
-(`_minimal_lanes`). The distinguishing contexts of property 2A and the
-fuzzer's per-subset verdicts read the same vector, and D1 and the
-conditional confounder run passes of their own.
+vector's minimal lanes, the sufficient lanes from which no single member
+can be dropped (`_minimal_lanes`). The distinguishing contexts of property
+2A and the fuzzer's per-subset verdicts read the same vector, and D1 and
+the conditional confounder run passes of their own.
 
 A lane vector is turned back into sets in canonical order: by size, then
 lexicographically by the sorted name tuple (`graph._lane_sets`); this is
@@ -35,10 +35,8 @@ from itertools import combinations
 
 from .errors import SizeLimit
 from .graph import (
-    _LANE_BITS,
     Path,
     _first_path,
-    _joined,
     _lane_pattern,
     _lane_sets,
     _sliced_dsep,
@@ -141,10 +139,9 @@ def _open_backdoor_witness(dag, covariates):
     return path
 
 
-def _sufficient_blocks(dag, members, fixed=()):
-    """One sliced pass over the subsets of `members` (sorted pool names),
-    as the blocks of `graph._sliced_dsep`: a lane is set iff `fixed` plus
-    the members it selects is sufficient."""
+def _sufficient_lanes(dag, members, fixed=()):
+    """One sliced pass over the subsets of `members` (sorted pool names):
+    lane l is set iff `fixed` plus the members it selects is sufficient."""
     graph = dag.without_exposure_out_edges()
     return _sliced_dsep(
         graph,
@@ -157,48 +154,45 @@ def _sufficient_blocks(dag, members, fixed=()):
 
 def _sufficiency_vector(dag):
     """The pool's sufficiency vector: one pass over the whole covariate
-    pool, joined, computed once per Dag. Its callers cap the pool."""
+    pool, computed once per Dag. Its callers cap the pool."""
     if dag._sufficiency is None:
-        dag._sufficiency = _joined(_sufficient_blocks(dag, dag.covariate_pool))
+        dag._sufficiency = _sufficient_lanes(dag, dag.covariate_pool)
     return dag._sufficiency
 
 
 def _minimal_lanes(sufficient, k):
     """The lanes of `sufficient` (a 2**k-lane vector) that have no
-    sufficient strict subset.
+    sufficient strict subset: the sufficient lanes with no sufficient lane
+    one member smaller, one shift per member.
 
-    A subset-closure (zeta) transform, one shift per member: after step j
-    a lane is set when some lane that differs from it only by dropping
-    members among the first j + 1 is sufficient.
+    Minimality is local. Let Z separate A and Y in the backdoor graph (A's
+    outgoing edges deleted), let Z' ⊊ Z also separate, and D = Z ∖ Z'.
+    (a) Say some z ∈ D is not an ancestor of {A, Y} ∪ Z ∖ {z}. Every node
+        of a path that is open given Z ∖ {z} lies in An({A, Y} ∪ Z ∖ {z}),
+        so such a path avoids z; conditioning on z, off the path, cannot
+        block it, so it is open given Z, which cannot be. Hence Z ∖ {z}
+        separates.
+    (b) Otherwise every z ∈ D is an ancestor of {A, Y} ∪ Z ∖ {z}. By
+        acyclicity An({A, Y} ∪ W) is one set H for W = Z, Z' and Z ∖ {z}.
+        In the moral graph of H, Z' separates, so its superset Z ∖ {z}
+        separates too (the moralization criterion).
+    Either way Z has a sufficient subset one member smaller. With a set L
+    conditioned in every lane, take Z' ⊇ L: D lies in the lane members,
+    so the member dropped is a lane bit.
     """
-    closed = sufficient
-    for j in range(k):
-        closed |= (closed & ~_lane_pattern(k, j)) << (1 << j)
     strict = 0
     for j in range(k):
-        strict |= (closed & ~_lane_pattern(k, j)) << (1 << j)
+        strict |= (sufficient & ~_lane_pattern(k, j)) << (1 << j)
     return sufficient & ~strict
 
 
 def _is_minimal(dag, covariates):
-    """No strict subset of the (sufficient) set is sufficient: one sliced
-    pass whose lanes are the set's own members, stopping at the first
-    block with a sufficient strict subset. A set that is still minimal
-    after the blocks of a MAX_POOL-member set raises SizeLimit."""
-    whole = (1 << len(covariates)) - 1
-    cap = 1 << (MAX_POOL - _LANE_BITS)
-    for count, (first, sufficient) in enumerate(_sufficient_blocks(dag, covariates)):
-        if count == cap:
-            raise SizeLimit(
-                f"the minimality check of a {len(covariates)}-member set found no "
-                f"sufficient strict subset in {cap} blocks, the cap for {MAX_POOL} members"
-            )
-        own = whole - first  # the set's own lane, held by the last block only
-        if sufficient >> own & 1:
-            sufficient ^= 1 << own
-        if sufficient:
-            return False
-    return True
+    """No strict subset of the (sufficient) set is sufficient: by the
+    lemma of `_minimal_lanes`, no set one member smaller is, one kernel
+    query per member."""
+    return not any(
+        _sufficient(dag, covariates[:i] + covariates[i + 1:]) for i in range(len(covariates))
+    )
 
 
 def is_sufficient(dag, covariates):
@@ -207,8 +201,8 @@ def is_sufficient(dag, covariates):
     When the set is insufficient the verdict carries the first open
     backdoor path as a witness; when sufficient, whether it is minimal.
     The verdict is one kernel query, the witness a first-hit path search
-    and minimality one sliced pass over the set's own subsets; callers
-    that read only the verdict call `_sufficient`.
+    and minimality one kernel query per member, for a set of any size;
+    callers that read only the verdict call `_sufficient`.
     """
     covariates = dag._require_pool(covariates)
     if _sufficient(dag, covariates):

@@ -29,7 +29,7 @@ from .adjust import (
     _first_backdoor_path,
     _minimal_lanes,
     _require_enumerable,
-    _sufficient_blocks,
+    _sufficient_lanes,
     minimal_sufficient_sets,
     subsets_canonical,
 )
@@ -39,7 +39,7 @@ from .errors import (
     OverlappingSets,
 )
 from .formats import format_effect, format_set
-from .graph import _joined, _lane_pattern, _lane_sets, _sliced_dsep
+from .graph import _lane_pattern, _lane_sets, _sliced_dsep
 
 DEFINITIONS = ("D1", "D2", "D3", "D4", "D5", "D6")
 GRAPH_DEFINITIONS = ("D1", "D2", "D3", "D4")
@@ -105,9 +105,9 @@ def classify_d1_graphical(dag, variable):
         return False, None
     members = [dag._index[name] for name in others]
     full = (1 << (1 << len(others))) - 1
-    connected = full & ~_joined(_sliced_dsep(dag, c, 1 << a, 0, members))
+    connected = full & ~_sliced_dsep(dag, c, 1 << a, 0, members)
     if connected:
-        connected &= ~_joined(_sliced_dsep(dag, c, 1 << y, 1 << a, members))
+        connected &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
     context = next(_lane_sets(connected, others), None)
     return context is not None, context
 
@@ -204,7 +204,7 @@ def conditional_confounder(dag, variable, conditioning=()):
     )
     members = sorted(others + [variable])
     k = len(members)
-    minimal = _minimal_lanes(_joined(_sufficient_blocks(dag, members, conditioning)), k)
+    minimal = _minimal_lanes(_sufficient_lanes(dag, members, conditioning), k)
     with_c = minimal & _lane_pattern(k, members.index(variable))
     full = next(_lane_sets(with_c, members), None)
     if full is None:

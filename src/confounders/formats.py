@@ -114,7 +114,7 @@ def load_graph(path):
     return parse_graph(_read_text(path))
 
 
-def _state_from_token(token, node, states, lineno=None):
+def _state_from_token(token, node, states):
     token = token.strip()
     hits = [s for s in states if str(s) == token]
     if len(hits) != 1:
@@ -181,7 +181,7 @@ def parse_model(text, dag):
                         f"for {len(parents)} parents"
                     )
                 parsed = tuple(
-                    _state_from_token(tok, p, spaces.get(p, ()), None)
+                    _state_from_token(tok, p, spaces.get(p, ()))
                     for tok, p in zip(tokens, parents)
                 )
             else:

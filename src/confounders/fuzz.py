@@ -140,16 +140,16 @@ def random_dag(rng, n_nodes, edge_prob):
     )
 
 
-def random_model(rng, dag, max_denominator=MAX_DENOMINATOR):
+def random_model(rng, dag):
     """Strictly positive binary CPTs with rational entries num/den, den <=
-    max_denominator; positivity holds by construction."""
+    MAX_DENOMINATOR; positivity holds by construction."""
     spaces = {name: (0, 1) for name in dag.nodes}
     cpts = {}
     for node in dag.nodes:
         parents = tuple(sorted(dag.parents(node)))
         table = {}
         for key in product((0, 1), repeat=len(parents)):
-            den = rng.randint(2, max_denominator)
+            den = rng.randint(2, MAX_DENOMINATOR)
             num = rng.randint(1, den - 1)
             p_one = Fraction(num, den)
             table[key] = (1 - p_one, p_one)

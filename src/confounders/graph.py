@@ -22,7 +22,6 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from ._kernels import BitDag
 from .errors import (
@@ -87,7 +86,7 @@ class Path:
 class Graph:
     """Immutable DAG. Construction validates names, edges, and acyclicity."""
 
-    __slots__ = ("nodes", "edges", "_index", "_pmask", "_kernel", "_topo")
+    __slots__ = ("nodes", "edges", "_index", "_pmask", "_cmask", "_kernel", "_topo")
 
     def __init__(self, nodes, edges):
         nodes = tuple(nodes)
@@ -122,6 +121,9 @@ class Graph:
         self.edges = tuple(edge_list)
         self._pmask = pmask
         self._kernel = BitDag(pmask)
+        # children masks, read once: the path search and the sliced pass
+        # read every node's masks on each call
+        self._cmask = list(map(self._kernel.children_mask, range(len(nodes))))
         self._topo = self._toposort()
 
     def _toposort(self):
@@ -133,7 +135,7 @@ class Graph:
         while ready:
             i = heapq.heappop(ready)
             order.append(i)
-            m = self._kernel.children_mask(i)
+            m = self._cmask[i]
             while m:
                 low = m & -m
                 j = low.bit_length() - 1
@@ -429,10 +431,8 @@ def _first_path(graph, source, target, first_step, noncollider_ok, collider_ok, 
     Raises SizeLimit once it has expanded more than MAX_PATH_EXPANSIONS
     nodes.
     """
-    kernel = graph._kernel
     n = len(graph.nodes)
-    parents = [kernel.parents_mask(i) for i in range(n)]
-    children = [kernel.children_mask(i) for i in range(n)]
+    parents, children = graph._pmask, graph._cmask
     adjacency = [p | c for p, c in zip(parents, children)]
     by_name = sorted(range(n), key=graph.nodes.__getitem__)
     neighbors = [[j for j in by_name if adjacency[i] >> j & 1] for i in range(n)]
@@ -536,15 +536,13 @@ def _sliced_dsep(graph, source, target, fixed, members):
 
     Lane l conditions on `fixed` plus members[i] for each bit i set in l.
     Nodes are indices and sets are bitmasks; `members` lists node indices,
-    disjoint from `fixed`, `source` and `target`. Yields (first lane, lane
-    vector) per block: bit l of a vector is set when every node of `target`
-    is d-separated from `source` in lane first + l. With k members a block
-    spans the 2**w lanes of the low w = min(k, _LANE_BITS) members, and each
-    of the 2**(k - w) blocks conditions on a subset of the top members, like
-    `fixed`. So no pass holds a mask wider than 2**_LANE_BITS bits. The
-    blocks come in canonical order of those subsets (by size, then by
-    index), so a caller that stops at the first block with a hit meets the
-    small conditioning sets first.
+    disjoint from `fixed`, `source` and `target`. Returns the lane vector:
+    bit l is set when every node of `target` is d-separated from `source`
+    in lane l. With k members the pass runs in blocks: a block spans the
+    2**w lanes of the low w = min(k, _LANE_BITS) members, and block b
+    conditions, like `fixed`, on the top members of the bits set in b and
+    fills lanes b * 2**w onward. So no pass holds a mask wider than
+    2**_LANE_BITS bits.
 
     This is Shachter's Bayes-Ball with one lane mask per node and
     direction in place of one bit: a ball moves on in exactly the lanes
@@ -552,12 +550,10 @@ def _sliced_dsep(graph, source, target, fixed, members):
     conditioned node bounces back up to its parents, so a collider with a
     conditioned descendant is opened by the ball running down to that
     descendant and climbing back, and no ancestor set is needed. It reads
-    only the kernel's parent and child masks, so it serves either backend.
+    only the graph's parent and child masks, so it serves either backend.
     """
-    kernel = graph._kernel
     n = len(graph.nodes)
-    parents = list(map(kernel.parents_mask, range(n)))
-    children = list(map(kernel.children_mask, range(n)))
+    parents, children = graph._pmask, graph._cmask
     width = min(len(members), _LANE_BITS)
     low, high = members[:width], members[width:]
     full = (1 << (1 << width)) - 1
@@ -565,65 +561,58 @@ def _sliced_dsep(graph, source, target, fixed, members):
     low_given = [0] * n
     for member, pattern in zip(low, _lane_patterns(width)):
         low_given[member] = pattern
-    for size in range(len(high) + 1):
-        for top in combinations(range(len(high)), size):
-            given = fixed
-            for t in top:
-                given |= 1 << high[t]
-            up = [0] * n
-            down = [0] * n
-            # lanes that reached a node but have not yet been passed on
-            up_new = [0] * n
-            down_new = [0] * n
-            up[source] = up_new[source] = full
-            stack = [(source, True)]
-            while stack:
-                i, going_up = stack.pop()
-                blocked = full if given >> i & 1 else low_given[i]
-                if going_up:
-                    lanes = up_new[i]
-                    up_new[i] = 0
-                    onward = bounce = lanes & ~blocked
-                else:
-                    lanes = down_new[i]
-                    down_new[i] = 0
-                    onward = lanes & ~blocked
-                    bounce = lanes & blocked
-                if bounce:
-                    mask = parents[i]
-                    while mask:
-                        bit = mask & -mask
-                        mask ^= bit
-                        p = bit.bit_length() - 1
-                        new = bounce & ~up[p]
-                        if new:
-                            up[p] |= new
-                            if not up_new[p]:
-                                stack.append((p, True))
-                            up_new[p] |= new
-                if onward:
-                    mask = children[i]
-                    while mask:
-                        bit = mask & -mask
-                        mask ^= bit
-                        c = bit.bit_length() - 1
-                        new = onward & ~down[c]
-                        if new:
-                            down[c] |= new
-                            if not down_new[c]:
-                                stack.append((c, False))
-                            down_new[c] |= new
-            reached = 0
-            for t in _bits(target):
-                reached |= (up[t] | down[t]) & ~(full if given >> t & 1 else low_given[t])
-            yield sum(1 << t for t in top) << width, full & ~reached
-
-
-def _joined(blocks):
-    """The blocks of a `_sliced_dsep` pass joined into one lane vector."""
     vector = 0
-    for first, separated in blocks:
-        vector |= separated << first
+    for top in range(1 << len(high)):
+        given = fixed
+        for t in _bits(top):
+            given |= 1 << high[t]
+        up = [0] * n
+        down = [0] * n
+        # lanes that reached a node but have not yet been passed on
+        up_new = [0] * n
+        down_new = [0] * n
+        up[source] = up_new[source] = full
+        stack = [(source, True)]
+        while stack:
+            i, going_up = stack.pop()
+            blocked = full if given >> i & 1 else low_given[i]
+            if going_up:
+                lanes = up_new[i]
+                up_new[i] = 0
+                onward = bounce = lanes & ~blocked
+            else:
+                lanes = down_new[i]
+                down_new[i] = 0
+                onward = lanes & ~blocked
+                bounce = lanes & blocked
+            if bounce:
+                mask = parents[i]
+                while mask:
+                    bit = mask & -mask
+                    mask ^= bit
+                    p = bit.bit_length() - 1
+                    new = bounce & ~up[p]
+                    if new:
+                        up[p] |= new
+                        if not up_new[p]:
+                            stack.append((p, True))
+                        up_new[p] |= new
+            if onward:
+                mask = children[i]
+                while mask:
+                    bit = mask & -mask
+                    mask ^= bit
+                    c = bit.bit_length() - 1
+                    new = onward & ~down[c]
+                    if new:
+                        down[c] |= new
+                        if not down_new[c]:
+                            stack.append((c, False))
+                        down_new[c] |= new
+        reached = 0
+        for t in _bits(target):
+            reached |= (up[t] | down[t]) & ~(full if given >> t & 1 else low_given[t])
+        vector |= (full & ~reached) << (top << width)
     return vector
 
 

@@ -307,6 +307,8 @@ class DiscreteModel:
         return Fraction(self._product(tuple([assignment[n] for n in self.dag.nodes])), self._den)
 
     def cond_probability(self, event, given):
+        for node, value in event.items():
+            self._require_state(node, value)
         den = self._weight(given)
         if den == 0:
             raise ZeroProbabilityCondition(f"conditioning event {given!r} has probability 0")

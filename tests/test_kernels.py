@@ -142,6 +142,14 @@ def test_chain_masks(kernel):
     assert dag.closure_down(0b001) == 0b111
 
 
+@pytest.mark.parametrize("i", [-1, 3, 63, 64, 99])
+@pytest.mark.parametrize("query", ["parents_mask", "children_mask", "ancestors", "descendants"])
+def test_node_index_out_of_range_is_refused(kernel, query, i):
+    dag = kernel([0, 1, 2])
+    with pytest.raises(IndexError, match=f"node index {i} out of range for 3 nodes"):
+        getattr(dag, query)(i)
+
+
 def test_chain_dsep(kernel):
     dag = kernel([0, 1, 2])
     assert dag.dsep(0b001, 0b100, 0b010)

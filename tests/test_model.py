@@ -23,6 +23,7 @@ from confounders.errors import (
 )
 from confounders.graph import Dag
 from confounders.model import Cpt, DiscreteModel, as_fraction
+from confounders.registry import get_entry
 from confounders.fuzz import FuzzConfig, fuzz, random_dag, random_model
 from helpers_oracle import (
     NaiveModel,
@@ -216,6 +217,13 @@ def test_cond_expectation_zero_condition():
 def test_cond_probability():
     assert CANCEL.cond_probability({"Y": 1}, {"A": 1}) == F(2, 5)
     assert CANCEL.cond_probability({"A": 1}, {"A": 0}) == F(0)
+
+
+def test_cond_probability_checks_the_event_before_answering():
+    # 7 is not a state of A, so no answer, not even 0 for the clash with A=1
+    model = get_entry("Prop5").model
+    with pytest.raises(UnknownState, match="7 is not a state of 'A'"):
+        model.cond_probability({"A": 7}, {"A": 1})
 
 
 # -- independence -------------------------------------------------------------------
