@@ -20,10 +20,12 @@ tested inside it. The average causal effect is the difference of the two
 counterfactual means, E(Y_1) - E(Y_0), taken from those same joints.
 
 One loop multiplies integer CPT entries (`_product`); the joint, the
-intervened joints and every quantity above are built from it. One loop
-sums a table by some key entries (`_sum_by`); probabilities and risk
-differences read the marginal table of their node set (`_margin`, one per
-set of nodes, whatever order it is asked in), and one exact test
+intervened joints and every quantity above are built from it. Tables are
+keyed by one packed int per assignment, a bit field per node (see
+`_setup`), so restricting a key to a node set is `key & mask`. One loop
+sums a table by a mask (`_sum_by`); probabilities and risk differences
+read the marginal table of their node set (`_margin`, one per mask, so
+one per set of nodes whatever order it is asked in), and one exact test
 (`_independent`) serves `ci_test` and `independent_given`. Each covariate
 set's standardized risk difference is computed once per model and kept,
 a positivity violation included.
@@ -59,34 +61,31 @@ def _numeric_value(node, state):
     return state
 
 
-def _sum_by(items, positions):
-    """{sub-key: total weight} of (key, weight) pairs, the sub-key being the
-    key's entries at `positions`."""
+def _sum_by(items, mask):
+    """{key & mask: total weight} of (packed key, weight) pairs."""
     out = {}
+    get = out.get
     for key, p in items:
-        sub = tuple([key[i] for i in positions])
-        out[sub] = out[sub] + p if sub in out else p
+        k = key & mask
+        out[k] = get(k, 0) + p
     return out
 
 
-def _independent(table, na, nb):
-    """Exact test, in a table {key: weight >= 0}, that the first `na` key
-    entries are independent of the next `nb` given the rest.
+def _independent(table, ma, mb, mz):
+    """Exact test, in a table {packed key: weight >= 0} over the fields of
+    `ma | mb | mz`, that the fields of `ma` are independent of those of
+    `mb` given those of `mz`.
 
     P(a, b, z) P(z) = P(a, z) P(b, z) is checked on the table's keys only;
     both sides are products of two weights, so the table's denominator
     cancels. Where it holds on all of them, the right sides summed over the
     keys and over every cell with P(a, z) P(b, z) > 0 both give the sum of
     P(z)^2, so no such cell is missing from the table."""
-    width = len(next(iter(table)))
-    ab = na + nb
-    p_z = _sum_by(table.items(), range(ab, width))
-    p_az = _sum_by(table.items(), [*range(na), *range(ab, width)])
-    p_bz = _sum_by(table.items(), range(na, width))
-    return all(
-        p * p_z[key[ab:]] == p_az[key[:na] + key[ab:]] * p_bz[key[na:]]
-        for key, p in table.items()
-    )
+    maz, mbz = ma | mz, mb | mz
+    p_z = _sum_by(table.items(), mz)
+    p_az = _sum_by(table.items(), maz)
+    p_bz = _sum_by(table.items(), mbz)
+    return all(p * p_z[k & mz] == p_az[k & maz] * p_bz[k & mbz] for k, p in table.items())
 
 
 def _integer_rows(cpt):
@@ -166,10 +165,25 @@ class DiscreteModel:
 
     def _setup(self, cpts, rows):
         """Attach checked CPTs and their integer rows ({node: (scale, rows)})
-        to a model whose dag and state spaces are set."""
+        to a model whose dag and state spaces are set, and lay out its keys.
+
+        An assignment is keyed by one packed int. Each node, in Dag node
+        order, owns a field of `(len(states) - 1).bit_length()` bits that
+        holds the index of its state: `_codes[node][state]` is that index
+        shifted into the field, `_fields[node]` the field's mask (0 for a
+        one-state node), and a key is the sum of its nodes' codes. An
+        intervened model has the same nodes and state spaces, so the same
+        layout."""
         self.cpts = cpts
         self._rows = rows
         self._den = prod(scale for scale, _ in rows.values())
+        self._fields, self._codes, shift = {}, {}, 0
+        for node in self.dag.nodes:
+            states = self.state_spaces[node]
+            width = (len(states) - 1).bit_length()
+            self._fields[node] = ((1 << width) - 1) << shift
+            self._codes[node] = {state: i << shift for i, state in enumerate(states)}
+            shift += width
         index = self.dag._index
         self._factors = [
             (
@@ -252,7 +266,19 @@ class DiscreteModel:
 
     # -- joint table ---------------------------------------------------------
 
+    def _mask(self, names):
+        """The OR of the fields of `names`."""
+        mask = 0
+        for name in names:
+            mask |= self._fields[name]
+        return mask
+
+    def _key(self, partial):
+        """The packed key of a partial assignment {node: state}."""
+        return sum([self._codes[node][value] for node, value in partial.items()])
+
     def _joint_items(self):
+        """[(packed key, integer weight > 0)] of every full assignment."""
         if self._joint is None:
             total = 1
             for node in self.dag.nodes:
@@ -262,34 +288,32 @@ class DiscreteModel:
                     f"joint state space has {total} assignments, over the cap of {MAX_JOINT}"
                 )
             nodes = self.dag.nodes
+            # both products walk the assignments in the same order
+            states = product(*(self.state_spaces[n] for n in nodes))
+            keys = map(sum, product(*(self._codes[n].values() for n in nodes)))
             items = []
-            for vals in product(*(self.state_spaces[n] for n in nodes)):
+            for vals, key in zip(states, keys):
                 w = self._product(vals)
                 if w:
-                    items.append((vals, w))
+                    items.append((key, w))
             self._joint = items
         return self._joint
 
     def _margin(self, names):
-        """{states of `names`, in the order given: weight > 0}. The joint is
-        summed once per node set; the table is kept in the Dag's node order
-        and regrouped for any other order."""
-        index = self.dag._index
-        nodes = tuple(sorted(names, key=index.__getitem__))
-        table = self._margins.get(nodes)
+        """{packed key over the fields of `names`: weight > 0}. The joint is
+        summed once per mask, so once per node set whatever order the
+        names come in."""
+        mask = self._mask(names)
+        table = self._margins.get(mask)
         if table is None:
-            table = _sum_by(self._joint_items(), [index[n] for n in nodes])
-            self._margins[nodes] = table
-        if nodes != names:
-            table = _sum_by(table.items(), [nodes.index(n) for n in names])
+            table = self._margins[mask] = _sum_by(self._joint_items(), mask)
         return table
 
     def _weight(self, partial):
         """Weight of a partial assignment, over the joint's denominator."""
         for node, value in partial.items():
             self._require_state(node, value)
-        nodes = tuple(sorted(partial, key=self.dag._index.__getitem__))
-        return self._margin(nodes).get(tuple([partial[n] for n in nodes]), 0)
+        return self._margin(partial).get(self._key(partial), 0)
 
     def probability(self, partial):
         """Exact marginal probability of a partial assignment."""
@@ -345,7 +369,9 @@ class DiscreteModel:
                 raise UnknownNode(f"unknown node {node!r}")
         if not set_a or not set_b:
             return True
-        return _independent(self._margin(flat), len(set_a), len(set_b))
+        return _independent(
+            self._margin(flat), self._mask(set_a), self._mask(set_b), self._mask(z)
+        )
 
     # -- interventions ---------------------------------------------------------
 
@@ -412,12 +438,19 @@ class DiscreteModel:
         w(x) (s1 / w(x, 1) - s0 / w(x, 0)), s_a = sum over y of y w(x, a, y);
         the sum over strata is divided by the joint's denominator once."""
         a, y = self.dag.exposure, self.dag.outcome
+        codes = self._codes
         cells = self._margin(covariates + (a, y))
-        arms = _sum_by(cells.items(), range(len(covariates) + 1))
+        arms = _sum_by(cells.items(), self._mask(covariates + (a,)))
+        a0, a1 = codes[a][0], codes[a][1]
+        # each stratum's states, for the message, beside its packed key
+        strata = zip(
+            product(*(self.state_spaces[n] for n in covariates)),
+            map(sum, product(*(codes[n].values() for n in covariates))),
+        )
         values = None
         out = Fraction(0)
-        for x in product(*(self.state_spaces[n] for n in covariates)):
-            w0, w1 = arms.get(x + (0,), 0), arms.get(x + (1,), 0)
+        for x, xk in strata:
+            w0, w1 = arms.get(xk | a0, 0), arms.get(xk | a1, 0)
             if not (w0 or w1):
                 continue
             for arm, w in ((0, w0), (1, w1)):
@@ -426,10 +459,10 @@ class DiscreteModel:
                         f"stratum {dict(zip(covariates, x))!r}: P({a}={arm}, stratum) = 0"
                     )
             if values is None:
-                values = [(state, _numeric_value(y, state)) for state in self.state_spaces[y]]
+                values = [(code, _numeric_value(y, state)) for state, code in codes[y].items()]
             s0, s1 = (
-                sum(value * cells.get(x + (arm, state), 0) for state, value in values)
-                for arm in (0, 1)
+                sum(value * cells.get(xk | arm | code, 0) for code, value in values)
+                for arm in (a0, a1)
             )
             out += Fraction((w0 + w1) * (s1 * w0 - s0 * w1), w0 * w1)
         return out / self._den
@@ -448,9 +481,10 @@ class DiscreteModel:
         P(w) * Q(y | do(A=a), w): W is ancestrally closed and holds neither
         A nor a descendant of A, so its CPTs, and the parents pa_A ⊆ W, are
         untouched by the intervention, and summing the remaining nodes out
-        leaves Q. One pass over that joint, with each entry multiplied by
-        the exposure's own CPT row P(a' | pa_A), gives the table; an
-        outcome inside W needs no special case.
+        leaves Q. That joint summed onto the fields of Y and W, with each
+        entry multiplied by the exposure's own CPT row P(a' | pa_A) and the
+        code of a' added to its key, gives the table; an outcome inside W
+        needs no special case.
         """
         self._require_binary_exposure()
         self._require_state(self.dag.exposure, a)
@@ -458,23 +492,27 @@ class DiscreteModel:
             return self._cf_cache[a]
         dag = self.dag
         w_set = dag.nondescendants(dag.exposure)
-        w_idx = [i for i, n in enumerate(dag.nodes) if n in w_set]
-        a_cpt = self.cpts[dag.exposure]
-        pa_idx = [dag._index[n] for n in a_cpt.parent_order]
-        y_idx = dag._index[dag.outcome]
-        a_states = self.state_spaces[dag.exposure]
-        a_rows = self._rows[dag.exposure][1]
-        cells = (
-            ((vals[y_idx], a_prime, tuple([vals[i] for i in w_idx])), w * wa)
-            for vals, w in self.intervene(dag.exposure, a)._joint_items()
-            for a_prime, wa in zip(a_states, a_rows[tuple([vals[i] for i in pa_idx])])
-            if wa
+        w_nodes = tuple(n for n in dag.nodes if n in w_set)
+        parents = self.cpts[dag.exposure].parent_order
+        a_codes = self._codes[dag.exposure].values()
+        a_rows = {
+            self._key(dict(zip(parents, key))): row
+            for key, row in self._rows[dag.exposure][1].items()
+        }
+        pa_mask = self._mask(parents)
+        yw = _sum_by(
+            self.intervene(dag.exposure, a)._joint_items(), self._mask((dag.outcome, *w_nodes))
         )
         # the intervened joint's denominator lacks the exposure's scale,
         # which its integer row restores: the weights are over self._den
-        w_nodes = tuple(dag.nodes[i] for i in w_idx)
+        weights = {
+            k | code: w * wa
+            for k, w in yw.items()
+            for code, wa in zip(a_codes, a_rows[k & pa_mask])
+            if wa
+        }
         joint = CounterfactualJoint(
-            a, dag.exposure, dag.outcome, w_nodes, _sum_by(cells, range(3)), self._den
+            a, dag.exposure, dag.outcome, w_nodes, weights, self._den, self._codes
         )
         self._cf_cache[a] = joint
         return joint
@@ -490,8 +528,10 @@ class DiscreteModel:
 
 @dataclass(frozen=True)
 class CounterfactualJoint:
-    """Distribution of (Y_a, A, W): keys (y, a_observed, w_states), each
-    with an integer weight over the denominator `den`."""
+    """Distribution of (Y_a, A, W). `weights` maps packed keys over the
+    fields of Y, A and W to integer weights over the denominator `den`;
+    `codes` is the model's layout, {node: {state: code}}, and `table` the
+    decoded view."""
 
     a: object
     exposure: str
@@ -499,17 +539,40 @@ class CounterfactualJoint:
     w_nodes: tuple[str, ...]
     weights: dict
     den: int
+    codes: dict
+
+    def _mask(self, names):
+        # the codes of a node are its state indices 0..n-1 in place, and
+        # their OR sets every bit of its field
+        mask = 0
+        for name in names:
+            for code in self.codes[name].values():
+                mask |= code
+        return mask
+
+    def _decoder(self, node):
+        """(field mask, {code: state}) of one node."""
+        return self._mask((node,)), {code: state for state, code in self.codes[node].items()}
 
     @cached_property
     def table(self):
         """{(y, a_observed, w_states): P}, the weights as Fractions."""
-        return {key: Fraction(w, self.den) for key, w in self.weights.items()}
+        decoders = [self._decoder(n) for n in (self.outcome, self.exposure, *self.w_nodes)]
+        out = {}
+        for k, p in self.weights.items():
+            y, a_obs, *w = [states[k & mask] for mask, states in decoders]
+            out[(y, a_obs, tuple(w))] = Fraction(p, self.den)
+        return out
 
     def total(self):
         return Fraction(sum(self.weights.values()), self.den)
 
     def marginal_y(self):
-        return {y: Fraction(w, self.den) for (y,), w in _sum_by(self.weights.items(), (0,)).items()}
+        mask, states = self._decoder(self.outcome)
+        return {
+            states[k]: Fraction(w, self.den)
+            for k, w in _sum_by(self.weights.items(), mask).items()
+        }
 
     def mean_y(self):
         """E(Y_a); every outcome state in the table must be numeric."""
@@ -524,6 +587,6 @@ class CounterfactualJoint:
         for name in covariates:
             if name not in self.w_nodes:
                 raise UnknownNode(f"{name!r} is not among the joint's covariates")
-        flat = (((y, a_obs, *w), p) for (y, a_obs, w), p in self.weights.items())
-        positions = [0, 1] + [2 + self.w_nodes.index(name) for name in covariates]
-        return _independent(_sum_by(flat, positions), 1, 1)
+        ym, am = self._mask((self.outcome,)), self._mask((self.exposure,))
+        zm = self._mask(covariates)
+        return _independent(_sum_by(self.weights.items(), ym | am | zm), ym, am, zm)

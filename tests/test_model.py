@@ -319,6 +319,35 @@ def test_cf_joint_totals_and_means():
         assert sum(joint.marginal_y().values(), F(0)) == F(1)
 
 
+def test_cf_joint_views_are_keyed_by_states():
+    # "mid" and "hi" are state indices 1 and 2, and A=1 is not code 1:
+    # a packed key leaking into a view would not compare equal
+    m = DiscreteModel(
+        Dag(("C", "A", "Y"), (("C", "A"), ("C", "Y"), ("A", "Y")), "A", "Y"),
+        {"C": ("lo", "mid", "hi"), "A": (0, 1), "Y": ("no", "yes")},
+        {
+            "C": Cpt("C", (), {(): (F(1, 3), F(1, 3), F(1, 3))}),
+            "A": Cpt("A", ("C",), {("lo",): (F(1, 2), F(1, 2)), ("mid",): (F(1), F(0)),
+                                   ("hi",): (F(1, 4), F(3, 4))}),
+            "Y": Cpt("Y", ("A", "C"), {
+                (0, "lo"): (F(1, 2), F(1, 2)), (1, "lo"): (F(2, 3), F(1, 3)),
+                (0, "mid"): (F(4, 5), F(1, 5)), (1, "mid"): (F(0), F(1)),
+                (0, "hi"): (F(1), F(0)), (1, "hi"): (F(1, 2), F(1, 2)),
+            }),
+        },
+    )
+    joint = m.cf_joint(1)
+    assert joint.w_nodes == ("C",)
+    assert joint.table == {
+        ("no", 0, ("lo",)): F(1, 9), ("no", 1, ("lo",)): F(1, 9),
+        ("yes", 0, ("lo",)): F(1, 18), ("yes", 1, ("lo",)): F(1, 18),
+        ("yes", 0, ("mid",)): F(1, 3),
+        ("no", 0, ("hi",)): F(1, 24), ("yes", 0, ("hi",)): F(1, 24),
+        ("no", 1, ("hi",)): F(1, 8), ("yes", 1, ("hi",)): F(1, 8),
+    }
+    assert joint.marginal_y() == {"no": F(7, 18), "yes": F(11, 18)}
+
+
 def test_cf_unconfounded():
     assert not CANCEL.cf_unconfounded(())
     assert CANCEL.cf_unconfounded(("C",))
@@ -655,6 +684,92 @@ def test_non_numeric_outcome_raises_past_positivity(seed, n_nodes):
         else:
             assert first[1][0] is PositivityViolation
         assert rd_outcome(model, subset) == first
+
+
+# one-state nodes have empty fields, 3 to 5 states leave codes unused,
+# and states need not be ints
+LAYOUT_STATES = (
+    ("only",), ("no", "yes"), (F(1, 2), F(1, 3), F(1, 4)), ("a", "b", "c", "d"), (0, 1, 2, 3, 4)
+)
+LAYOUT_OUTCOMES = ((F(5, 2),), (0, 1), (F(-1, 2), 0, 3, F(7, 3)), (0, 1, 2, 3, 4))
+
+
+def layout_model(rng, n_nodes):
+    """A raw_model DAG with the exposure's states in either order and
+    every other node's states drawn from LAYOUT_STATES (the outcome's
+    from LAYOUT_OUTCOMES)."""
+    names, edges, exposure, outcome, _, _ = raw_model(rng, n_nodes)
+    spaces = {v: rng.choice(LAYOUT_STATES) for v in names}
+    spaces[exposure] = rng.choice(((0, 1), (1, 0)))
+    spaces[outcome] = rng.choice(LAYOUT_OUTCOMES)
+    cpts = {}
+    for v in names:
+        parents = tuple(sorted(u for u, w in edges if w == v))
+        keys = product(*(spaces[q] for q in parents))
+        cpts[v] = (parents, {key: small_row(rng, len(spaces[v])) for key in keys})
+    return names, edges, exposure, outcome, spaces, cpts
+
+
+def naive_positivity_message(names, spaces, joint, exposure, subset):
+    """The PositivityViolation message of the first stratum, in the order
+    of the covariates' state spaces, that has positive probability and
+    lacks an exposure arm (arm 0 checked first); None if there is none."""
+    p_xa = _marginal(names, joint, tuple(subset) + (exposure,))
+    for x in product(*(spaces[v] for v in subset)):
+        arms = [p_xa.get(x + (arm,), 0) for arm in (0, 1)]
+        if any(arms) and not all(arms):
+            arm = arms.index(0)
+            return f"stratum {dict(zip(subset, x))!r}: P({exposure}={arm}, stratum) = 0"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_packed_layout_edge_cases_match_the_flat_joint(seed, n_nodes):
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = layout_model(rng, n_nodes)
+    dag = Dag(names, edges, exposure, outcome)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    joint = naive_joint(names, spaces, cpts)
+
+    def draw():
+        picks = rng.sample(names, rng.randint(0, n_nodes))
+        return {v: rng.choice(spaces[v]) for v in picks}
+
+    def prob(partial):
+        return _marginal(names, joint, tuple(partial)).get(tuple(partial.values()), 0)
+
+    event, given_ = draw(), draw()
+    assert model.probability(event) == prob(event)
+    if prob(given_) == 0:
+        with pytest.raises(ZeroProbabilityCondition):
+            model.cond_probability(event, given_)
+    elif any(event[v] != given_[v] for v in set(event) & set(given_)):
+        assert model.cond_probability(event, given_) == 0
+    else:
+        assert model.cond_probability(event, given_) == prob({**given_, **event}) / prob(given_)
+
+    shuffled = rng.sample(names, n_nodes)
+    cut_a = rng.randint(1, n_nodes - 1)
+    cut_b = rng.randint(cut_a + 1, n_nodes)
+    set_a, set_b = shuffled[:cut_a], shuffled[cut_a:cut_b]
+    z = [v for v in shuffled[cut_b:] if rng.random() < 0.7]
+    assert model.ci_test(set_a, set_b, z) == naive_independent(names, spaces, joint, set_a, set_b, z)
+
+    tables = {}
+    for arm in (0, 1):
+        w_nodes, tables[arm] = naive_cf_joint(names, edges, spaces, cpts, exposure, outcome, arm)
+        assert model.cf_joint(arm).w_nodes == w_nodes
+        assert model.cf_joint(arm).table == tables[arm]
+    for subset in all_subsets(dag.covariate_pool):
+        want = naive_standardized_rd(names, spaces, joint, exposure, outcome, subset)
+        if want is None:
+            message = naive_positivity_message(names, spaces, joint, exposure, subset)
+            assert rd_outcome(model, subset) == (None, (PositivityViolation, message))
+        else:
+            assert model.standardized_rd(subset) == want
+        want = all(naive_cf_independent(w_nodes, tables[arm], subset) for arm in (0, 1))
+        assert model.cf_unconfounded(subset) == want
 
 
 # -- work done per model -------------------------------------------------------------------
