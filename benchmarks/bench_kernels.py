@@ -1,7 +1,7 @@
 """Compare the compiled and pure reachability kernels on identical workloads.
 
-Usage:
-    python3 benchmarks/bench_kernels.py [--nodes 40] [--queries 2000] [--seed 7]
+Usage, from the root of a checkout:
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--nodes 40] [--queries 2000] [--seed 7]
 
 Builds one batch of random parent-mask graphs, runs the same d-separation
 queries through both backends, verifies the answers agree, and prints the
@@ -69,7 +69,7 @@ def main():
     pure_time, pure_answers = run(_pure, graphs, queries)
     print(f"pure     {pure_time * 1000:8.1f} ms  ({args.queries} queries, {args.nodes} nodes)")
     if _fast is None:
-        print("compiled backend not built; run pip install -e . first")
+        print("compiled backend not built; run python3 setup.py build_ext --inplace first")
         return
     fast_time, fast_answers = run(_fast, graphs, queries)
     assert fast_answers == pure_answers, "backends disagree; investigate before trusting timings"

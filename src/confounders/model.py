@@ -14,15 +14,21 @@ honest equalities: no tolerances anywhere. Weights turn into
 Interventions follow truncated factorization (replace the node's CPT by a
 point mass, drop its incoming edges). Counterfactual quantities are
 confined to identified joints: for the exposure A, the joint of
-(Y_a, A, W) with W the nondescendants of A is read off the joint of the
-model under do(A=a), and conditional unconfoundedness Y_a ⟂ A | S is
-tested inside it. The average causal effect is the difference of the two
-counterfactual means, E(Y_1) - E(Y_0), taken from those same joints.
+(Y_a, A, W) with W the nondescendants of A is the joint of the
+single-world intervention graph of do(A=a), in which A keeps its own CPT
+and its children read the value a in its place; conditional
+unconfoundedness Y_a ⟂ A | S is tested inside it. The average causal
+effect is the difference of the two counterfactual means,
+E(Y_1) - E(Y_0), taken from those same joints.
 
-One loop multiplies integer CPT entries (`_product`); the joint, the
-intervened joints and every quantity above are built from it. Tables are
-keyed by one packed int per assignment, a bit field per node (see
-`_setup`), so restricting a key to a node set is `key & mask`. One loop
+One loop multiplies integer CPT entries (`_extend`): it walks the Dag in
+topological order and grows every partial assignment by one node, its
+weight times the entry of the row its parents select, so a zero entry
+drops everything below it. The joint, `joint_probability` (every node
+held to its state) and the single-world joints are all built by it.
+Tables are keyed by one packed int per assignment, a bit field per node
+(see `__init__`), so restricting a key to a node set is `key & mask`, and
+CPT rows are keyed by the packed key of their parent states. One loop
 sums a table by a mask (`_sum_by`); probabilities and risk differences
 read the marginal table of their node set (`_margin`, one per mask, so
 one per set of nodes whatever order it is asked in), and one exact test
@@ -88,17 +94,6 @@ def _independent(table, ma, mb, mz):
     return all(p * p_z[k & mz] == p_az[k & maz] * p_bz[k & mbz] for k, p in table.items())
 
 
-def _integer_rows(cpt):
-    """(scale, {parent key: integer row}): the table times the LCM of its
-    entries' denominators, taken over all of its rows."""
-    scale = lcm(*(p.denominator for row in cpt.table.values() for p in row))
-    rows = {
-        key: tuple([p.numerator * (scale // p.denominator) for p in row])
-        for key, row in cpt.table.items()
-    }
-    return scale, rows
-
-
 def as_fraction(value, where="probability"):
     """Coerce to Fraction; ints and 'p/q'/finite-decimal strings allowed,
     floats rejected (they rarely mean what their decimal print shows)."""
@@ -152,6 +147,17 @@ class DiscreteModel:
                 raise ModelError(f"duplicate states for node {node!r}")
             spaces[node] = states
         self.state_spaces = spaces
+        # the key layout: each node, in Dag node order, owns a field of
+        # `(len(states) - 1).bit_length()` bits that holds the index of its
+        # state; `_codes[node][state]` is that index shifted into the field,
+        # `_fields[node]` the field's mask (0 for a one-state node), and a
+        # key is the sum of its nodes' codes
+        self._fields, self._codes, shift = {}, {}, 0
+        for node in dag.nodes:
+            width = (len(spaces[node]) - 1).bit_length()
+            self._fields[node] = ((1 << width) - 1) << shift
+            self._codes[node] = {state: i << shift for i, state in enumerate(spaces[node])}
+            shift += width
 
         normalized = {}
         for node in cpts:
@@ -161,38 +167,36 @@ class DiscreteModel:
             if node not in cpts:
                 raise ModelError(f"no cpt for node {node!r}")
             normalized[node] = self._check_cpt(node, cpts[node])
-        self._setup(normalized, {node: _integer_rows(c) for node, c in normalized.items()})
+        self._setup(normalized, {node: self._integer_rows(c) for node, c in normalized.items()})
+
+    def _integer_rows(self, cpt):
+        """(scale, {packed parent key: ((code, weight > 0), ...)}): the table
+        times the LCM of its entries' denominators, taken over all of its
+        rows, each row keyed by the packed key of its parent states and
+        holding the node's codes beside their nonzero integer weights."""
+        scale = lcm(*(p.denominator for row in cpt.table.values() for p in row))
+        parents = [self._codes[q] for q in cpt.parent_order]
+        codes = self._codes[cpt.node].values()
+        rows = {}
+        for key, row in cpt.table.items():
+            rows[sum([c[s] for c, s in zip(parents, key)])] = tuple(
+                [(code, p.numerator * (scale // p.denominator)) for code, p in zip(codes, row) if p]
+            )
+        return scale, rows
 
     def _setup(self, cpts, rows):
-        """Attach checked CPTs and their integer rows ({node: (scale, rows)})
-        to a model whose dag and state spaces are set, and lay out its keys.
-
-        An assignment is keyed by one packed int. Each node, in Dag node
-        order, owns a field of `(len(states) - 1).bit_length()` bits that
-        holds the index of its state: `_codes[node][state]` is that index
-        shifted into the field, `_fields[node]` the field's mask (0 for a
-        one-state node), and a key is the sum of its nodes' codes. An
-        intervened model has the same nodes and state spaces, so the same
-        layout."""
+        """Attach checked CPTs and their integer rows ({node: (scale, rows)},
+        see `_integer_rows`) to a model whose dag, state spaces and key
+        layout are set. An intervened model has the same nodes and state
+        spaces, so the same layout."""
         self.cpts = cpts
         self._rows = rows
         self._den = prod(scale for scale, _ in rows.values())
-        self._fields, self._codes, shift = {}, {}, 0
-        for node in self.dag.nodes:
-            states = self.state_spaces[node]
-            width = (len(states) - 1).bit_length()
-            self._fields[node] = ((1 << width) - 1) << shift
-            self._codes[node] = {state: i << shift for i, state in enumerate(states)}
-            shift += width
-        index = self.dag._index
-        self._factors = [
-            (
-                index[node],
-                [index[p] for p in cpts[node].parent_order],
-                {state: i for i, state in enumerate(self.state_spaces[node])},
-                rows[node][1],
-            )
-            for node in self.dag.nodes
+        # one step per node in topological order: its field, the mask of
+        # its parents' fields and its rows
+        self._steps = [
+            (self._fields[node], self._mask(cpts[node].parent_order), rows[node][1])
+            for node in self.dag.topological_order
         ]
         self._joint = None
         self._margins = {}
@@ -229,10 +233,14 @@ class DiscreteModel:
                     f"cpt for {node!r} row {key!r}: {len(vector)} entries for "
                     f"{len(states)} states"
                 )
+            # a Fraction's denominator is positive, so the checks run on
+            # integers: each entry in [0, 1], and the row summed over the
+            # LCM of its denominators
             for p in vector:
-                if p < 0 or p > 1:
+                if not 0 <= p.numerator <= p.denominator:
                     raise BadProbability(f"cpt for {node!r} row {key!r}: entry {p} out of [0,1]")
-            if sum(vector) != 1:
+            scale = lcm(*[p.denominator for p in vector])
+            if sum([p.numerator * (scale // p.denominator) for p in vector]) != scale:
                 raise BadProbability(
                     f"cpt for {node!r} row {key!r}: entries sum to {sum(vector)}, not 1"
                 )
@@ -253,17 +261,6 @@ class DiscreteModel:
             raise UnknownState(f"{value!r} is not a state of {node!r}")
         return value
 
-    def _product(self, vals):
-        """Weight of a full assignment, its states in node order: the
-        product of one integer CPT entry per node, stopping at the first
-        zero."""
-        w = 1
-        for i, parents, position, rows in self._factors:
-            w *= rows[tuple([vals[j] for j in parents])][position[vals[i]]]
-            if not w:
-                break
-        return w
-
     # -- joint table ---------------------------------------------------------
 
     def _mask(self, names):
@@ -277,26 +274,40 @@ class DiscreteModel:
         """The packed key of a partial assignment {node: state}."""
         return sum([self._codes[node][value] for node, value in partial.items()])
 
-    def _joint_items(self):
-        """[(packed key, integer weight > 0)] of every full assignment."""
-        if self._joint is None:
-            total = 1
-            for node in self.dag.nodes:
-                total *= len(self.state_spaces[node])
+    def _extend(self, held=None, arm=None):
+        """[(packed key, integer weight > 0)] of the full assignments, grown
+        one node at a time in topological order: each partial key is
+        extended by the node's codes, weighted by the row its parents'
+        fields select (`key & parent mask`). A zero entry is not in its
+        row, so it drops every assignment below it.
+
+        `held`, a full packed key, keeps only the extensions that agree
+        with it. `arm` extends the single-world intervention graph of
+        do(exposure=arm): the exposure keeps its own CPT, and each of its
+        children reads the rows where the exposure's field holds `arm`."""
+        if held is None:
+            total = prod(len(states) for states in self.state_spaces.values())
             if total > MAX_JOINT:
                 raise SizeLimit(
                     f"joint state space has {total} assignments, over the cap of {MAX_JOINT}"
                 )
-            nodes = self.dag.nodes
-            # both products walk the assignments in the same order
-            states = product(*(self.state_spaces[n] for n in nodes))
-            keys = map(sum, product(*(self._codes[n].values() for n in nodes)))
-            items = []
-            for vals, key in zip(states, keys):
-                w = self._product(vals)
-                if w:
-                    items.append((key, w))
-            self._joint = items
+        cut = code = 0
+        if arm is not None:
+            cut, code = self._fields[self.dag.exposure], self._codes[self.dag.exposure][arm]
+        items = [(0, 1)]
+        for field, pmask, rows in self._steps:
+            if pmask & cut:
+                rows = {k ^ code: row for k, row in rows.items() if k & cut == code}
+                pmask ^= cut
+            items = [(key | c, w * p) for key, w in items for c, p in rows[key & pmask]]
+            if held is not None:
+                items = [(key, w) for key, w in items if key & field == held & field]
+        return items
+
+    def _joint_items(self):
+        """[(packed key, integer weight > 0)] of every full assignment."""
+        if self._joint is None:
+            self._joint = self._extend()
         return self._joint
 
     def _margin(self, names):
@@ -328,7 +339,8 @@ class DiscreteModel:
             raise IncompleteAssignment(f"assignment misses {missing[0]!r}")
         for node, value in assignment.items():
             self._require_state(node, value)
-        return Fraction(self._product(tuple([assignment[n] for n in self.dag.nodes])), self._den)
+        items = self._extend(held=self._key(assignment))
+        return Fraction(items[0][1] if items else 0, self._den)
 
     def cond_probability(self, event, given):
         for node, value in event.items():
@@ -386,7 +398,11 @@ class DiscreteModel:
         model = DiscreteModel.__new__(DiscreteModel)
         model.dag = self.dag.without_edges_into(node)
         model.state_spaces = self.state_spaces
-        model._setup({**self.cpts, node: point}, {**self._rows, node: (1, {(): row})})
+        model._fields, model._codes = self._fields, self._codes
+        model._setup(
+            {**self.cpts, node: point},
+            {**self._rows, node: (1, {0: ((self._codes[node][value], 1),)})},
+        )
         return model
 
     def _require_binary_exposure(self):
@@ -476,15 +492,19 @@ class DiscreteModel:
     def cf_joint(self, a):
         """Joint of (Y_a, A, W), W = nondescendants of the exposure.
 
-        P(Y_a=y, A=a', W=w) = P(w) * P(a' | pa_A(w)) * Q(y | do(A=a), w).
-        The joint of the model under do(A=a) already holds
-        P(w) * Q(y | do(A=a), w): W is ancestrally closed and holds neither
-        A nor a descendant of A, so its CPTs, and the parents pa_A ⊆ W, are
-        untouched by the intervention, and summing the remaining nodes out
-        leaves Q. That joint summed onto the fields of Y and W, with each
-        entry multiplied by the exposure's own CPT row P(a' | pa_A) and the
-        code of a' added to its key, gives the table; an outcome inside W
-        needs no special case.
+        It is the joint of the single-world intervention graph of do(A=a)
+        (Richardson & Robins, 2013), which splits the exposure in two: the
+        observed A, which keeps its own CPT and has no children, and the
+        fixed value a, which each child of A reads in its place. A node
+        below the split is its counterfactual under A=a, Y among them; W
+        lies above it and is unchanged. The graph's joint is a product of
+        this model's own CPT entries, so it is one extension
+        (`_extend(arm=a)`) over the same denominator, and summed onto Y, A
+        and W it is P(Y_a=y, A=a', W=w) = P(w) * P(a' | pa_A(w)) *
+        Q(y | do(A=a), w): the factors of W and A are untouched, and those
+        below the split do not read a', so summing them out leaves the Q
+        of the truncated factorization. An outcome inside W needs no
+        special case.
         """
         self._require_binary_exposure()
         self._require_state(self.dag.exposure, a)
@@ -493,24 +513,7 @@ class DiscreteModel:
         dag = self.dag
         w_set = dag.nondescendants(dag.exposure)
         w_nodes = tuple(n for n in dag.nodes if n in w_set)
-        parents = self.cpts[dag.exposure].parent_order
-        a_codes = self._codes[dag.exposure].values()
-        a_rows = {
-            self._key(dict(zip(parents, key))): row
-            for key, row in self._rows[dag.exposure][1].items()
-        }
-        pa_mask = self._mask(parents)
-        yw = _sum_by(
-            self.intervene(dag.exposure, a)._joint_items(), self._mask((dag.outcome, *w_nodes))
-        )
-        # the intervened joint's denominator lacks the exposure's scale,
-        # which its integer row restores: the weights are over self._den
-        weights = {
-            k | code: w * wa
-            for k, w in yw.items()
-            for code, wa in zip(a_codes, a_rows[k & pa_mask])
-            if wa
-        }
+        weights = _sum_by(self._extend(arm=a), self._mask((dag.outcome, dag.exposure, *w_nodes)))
         joint = CounterfactualJoint(
             a, dag.exposure, dag.outcome, w_nodes, weights, self._den, self._codes
         )

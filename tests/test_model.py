@@ -3,6 +3,7 @@ estimand is cross-checked against an independent flat-joint evaluator."""
 import random
 from collections import Counter
 from fractions import Fraction
+from importlib.resources import files
 from itertools import product
 
 import pytest
@@ -21,7 +22,8 @@ from confounders.errors import (
     UnknownState,
     ZeroProbabilityCondition,
 )
-from confounders.graph import Dag
+from confounders.formats import parse_graph, parse_model
+from confounders.graph import Dag, Graph
 from confounders.model import Cpt, DiscreteModel, as_fraction
 from confounders.registry import get_entry
 from confounders.fuzz import FuzzConfig, fuzz, random_dag, random_model
@@ -772,6 +774,43 @@ def test_packed_layout_edge_cases_match_the_flat_joint(seed, n_nodes):
         assert model.cf_unconfounded(subset) == want
 
 
+# -- the extension loop ------------------------------------------------------------------
+
+
+def extension_model(rng, n_nodes):
+    """A layout_model with at least one edge, its nodes listed in an order
+    that is not a topological order: the list is reversed when every edge
+    points forward in it."""
+    while True:
+        names, edges, *rest = layout_model(rng, n_nodes)
+        if edges:
+            break
+    if all(names.index(u) < names.index(v) for u, v in edges):
+        names.reverse()
+    return (names, edges, *rest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_extension_loop_matches_the_flat_joint(seed, n_nodes):
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = extension_model(rng, n_nodes)
+    dag = Dag(names, edges, exposure, outcome)
+    assert dag.topological_order != dag.nodes
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    joint = naive_joint(names, spaces, cpts)
+
+    got = Counter((key, F(w, model._den)) for key, w in model._joint_items())
+    want = Counter((model._key(dict(zip(names, vals))), p) for vals, p in joint.items())
+    assert got == want
+    for vals in product(*(spaces[v] for v in names)):
+        assert model.joint_probability(dict(zip(names, vals))) == joint.get(vals, 0)
+    for arm in (0, 1):
+        w_nodes, table = naive_cf_joint(names, edges, spaces, cpts, exposure, outcome, arm)
+        assert model.cf_joint(arm).w_nodes == w_nodes
+        assert model.cf_joint(arm).table == table
+
+
 # -- work done per model -------------------------------------------------------------------
 
 
@@ -819,3 +858,38 @@ def test_each_node_set_is_summed_once_per_model(monkeypatch):
     one_model_trial()
     assert set(summed.values()) == {1}
     assert any(len(seen) > 1 for seen in orders.values())  # asked in two orders
+
+
+@pytest.mark.parametrize("stem", ["fig1", "fig2", "fig3", "fig4", "prop5"])
+def test_counterfactual_joints_build_no_graph_and_no_intervened_model(monkeypatch, stem):
+    # each arm is one extension of the model itself, in the single-world
+    # intervention graph: no Dag is built and no model is intervened on.
+    # The model is parsed afresh, with no joint built yet.
+    fixtures = files("confounders").joinpath("fixtures")
+    dag = parse_graph(fixtures.joinpath(f"{stem}.graph").read_text(encoding="utf-8"))
+    model = parse_model(fixtures.joinpath(f"{stem}.json").read_text(encoding="utf-8"), dag)
+    graphs, intervened, extended = [], [], Counter()
+    graph_init, intervene, extend = Graph.__init__, DiscreteModel.intervene, DiscreteModel._extend
+
+    def counted_graph(self, *args, **kwargs):
+        graphs.append(args)
+        graph_init(self, *args, **kwargs)
+
+    def counted_intervene(self, *args):
+        intervened.append(args)
+        return intervene(self, *args)
+
+    def counted_extend(self, held=None, arm=None):
+        extended[id(self), arm] += 1
+        return extend(self, held, arm)
+
+    monkeypatch.setattr(Graph, "__init__", counted_graph)
+    monkeypatch.setattr(DiscreteModel, "intervene", counted_intervene)
+    monkeypatch.setattr(DiscreteModel, "_extend", counted_extend)
+    model.ace()
+    for arm in (0, 1):
+        model.cf_joint(arm)
+    for subset in all_subsets(dag.covariate_pool):
+        model.cf_unconfounded(subset)
+    assert graphs == [] and intervened == []
+    assert extended == {(id(model), 0): 1, (id(model), 1): 1}
