@@ -1,37 +1,19 @@
 """Build hook: compiles the optional reachability kernel.
 
-`pip install -e . --no-build-isolation` builds confounders._kernels._fast
-when a C compiler and the Python headers are available: from `_fast.pyx`
-through Cython when Cython is installed, otherwise from the tracked,
-Cython-generated `_fast.c`. The extension is optional, so a failed compile
-still leaves a working install that uses the pure-Python kernel at import.
-Set CONFOUNDERS_SKIP_EXT=1 to build nothing.
+`pip install -e . --no-build-isolation` (or `python3 setup.py build_ext
+--inplace`) builds confounders._kernels._fast from the hand-written C file
+`src/confounders/_kernels/_fast.c` when a C compiler and the Python headers
+are available. The extension is optional, so a failed compile still leaves
+a working install that uses the pure-Python kernel at import.
 """
-import os
-
 from setuptools import Extension, setup
 
-NAME = "confounders._kernels._fast"
-SOURCE = "src/confounders/_kernels/_fast"
-
-ext_modules = []
-if os.environ.get("CONFOUNDERS_SKIP_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        ext_modules = [Extension(NAME, [SOURCE + ".c"])]
-    else:
-        ext_modules = cythonize(
-            [Extension(NAME, [SOURCE + ".pyx"])],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "initializedcheck": False,
-                "cdivision": True,
-            },
+setup(
+    ext_modules=[
+        Extension(
+            "confounders._kernels._fast",
+            ["src/confounders/_kernels/_fast.c"],
+            optional=True,
         )
-    for ext in ext_modules:
-        ext.optional = True
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,16 +1,8 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
-
-Set CONFOUNDERS_PURE=1 to force the fallback (useful for benchmarking and
-for verifying the two implementations agree).
-"""
-import os
-
-if os.environ.get("CONFOUNDERS_PURE") == "1":
+"""Kernel selection: the compiled extension when it is built, pure Python
+otherwise. Both backends answer every query the same way."""
+try:
+    from ._fast import BACKEND, BitDag  # type: ignore[attr-defined]
+except ImportError:
     from ._pure import BACKEND, BitDag
-else:
-    try:
-        from ._fast import BACKEND, BitDag  # type: ignore[attr-defined]
-    except ImportError:
-        from ._pure import BACKEND, BitDag
 
 __all__ = ["BitDag", "BACKEND"]

@@ -5,8 +5,9 @@ Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks.
 conditioning set under ancestors, phase two bounces over (node, direction)
 states so a path is followed exactly when d-separation says it is open.
 
-The compiled kernel in _fast.pyx mirrors this class method for method; the
-package picks one at import time. Keep the two in lockstep.
+The compiled kernel in _fast.c mirrors this class method for method, with
+the same error messages; the package picks it at import time when it is
+built. Keep the two in lockstep.
 """
 
 BACKEND = "pure"

@@ -68,7 +68,9 @@ def _load_inputs(args, need_model=False):
 
 
 def _parse_names(raw):
-    return tuple(name for name in (tok.strip() for tok in raw.split(",")) if name)
+    """The names of a comma list, each once, in first-seen order."""
+    names = (tok.strip() for tok in raw.split(","))
+    return tuple(dict.fromkeys(name for name in names if name))
 
 
 # -- minimal-sets ---------------------------------------------------------
@@ -97,8 +99,10 @@ def cmd_minimal_sets(args):
 
 
 def cmd_classify(args):
-    wanted = _parse_names(args.defs) if args.defs else None
-    if wanted:
+    wanted = _parse_names(args.defs) if args.defs is not None else None
+    if wanted is not None:
+        if not wanted:
+            raise InvalidConfig(f"--defs {args.defs!r} names no definition id")
         unknown = [d for d in wanted if d not in DEFINITIONS]
         if unknown:
             raise InvalidConfig(f"unknown definition ids {unknown!r}")

@@ -118,6 +118,22 @@ def test_classify_unknown_definition(capsys):
     assert code == 6 and "unknown definition" in err
 
 
+@pytest.mark.parametrize("defs", [",", " , ,", ""])
+def test_classify_empty_definition_list(capsys, defs):
+    code, out, err = run(capsys, "classify", fx("fig1.graph"), "--defs", defs)
+    assert code == 6 and "names no definition id" in err
+    assert out == ""
+
+
+def test_classify_repeated_definition_prints_once(capsys):
+    code, out, _ = run(
+        capsys, "classify", fx("fig1.graph"), "--variable", "C3", "--defs", "D2,D1,D2,D1"
+    )
+    assert code == 0
+    assert out.count("D1 ") == 1 and out.count("D2 ") == 1
+    assert out.index("D2 ") < out.index("D1 ")
+
+
 def test_classify_model_defs_require_model(capsys):
     code, _, err = run(capsys, "classify", fx("fig1.graph"), "--defs", "D5")
     assert code == 4 and "need --model" in err

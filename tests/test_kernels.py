@@ -1,10 +1,12 @@
 """Bitmask reachability kernels: both backends, checked against each other
 and against a mask-free reference on random graphs.
 
-The compiled backend is built here from the tracked `_fast.c`, once per
-session, into a temporary directory, and loaded under its own name without
-entering `sys.modules`: the package's own kernel choice is left alone, and
-the source tree gets no build output.
+The compiled backend is built here from the hand-written `_fast.c`, once
+per session, into a temporary directory, and loaded under its own name
+without entering `sys.modules`: the package's own kernel choice is left
+alone, and the source tree gets no build output. With GCC or Clang the
+build turns on `-Wall -Wextra`, and a warning in `_fast.c` fails the
+compiled-kernel tests.
 """
 import importlib.util
 import os
@@ -13,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,18 +31,26 @@ from setuptools import Extension, setup
 
 setup(
     name="fast-kernel",
-    ext_modules=[Extension("_fast", [sys.argv[1]])],
+    ext_modules=[Extension("_fast", [sys.argv[1]], extra_compile_args=sys.argv[2:])],
     script_args=["build_ext", "--build-lib", ".", "--build-temp", "temp"],
 )
 """
 
 
+# build_ext compiles with $CC when it is set
+CC = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
+WARNING_FLAGS = (
+    ["-Wall", "-Wextra"]
+    if CC and any(name in Path(CC[0]).name for name in ("gcc", "clang"))
+    else []
+)
+
+
 def missing_build_tools():
     """What a C extension build needs and this interpreter cannot find."""
     missing = []
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        missing.append(f"C compiler ({cc[0] if cc else 'CC unset'})")
+    if not CC or shutil.which(CC[0]) is None:
+        missing.append(f"C compiler ({CC[0] if CC else 'CC unset'})")
     header = Path(sysconfig.get_paths()["include"], "Python.h")
     if not header.is_file():
         missing.append(f"Python headers ({header})")
@@ -56,17 +67,23 @@ needs_compiler = pytest.mark.skipif(
 @pytest.fixture(scope="session")
 def fast_build(tmp_path_factory):
     """(module, log): the compiled kernel built from FAST_C, or None and
-    the compiler's output saying why not."""
+    the compiler's output saying why not: an error, or a warning that
+    names FAST_C."""
     out = tmp_path_factory.mktemp("fast")
     # an empty working directory: setuptools reads no project config and
     # writes nowhere else
     done = subprocess.run(
-        [sys.executable, "-c", BUILD_SCRIPT, str(FAST_C)],
+        [sys.executable, "-c", BUILD_SCRIPT, str(FAST_C), *WARNING_FLAGS],
         cwd=out, capture_output=True, text=True, timeout=600,
     )
-    log = f"$ build_ext {FAST_C}\n{done.stdout}{done.stderr}"
+    log = f"$ build_ext {FAST_C} {' '.join(WARNING_FLAGS)}\n{done.stdout}{done.stderr}"
     if done.returncode != 0:
         return None, log
+    warnings = [
+        line for line in log.splitlines() if "warning:" in line and FAST_C.name in line
+    ]
+    if warnings:
+        return None, log + "\nwarnings in " + FAST_C.name + ":\n" + "\n".join(warnings)
     built = out / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
     try:
         spec = importlib.util.spec_from_file_location("_fast", built)
@@ -80,7 +97,7 @@ def fast_build(tmp_path_factory):
 def compiled(fast_build):
     module, log = fast_build
     if module is None:
-        pytest.fail("compiled kernel failed to build or import:\n" + log)
+        pytest.fail("compiled kernel failed to build cleanly or import:\n" + log)
     return module
 
 
@@ -122,7 +139,7 @@ def test_compiled_backend_names_its_package_module(fast_build):
     # loaded here under a bare name, so the name can only come from the C source
     module = compiled(fast_build)
     assert module.BitDag.__module__ == "confounders._kernels._fast"
-    assert module.BitDag.dsep.__module__ == "confounders._kernels._fast"
+    assert module.BitDag.dsep.__qualname__ == "BitDag.dsep"
 
 
 def test_backend_tags(request):
@@ -148,6 +165,24 @@ def test_node_index_out_of_range_is_refused(kernel, query, i):
     dag = kernel([0, 1, 2])
     with pytest.raises(IndexError, match=f"node index {i} out of range for 3 nodes"):
         getattr(dag, query)(i)
+
+
+def test_more_than_64_nodes_are_refused(kernel):
+    with pytest.raises(ValueError, match="^bitmask kernel supports at most 64 nodes$"):
+        kernel([0] * 65)
+
+
+def test_parent_mask_past_the_last_node_is_refused(kernel):
+    with pytest.raises(ValueError, match="^parent mask of node 1 references node >= 2$"):
+        kernel([0, 0b100])
+
+
+def test_64_node_chain_uses_every_bit(kernel):
+    # 0 -> 1 -> ... -> 63: no mask check applies at full width
+    dag = kernel([0] + [1 << (i - 1) for i in range(1, 64)])
+    assert dag.n == 64
+    assert dag.ancestors(63) == 2**63 - 1
+    assert dag.descendants(0) == 2**64 - 2
 
 
 def test_chain_dsep(kernel):
@@ -220,3 +255,48 @@ def test_backend_parity_on_random_graphs(fast_build):
         z = mask_of(i for i in range(n) if i not in (a, b) and rng.random() < 0.4)
         assert pure.reachable(1 << a, z) == fast.reachable(1 << a, z)
         assert pure.dsep(1 << a, 1 << b, z) == fast.dsep(1 << a, 1 << b, z)
+
+
+@needs_compiler
+def test_compiled_kernel_does_not_leak(fast_build):
+    BitDag = compiled(fast_build).BitDag
+    chain = [0] + [1 << (i - 1) for i in range(1, 12)]  # 0 -> 1 -> ... -> 11
+
+    def one_round(r):
+        # fresh ints above the small-int cache, so a leaked reference to an
+        # argument or a result keeps its memory
+        big = (1 << 40) + r
+        dag = BitDag(chain)
+        dag.n
+        dag.parents_mask(11)
+        dag.children_mask(10)
+        dag.ancestors(11)
+        dag.descendants(0)
+        dag.closure_up((1 << 11) | (r & 1))
+        dag.closure_down(1)
+        dag.reachable((1 << 11) | (r & 1), 0)
+        dag.dsep(1, (1 << 11) | (r & 1), 1 << 5)
+        for call, *args in (
+            (dag.ancestors, big),
+            (dag.parents_mask, -big),
+            (dag.closure_up, -big),
+            (dag.reachable, big << 30, 0),
+            (BitDag, [0, big]),
+            (BitDag, [0] * 65),
+        ):
+            try:
+                call(*args)
+            except (IndexError, OverflowError, ValueError):
+                pass
+
+    tracemalloc.start()
+    try:
+        for r in range(2000):
+            one_round(r)
+        before = tracemalloc.get_traced_memory()[0]
+        for r in range(20_000):
+            one_round(r)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"traced memory grew by {grown} bytes over 20000 rounds"
