@@ -1,15 +1,15 @@
 /* Compiled reachability kernel. Mirrors _pure.BitDag method for method.
 
 Nodes are integers 0..n-1 (n <= 64); node sets are uint64 masks. Parent and
-child masks live in fixed 64-entry arrays, and entries past n stay 0, so a
-mask bit at or above n names a node with no edges. `reach` runs the same
-two-phase d-connection ball game as `_pure.BitDag.reachable` on an explicit
-stack of (node, direction) states. A state is marked visited before it is
+child masks live in fixed 64-entry arrays, and entries past n stay 0. `reach`
+runs the same two-phase d-connection ball game as `_pure.BitDag.reachable` on
+an explicit stack of (node, direction) states. A state is marked visited before it is
 pushed, so at most 64 up-states and 64 down-states are ever pushed and the
 128-entry stack never overflows.
 
-Python ints cross the boundary as masks (0..2**64-1, else OverflowError)
-and node indices (0..n-1, else IndexError, as in the pure kernel).
+Python ints cross the boundary as node indices (0..n-1, else IndexError)
+and masks: a parent mask or a query mask with a bit at or past n, negative
+ones included, raises ValueError, as in the pure kernel.
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -110,6 +110,22 @@ as_mask(PyObject *obj, u64 *out)
     return (*out == (u64)-1 && PyErr_Occurred()) ? -1 : 0;
 }
 
+/* A query mask over the n nodes: one with a bit at or past n, negative or
+   past 64 bits included, is refused as the pure kernel refuses it. */
+static int
+as_query(const BitDag *d, PyObject *obj, u64 *out)
+{
+    if (as_mask(obj, out) < 0) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+    }
+    else if (d->n == 64 || !(*out >> d->n))
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "query mask references node >= n");
+    return -1;
+}
+
 static int
 as_node(const BitDag *d, PyObject *obj, int *out)
 {
@@ -205,7 +221,7 @@ static PyObject *
 BitDag_closure_up(PyObject *self, PyObject *arg)
 {
     u64 mask;
-    if (as_mask(arg, &mask) < 0)
+    if (as_query((BitDag *)self, arg, &mask) < 0)
         return NULL;
     return PyLong_FromUnsignedLongLong(closure(((BitDag *)self)->p, mask));
 }
@@ -214,7 +230,7 @@ static PyObject *
 BitDag_closure_down(PyObject *self, PyObject *arg)
 {
     u64 mask;
-    if (as_mask(arg, &mask) < 0)
+    if (as_query((BitDag *)self, arg, &mask) < 0)
         return NULL;
     return PyLong_FromUnsignedLongLong(closure(((BitDag *)self)->c, mask));
 }
@@ -247,20 +263,22 @@ static PyObject *
 BitDag_reachable(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 src, z;
-    if (arity("reachable", nargs, 2) < 0 || as_mask(args[0], &src) < 0
-        || as_mask(args[1], &z) < 0)
+    BitDag *d = (BitDag *)self;
+    if (arity("reachable", nargs, 2) < 0 || as_query(d, args[0], &src) < 0
+        || as_query(d, args[1], &z) < 0)
         return NULL;
-    return PyLong_FromUnsignedLongLong(reach((BitDag *)self, src, z));
+    return PyLong_FromUnsignedLongLong(reach(d, src, z));
 }
 
 static PyObject *
 BitDag_dsep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 a, b, z;
-    if (arity("dsep", nargs, 3) < 0 || as_mask(args[0], &a) < 0
-        || as_mask(args[1], &b) < 0 || as_mask(args[2], &z) < 0)
+    BitDag *d = (BitDag *)self;
+    if (arity("dsep", nargs, 3) < 0 || as_query(d, args[0], &a) < 0
+        || as_query(d, args[1], &b) < 0 || as_query(d, args[2], &z) < 0)
         return NULL;
-    return PyBool_FromLong(!(reach((BitDag *)self, a, z) & b));
+    return PyBool_FromLong(!(reach(d, a, z) & b));
 }
 
 static PyObject *

@@ -1,6 +1,7 @@
 """Pure-Python reachability kernel over bitmask DAGs.
 
-Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks.
+Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks,
+and a query mask with a bit at or past n is refused with ValueError.
 `reachable` runs the two-phase d-connection ball game: phase one closes the
 conditioning set under ancestors, phase two bounces over (node, direction)
 states so a path is followed exactly when d-separation says it is open.
@@ -14,6 +15,7 @@ BACKEND = "pure"
 
 _UP = 1
 _DOWN = 0
+_OUTSIDE = "query mask references node >= n"
 
 
 class BitDag:
@@ -46,45 +48,29 @@ class BitDag:
 
     def closure_up(self, mask):
         """mask plus all its ancestors."""
-        out = mask
-        frontier = mask
-        while frontier:
-            step = 0
-            m = frontier
-            while m:
-                low = m & -m
-                step |= self._parents[low.bit_length() - 1]
-                m ^= low
-            frontier = step & ~out
-            out |= frontier
-        return out
+        if mask >> self.n:
+            raise ValueError(_OUTSIDE)
+        return _closure(self._parents, mask)
 
     def closure_down(self, mask):
         """mask plus all its descendants."""
-        out = mask
-        frontier = mask
-        while frontier:
-            step = 0
-            m = frontier
-            while m:
-                low = m & -m
-                step |= self._children[low.bit_length() - 1]
-                m ^= low
-            frontier = step & ~out
-            out |= frontier
-        return out
+        if mask >> self.n:
+            raise ValueError(_OUTSIDE)
+        return _closure(self._children, mask)
 
     def ancestors(self, i):
         """Strict ancestors of node i, as a mask."""
-        return self.closure_up(1 << _node(i, self.n)) ^ (1 << i)
+        return _closure(self._parents, 1 << _node(i, self.n)) ^ (1 << i)
 
     def descendants(self, i):
         """Strict descendants of node i, as a mask."""
-        return self.closure_down(1 << _node(i, self.n)) ^ (1 << i)
+        return _closure(self._children, 1 << _node(i, self.n)) ^ (1 << i)
 
     def reachable(self, src, z):
         """Nodes d-connected to the source set given z (sources included)."""
-        anz = self.closure_up(z)
+        if (src | z) >> self.n:
+            raise ValueError(_OUTSIDE)
+        anz = _closure(self._parents, z)
         vis_up = src
         vis_down = 0
         stack = []
@@ -129,6 +115,8 @@ class BitDag:
 
     def dsep(self, a, b, z):
         """True iff every path between masks a and b is blocked by z."""
+        if b >> self.n:
+            raise ValueError(_OUTSIDE)
         return not (self.reachable(a, z) & b)
 
 
@@ -137,3 +125,19 @@ def _node(i, n):
     if not 0 <= i < n:
         raise IndexError(f"node index {i} out of range for {n} nodes")
     return i
+
+
+def _closure(adj, mask):
+    """mask plus every node reachable from it along the masks in adj."""
+    out = mask
+    frontier = mask
+    while frontier:
+        step = 0
+        m = frontier
+        while m:
+            low = m & -m
+            step |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = step & ~out
+        out |= frontier
+    return out

@@ -115,11 +115,11 @@ def classify_d1_graphical(dag, variable):
 def classify_d1_numeric(model, variable):
     """Same quantifier as the graphical D1, with exact CI tests."""
     others = _context_sets(model.dag, variable)
-    a, y = model.dag.exposure, model.dag.outcome
+    c, a, y = (variable,), (model.dag.exposure,), (model.dag.outcome,)
     for context in subsets_canonical(others):
-        if model.ci_test({variable}, {a}, context):
+        if model._ci(c, a, context):
             continue
-        if model.ci_test({variable}, {y}, set(context) | {a}):
+        if model._ci(c, y, context + a):
             continue
         return True, context
     return False, None
@@ -156,9 +156,10 @@ def classify_d5(model, variable):
     """(verdict, witness (X, (|bias with C|, |bias without|))): adding C to
     some context strictly shrinks absolute bias."""
     others = _context_sets(model.dag, variable)
+    model._require_binary_exposure()
     for context in subsets_canonical(others):
-        with_c = abs(model.bias(set(context) | {variable}))
-        without = abs(model.bias(context))
+        with_c = model._abs_bias(tuple(sorted(context + (variable,))))
+        without = model._abs_bias(context)
         if with_c < without:
             return True, (context, (with_c, without))
     return False, None
@@ -168,8 +169,9 @@ def classify_d6(model, variable):
     """(verdict, witness X): adding C to some context changes the
     standardized risk difference."""
     others = _context_sets(model.dag, variable)
+    model._require_binary_exposure()
     for context in subsets_canonical(others):
-        if model.standardized_rd(set(context) | {variable}) != model.standardized_rd(context):
+        if model._rd_of(tuple(sorted(context + (variable,)))) != model._rd_of(context):
             return True, context
     return False, None
 

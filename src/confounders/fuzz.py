@@ -121,7 +121,10 @@ def random_dag(rng, n_nodes, edge_prob):
 
     Draws a topological order, flips a coin per forward pair, places
     exposure and outcome at random, and redraws until the outcome
-    descends from the exposure.
+    descends from the exposure. The edges come out sorted by their
+    sources' places in the order, so one pass over them, growing the set
+    reached from the exposure, finds its descendants, and only the draw
+    that is kept is built into a Dag.
     """
     names = [f"V{i}" for i in range(n_nodes)]
     for _ in range(_PLACEMENT_ATTEMPTS):
@@ -132,9 +135,12 @@ def random_dag(rng, n_nodes, edge_prob):
                 if rng.random() < edge_prob:
                     edges.append((order[i], order[j]))
         exposure, outcome = rng.sample(names, 2)
-        dag = Dag(names, edges, exposure, outcome)
-        if outcome in dag.descendants(exposure):
-            return dag
+        reached = {exposure}
+        for u, v in edges:
+            if u in reached:
+                reached.add(v)
+        if outcome in reached:
+            return Dag(names, edges, exposure, outcome)
     raise InvalidConfig(
         "could not draw a DAG with a directed exposure-outcome path; raise edge_prob"
     )
@@ -151,8 +157,7 @@ def random_model(rng, dag):
         for key in product((0, 1), repeat=len(parents)):
             den = rng.randint(2, MAX_DENOMINATOR)
             num = rng.randint(1, den - 1)
-            p_one = Fraction(num, den)
-            table[key] = (1 - p_one, p_one)
+            table[key] = (Fraction(den - num, den), Fraction(num, den))
         cpts[node] = Cpt(node, parents, table)
     return DiscreteModel(dag, spaces, cpts)
 
@@ -210,11 +215,11 @@ def _run_trial(index, dag, model, failures, counters):
     lane_of = {c: 1 << i for i, c in enumerate(pool)}
     for subset in subsets_canonical(pool):
         sufficient = lanes >> sum(lane_of[c] for c in subset) & 1
-        unconfounded = model.cf_unconfounded(subset)
+        unconfounded = model._cf_unconfounded(subset)
         if sufficient:
             if not unconfounded:
                 fail(f"sufficient set {subset} is counterfactually confounded")
-            if model.standardized_rd(subset) != ace:
+            if model._rd_of(subset) != ace:
                 fail(f"standardized rd over sufficient {subset} misses the ace")
         elif unconfounded:
             counters["cf_unconfounded_insufficient"] += 1

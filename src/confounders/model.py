@@ -32,9 +32,16 @@ CPT rows are keyed by the packed key of their parent states. One loop
 sums a table by a mask (`_sum_by`); probabilities and risk differences
 read the marginal table of their node set (`_margin`, one per mask, so
 one per set of nodes whatever order it is asked in), and one exact test
-(`_independent`) serves `ci_test` and `independent_given`. Each covariate
-set's standardized risk difference is computed once per model and kept,
-a positivity violation included.
+(`_independent`) serves `ci_test` and, at the level of masks, every
+counterfactual independence question. A standardized risk difference is
+one integer pass over the margin of (X, A, Y) and one `Fraction`. Each
+covariate set's risk difference and its |bias| are computed once per
+model and kept, a positivity violation included.
+
+The public methods check their arguments and then call unchecked helpers
+(`_ci`, `_rd_of`, `_abs_bias`, `_cf_joint`, `_cf_unconfounded`); the
+package's own scans (numeric D1, D5, D6, the fuzzer's subset loop) pass
+names they have already checked and call the helpers directly.
 """
 from __future__ import annotations
 
@@ -92,6 +99,21 @@ def _independent(table, ma, mb, mz):
     p_az = _sum_by(table.items(), maz)
     p_bz = _sum_by(table.items(), mbz)
     return all(p * p_z[k & mz] == p_az[k & maz] * p_bz[k & mbz] for k, p in table.items())
+
+
+def _kept(table, covariates, compute):
+    """compute(covariates), kept in `table` per covariate set; a
+    PositivityViolation is kept as its message and raised again."""
+    out = table.get(covariates)
+    if out is None:
+        try:
+            out = compute(covariates)
+        except PositivityViolation as exc:
+            out = str(exc)
+        table[covariates] = out
+    if isinstance(out, str):
+        raise PositivityViolation(out)
+    return out
 
 
 def as_fraction(value, where="probability"):
@@ -201,6 +223,7 @@ class DiscreteModel:
         self._joint = None
         self._margins = {}
         self._rd = {}
+        self._abs_biases = {}
         self._cf_cache = {}
         self._ace = None
 
@@ -381,8 +404,13 @@ class DiscreteModel:
                 raise UnknownNode(f"unknown node {node!r}")
         if not set_a or not set_b:
             return True
+        return self._ci(set_a, set_b, z)
+
+    def _ci(self, set_a, set_b, z):
+        """ci_test of three disjoint name sequences, unchecked; both sides
+        nonempty."""
         return _independent(
-            self._margin(flat), self._mask(set_a), self._mask(set_b), self._mask(z)
+            self._margin((*set_a, *set_b, *z)), self._mask(set_a), self._mask(set_b), self._mask(z)
         )
 
     # -- interventions ---------------------------------------------------------
@@ -423,7 +451,7 @@ class DiscreteModel:
             outcome = self.dag.outcome
             for state in self.state_spaces[outcome]:
                 _numeric_value(outcome, state)
-            self._ace = self.cf_joint(1).mean_y() - self.cf_joint(0).mean_y()
+            self._ace = self._cf_joint(1).mean_y() - self._cf_joint(0).mean_y()
         return self._ace
 
     def standardized_rd(self, covariates=()):
@@ -435,53 +463,72 @@ class DiscreteModel:
         message of its PositivityViolation, is kept for the next call.
         """
         self._require_binary_exposure()
-        covariates = self.dag._require_pool(covariates)
-        rd = self._rd.get(covariates)
-        if rd is None:
-            try:
-                rd = self._standardized_rd(covariates)
-            except PositivityViolation as exc:
-                rd = str(exc)
-            self._rd[covariates] = rd
-        if isinstance(rd, str):
-            raise PositivityViolation(rd)
-        return rd
+        return self._rd_of(self.dag._require_pool(covariates))
+
+    def _rd_of(self, covariates):
+        """standardized_rd of a sorted pool tuple, unchecked, kept per set."""
+        return _kept(self._rd, covariates, self._standardized_rd)
+
+    def _abs_bias(self, covariates):
+        """|bias| of a sorted pool tuple, unchecked, kept per set."""
+        return _kept(self._abs_biases, covariates, lambda c: abs(self._rd_of(c) - self.ace()))
 
     def _standardized_rd(self, covariates):
-        """standardized_rd of a sorted pool tuple, uncached.
+        """standardized_rd of a sorted pool tuple, uncached, in one pass
+        over the margin of (X, A, Y).
 
-        With w the weights of the margin over (X, A, Y), a stratum adds
-        w(x) (s1 / w(x, 1) - s0 / w(x, 0)), s_a = sum over y of y w(x, a, y);
-        the sum over strata is divided by the joint's denominator once."""
+        The pass collects, per stratum x and arm a, the weight w_a and
+        s_a = sum over y of y' w(x, a, y), y' the outcome's state times d,
+        the LCM of the states' denominators. A stratum adds
+        (w0 + w1) (s1 w0 - s0 w1) / (w0 w1); over L, the LCM of the strata's
+        w0 w1, the numerators are integers, and the sum is one Fraction over
+        L d and the joint's denominator. A failed check is reported at its
+        first stratum in the order of the covariates' state products."""
         a, y = self.dag.exposure, self.dag.outcome
-        codes = self._codes
-        cells = self._margin(covariates + (a, y))
-        arms = _sum_by(cells.items(), self._mask(covariates + (a,)))
-        a0, a1 = codes[a][0], codes[a][1]
-        # each stratum's states, for the message, beside its packed key
-        strata = zip(
-            product(*(self.state_spaces[n] for n in covariates)),
-            map(sum, product(*(codes[n].values() for n in covariates))),
+        fields, states = self._fields, self.state_spaces[y]
+        try:
+            values = [_numeric_value(y, state) for state in states]
+            bad = None
+        except ModelError as exc:
+            values, bad = [0] * len(states), exc
+        d = lcm(*[v.denominator for v in values])
+        # the outcome's and exposure's fields of a cell pick its slot in
+        # the stratum's [w0, s0, w1, s1] and its scaled outcome value
+        a1 = self._codes[a][1]
+        slots = {
+            arm | code: (2 * (arm == a1), v.numerator * (d // v.denominator))
+            for arm in self._codes[a].values()
+            for code, v in zip(self._codes[y].values(), values)
+        }
+        xmask, aymask = self._mask(covariates), fields[a] | fields[y]
+        strata = {}
+        for key, p in self._margin(covariates + (a, y)).items():
+            i, v = slots[key & aymask]
+            t = strata.get(key & xmask)
+            if t is None:
+                t = strata[key & xmask] = [0, 0, 0, 0]
+            t[i] += p
+            t[i + 1] += p * v
+        if bad is not None or not all(t[0] and t[2] for t in strata.values()):
+            # strata keys compare field by field as their state indices do
+            failed = strata if bad is not None else [x for x, t in strata.items() if not (t[0] and t[2])]
+            first = min(failed, key=lambda x: [x & fields[n] for n in covariates])
+            w0, _, w1, _ = strata[first]
+            if w0 and w1:
+                raise bad
+            stratum = {
+                n: next(s for s, c in self._codes[n].items() if c == first & fields[n])
+                for n in covariates
+            }
+            raise PositivityViolation(f"stratum {stratum!r}: P({a}={int(bool(w0))}, stratum) = 0")
+        scale = lcm(*[t[0] * t[2] for t in strata.values()])
+        num = sum(
+            [
+                (w0 + w1) * (s1 * w0 - s0 * w1) * (scale // (w0 * w1))
+                for w0, s0, w1, s1 in strata.values()
+            ]
         )
-        values = None
-        out = Fraction(0)
-        for x, xk in strata:
-            w0, w1 = arms.get(xk | a0, 0), arms.get(xk | a1, 0)
-            if not (w0 or w1):
-                continue
-            for arm, w in ((0, w0), (1, w1)):
-                if w == 0:
-                    raise PositivityViolation(
-                        f"stratum {dict(zip(covariates, x))!r}: P({a}={arm}, stratum) = 0"
-                    )
-            if values is None:
-                values = [(code, _numeric_value(y, state)) for state, code in codes[y].items()]
-            s0, s1 = (
-                sum(value * cells.get(xk | arm | code, 0) for code, value in values)
-                for arm in (a0, a1)
-            )
-            out += Fraction((w0 + w1) * (s1 * w0 - s0 * w1), w0 * w1)
-        return out / self._den
+        return Fraction(num, scale * d * self._den)
 
     def bias(self, covariates=()):
         """standardized_rd minus ace; signed."""
@@ -508,6 +555,10 @@ class DiscreteModel:
         """
         self._require_binary_exposure()
         self._require_state(self.dag.exposure, a)
+        return self._cf_joint(a)
+
+    def _cf_joint(self, a):
+        """cf_joint of a state of a binary exposure, unchecked, kept per arm."""
         if a in self._cf_cache:
             return self._cf_cache[a]
         dag = self.dag
@@ -523,10 +574,13 @@ class DiscreteModel:
     def cf_unconfounded(self, covariates=()):
         """True iff Y_a ⟂ A | covariates inside cf_joint, for both arms."""
         covariates = self.dag._require_pool(covariates)
-        return all(
-            self.cf_joint(arm).independent_given(covariates)
-            for arm in self.state_spaces[self.dag.exposure]
-        )
+        self._require_binary_exposure()
+        return self._cf_unconfounded(covariates)
+
+    def _cf_unconfounded(self, covariates):
+        """cf_unconfounded of pool names, unchecked; the exposure is binary."""
+        zm = self._mask(covariates)
+        return self._cf_joint(0)._independent_given(zm) and self._cf_joint(1)._independent_given(zm)
 
 
 @dataclass(frozen=True)
@@ -590,6 +644,9 @@ class CounterfactualJoint:
         for name in covariates:
             if name not in self.w_nodes:
                 raise UnknownNode(f"{name!r} is not among the joint's covariates")
+        return self._independent_given(self._mask(covariates))
+
+    def _independent_given(self, zm):
+        """Y_a ⟂ A | the fields of `zm`, which lie inside W's; unchecked."""
         ym, am = self._mask((self.outcome,)), self._mask((self.exposure,))
-        zm = self._mask(covariates)
         return _independent(_sum_by(self.weights.items(), ym | am | zm), ym, am, zm)

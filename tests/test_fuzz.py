@@ -7,6 +7,7 @@ import pytest
 
 from confounders.errors import InvalidConfig
 from confounders.fuzz import FuzzConfig, FuzzReport, fuzz, random_dag, random_model
+from confounders.graph import Dag
 
 
 # -- config validation -------------------------------------------------------------
@@ -54,6 +55,59 @@ def test_random_dag_deterministic_per_seed():
     b = random_dag(random.Random(5), 6, 0.4)
     assert a.nodes == b.nodes and a.edges == b.edges
     assert (a.exposure, a.outcome) == (b.exposure, b.outcome)
+
+
+def builds_per_attempt(rng, n_nodes, edge_prob):
+    """random_dag as it was drawn when every attempt built its Dag; the
+    oracle for the draw and the rng stream."""
+    names = [f"V{i}" for i in range(n_nodes)]
+    while True:
+        order = rng.sample(names, n_nodes)
+        edges = []
+        for i in range(n_nodes):
+            for j in range(i + 1, n_nodes):
+                if rng.random() < edge_prob:
+                    edges.append((order[i], order[j]))
+        exposure, outcome = rng.sample(names, 2)
+        dag = Dag(names, edges, exposure, outcome)
+        if outcome in dag.descendants(exposure):
+            return dag
+
+
+@pytest.mark.parametrize("n_nodes", range(2, 11))
+def test_random_dag_matches_the_build_per_attempt_loop(n_nodes):
+    for seed in range(60):
+        edge_prob = (0.1, 0.3, 0.6)[seed % 3]
+        ours, oracle = random.Random(seed), random.Random(seed)
+        got = random_dag(ours, n_nodes, edge_prob)
+        want = builds_per_attempt(oracle, n_nodes, edge_prob)
+        assert (got.nodes, got.edges) == (want.nodes, want.edges)
+        assert (got.exposure, got.outcome) == (want.exposure, want.outcome)
+        assert ours.getstate() == oracle.getstate()
+
+
+def test_random_dag_builds_one_dag_per_call(monkeypatch):
+    built = []
+    init = Dag.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dag, "__init__", counted)
+    rng = random.Random(17)
+    for n_nodes in range(2, 11):
+        for _ in range(10):
+            before = len(built)
+            random_dag(rng, n_nodes, 0.15)
+            assert len(built) - before == 1
+    # the same draws redraw often: the per-attempt loop builds more
+    built.clear()
+    rng = random.Random(17)
+    for n_nodes in range(2, 11):
+        for _ in range(10):
+            builds_per_attempt(rng, n_nodes, 0.15)
+    assert len(built) > 2 * 90
 
 
 def test_random_model_is_binary_with_small_denominators():

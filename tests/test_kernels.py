@@ -177,6 +177,43 @@ def test_parent_mask_past_the_last_node_is_refused(kernel):
         kernel([0, 0b100])
 
 
+OUTSIDE = "^query mask references node >= n$"
+
+
+@pytest.mark.parametrize("mask", [1 << 3, 1 << 5, 0b1001, 1 << 63, 1 << 64, 1 << 70, -1, -8])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda dag, m: dag.closure_up(m),
+        lambda dag, m: dag.closure_down(m),
+        lambda dag, m: dag.reachable(m, 0),
+        lambda dag, m: dag.reachable(1, m),
+        lambda dag, m: dag.dsep(m, 1, 0),
+        lambda dag, m: dag.dsep(1, m, 0),
+        lambda dag, m: dag.dsep(1, 2, m),
+    ],
+    ids=["closure_up", "closure_down", "reachable_src", "reachable_z", "dsep_a", "dsep_b", "dsep_z"],
+)
+def test_query_mask_past_the_last_node_is_refused(kernel, query, mask):
+    dag = kernel([0, 1, 2])  # 0 -> 1 -> 2
+    with pytest.raises(ValueError, match=OUTSIDE):
+        query(dag, mask)
+
+
+def test_query_masks_at_full_width(kernel):
+    # with 64 nodes every bit names a node; past 64 bits and negative
+    # masks are still refused
+    dag = kernel([0] * 64)
+    full = 2**64 - 1
+    assert dag.closure_up(full) == full and dag.closure_down(full) == full
+    assert dag.reachable(1, 0) == 1 and dag.dsep(1, full ^ 1, 0)
+    for mask in (1 << 64, -1):
+        with pytest.raises(ValueError, match=OUTSIDE):
+            dag.closure_up(mask)
+        with pytest.raises(ValueError, match=OUTSIDE):
+            dag.dsep(1, 2, mask)
+
+
 def test_64_node_chain_uses_every_bit(kernel):
     # 0 -> 1 -> ... -> 63: no mask check applies at full width
     dag = kernel([0] + [1 << (i - 1) for i in range(1, 64)])
@@ -280,7 +317,9 @@ def test_compiled_kernel_does_not_leak(fast_build):
             (dag.ancestors, big),
             (dag.parents_mask, -big),
             (dag.closure_up, -big),
+            (dag.closure_down, 1 << 12),
             (dag.reachable, big << 30, 0),
+            (dag.dsep, 1, 2, 1 << 12),
             (BitDag, [0, big]),
             (BitDag, [0] * 65),
         ):

@@ -22,6 +22,7 @@ from confounders.errors import (
     UnknownState,
     ZeroProbabilityCondition,
 )
+from confounders.classify import classify_d5, classify_d6
 from confounders.formats import parse_graph, parse_model
 from confounders.graph import Dag, Graph
 from confounders.model import Cpt, DiscreteModel, as_fraction
@@ -583,12 +584,16 @@ def naive_mean(names, joint, target, given):
     return sum((y * p for (*k, y), p in cells.items() if tuple(k) == key), F(0)) / den
 
 
-def rd_outcome(model, subset):
+def outcome_of(call):
     """(value, None) or (None, (exception class, message)) of one call."""
     try:
-        return model.standardized_rd(subset), None
+        return call(), None
     except ModelError as exc:
         return None, (type(exc), str(exc))
+
+
+def rd_outcome(model, subset):
+    return outcome_of(lambda: model.standardized_rd(subset))
 
 
 @settings(max_examples=150, deadline=None)
@@ -774,6 +779,78 @@ def test_packed_layout_edge_cases_match_the_flat_joint(seed, n_nodes):
         assert model.cf_unconfounded(subset) == want
 
 
+# -- D5 and D6 against a naive scan ---------------------------------------------------
+
+
+def naive_d5_d6(names, spaces, cpts, exposure, outcome, pool, variable):
+    """(D5, D6) outcomes of `variable` by a scan over its contexts in
+    canonical order, every risk difference and |bias| taken afresh from
+    the flat joint; a stratum without an arm raises the package's
+    PositivityViolation message."""
+    joint = naive_joint(names, spaces, cpts)
+    ace = naive_forced_mean(names, spaces, cpts, outcome, (exposure, 1)) - naive_forced_mean(
+        names, spaces, cpts, outcome, (exposure, 0)
+    )
+
+    def rd(subset):
+        subset = tuple(sorted(subset))
+        value = naive_standardized_rd(names, spaces, joint, exposure, outcome, subset)
+        if value is None:
+            raise PositivityViolation(naive_positivity_message(names, spaces, joint, exposure, subset))
+        return value
+
+    contexts = all_subsets([v for v in pool if v != variable])
+
+    def d5():
+        for context in contexts:
+            with_c, without = abs(rd(context + (variable,)) - ace), abs(rd(context) - ace)
+            if with_c < without:
+                return True, (context, (with_c, without))
+        return False, None
+
+    def d6():
+        for context in contexts:
+            if rd(context + (variable,)) != rd(context):
+                return True, context
+        return False, None
+
+    return outcome_of(d5), outcome_of(d6)
+
+
+def d5_d6_case(seed, n_nodes):
+    """Compare classify_d5 and classify_d6 with the naive scan for every
+    covariate of one layout_model; returns the kinds of case it met."""
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = layout_model(rng, n_nodes)
+    dag = Dag(names, edges, exposure, outcome)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    kinds = set()
+    for variable in dag.covariate_pool:
+        want = naive_d5_d6(names, spaces, cpts, exposure, outcome, dag.covariate_pool, variable)
+        got = (
+            outcome_of(lambda: classify_d5(model, variable)),
+            outcome_of(lambda: classify_d6(model, variable)),
+        )
+        assert got == want
+        for value, error in want:
+            kinds.add((spaces[exposure], "raises" if error else value[0]))
+    return kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 5))
+def test_d5_and_d6_match_a_naive_scan(seed, n_nodes):
+    d5_d6_case(seed, n_nodes)
+
+
+def test_d5_and_d6_scan_meets_every_case():
+    # both exposure orders, each with verdicts held, failed and raised
+    kinds = set()
+    for seed in range(120):
+        kinds |= d5_d6_case(seed, 3 + seed % 3)
+    assert kinds == {(order, kind) for order in ((0, 1), (1, 0)) for kind in (True, False, "raises")}
+
+
 # -- the extension loop ------------------------------------------------------------------
 
 
@@ -821,24 +898,48 @@ def one_model_trial():
 
 
 def test_each_risk_difference_is_computed_once_per_set(monkeypatch):
+    # `_rd_of` is the one cached entry: standardized_rd, D6 and the
+    # fuzzer's subset loop all go through it
     asked, computed, models = Counter(), Counter(), []
-    public, body = DiscreteModel.standardized_rd, DiscreteModel._standardized_rd
+    kept, body = DiscreteModel._rd_of, DiscreteModel._standardized_rd
 
-    def counted_public(self, covariates=()):
-        asked[id(self), tuple(sorted(set(covariates)))] += 1
+    def counted_kept(self, covariates):
+        asked[id(self), covariates] += 1
         models.append(self)  # keeps ids unique for the run
-        return public(self, covariates)
+        return kept(self, covariates)
 
     def counted_body(self, covariates):
         computed[id(self), covariates] += 1
         return body(self, covariates)
 
-    monkeypatch.setattr(DiscreteModel, "standardized_rd", counted_public)
+    monkeypatch.setattr(DiscreteModel, "_rd_of", counted_kept)
     monkeypatch.setattr(DiscreteModel, "_standardized_rd", counted_body)
     one_model_trial()
     assert set(computed) == set(asked)
     assert set(computed.values()) == {1}
     assert sum(asked.values()) > len(asked)  # the cache was asked again
+
+
+def test_each_abs_bias_is_taken_once_per_set(monkeypatch):
+    # D5 asks |bias| of two sets per context; each set's Fraction
+    # subtraction and abs run once per model
+    asked, taken, models = Counter(), [], []
+    kept, fraction_abs = DiscreteModel._abs_bias, Fraction.__abs__
+
+    def counted_kept(self, covariates):
+        asked[id(self), covariates] += 1
+        models.append(self)
+        return kept(self, covariates)
+
+    def counted_abs(self):
+        taken.append(self)
+        return fraction_abs(self)
+
+    monkeypatch.setattr(DiscreteModel, "_abs_bias", counted_kept)
+    monkeypatch.setattr(Fraction, "__abs__", counted_abs)
+    one_model_trial()
+    assert asked and len(taken) == len(asked)
+    assert sum(asked.values()) > len(asked)
 
 
 def test_each_node_set_is_summed_once_per_model(monkeypatch):
