@@ -8,33 +8,34 @@ denominator: the product of those LCMs. Everything downstream is exact
 integer marginalization over that denominator, so equality tests are
 honest equalities: no tolerances anywhere. Weights turn into
 `fractions.Fraction` only at the public boundary (`probability`,
-`joint_probability`, `cond_*`, `standardized_rd`, `ace`, `mean_y` and
-`CounterfactualJoint.table`).
+`joint_probability`, `cond_*`, `standardized_rd`, `ace` and the views of
+`CounterfactualJoint`).
 
 Interventions follow truncated factorization (replace the node's CPT by a
 point mass, drop its incoming edges). Counterfactual quantities are
 confined to identified joints: for the exposure A, the joint of
 (Y_a, A, W) with W the nondescendants of A is the joint of the
-single-world intervention graph of do(A=a), in which A keeps its own CPT
-and its children read the value a in its place; conditional
-unconfoundedness Y_a ⟂ A | S is tested inside it. The average causal
-effect is the difference of the two counterfactual means,
-E(Y_1) - E(Y_0), taken from those same joints.
+single-world intervention graph of do(A=a) (Richardson & Robins, 2013).
+That graph is an ordinary model (`_swig`), so each counterfactual
+question is an ordinary query of it: Y_a ⟂ A | S is `_ci`, E(Y_a) is
+`cond_expectation`, and the average causal effect is E(Y_1) - E(Y_0).
+Intervened and single-world models are derived from a checked model
+(`_derived`): same state spaces and key layout, CPTs and integer rows
+reused, nothing checked twice.
 
-One loop multiplies integer CPT entries (`_extend`): it walks the Dag in
-topological order and grows every partial assignment by one node, its
-weight times the entry of the row its parents select, so a zero entry
-drops everything below it. The joint, `joint_probability` (every node
-held to its state) and the single-world joints are all built by it.
-Tables are keyed by one packed int per assignment, a bit field per node
-(see `__init__`), so restricting a key to a node set is `key & mask`, and
-CPT rows are keyed by the packed key of their parent states. One loop
-sums a table by a mask (`_sum_by`); probabilities and risk differences
-read the marginal table of their node set (`_margin`, one per mask, so
-one per set of nodes whatever order it is asked in), and one exact test
-(`_independent`) serves `ci_test` and, at the level of masks, every
-counterfactual independence question. A standardized risk difference is
-one integer pass over the margin of (X, A, Y) and one `Fraction`. Each
+One loop multiplies integer CPT entries (`_joint_items`), with no modes:
+it walks the Dag in topological order and grows every partial assignment
+by one node, its weight times the entry of the row its parents select, so
+a zero entry drops everything below it. `joint_probability` is the
+product of one entry per node. Tables are keyed by one packed int per
+assignment, a bit field per node (see `__init__`), so restricting a key
+to a node set is `key & mask`, and CPT rows are keyed by the packed key of
+their parent states. One loop sums a table by a mask (`_sum_by`);
+probabilities and risk differences read the marginal table of their node
+set (`_margin`, one per mask, so one per set of nodes whatever order it is
+asked in), and one exact test (`_independent`) serves `ci_test` and every
+counterfactual independence. A standardized risk difference is one
+integer pass over the margin of (X, A, Y) and one `Fraction`. Each
 covariate set's risk difference and its |bias| are computed once per
 model and kept, a positivity violation included.
 
@@ -63,6 +64,7 @@ from .errors import (
     UnknownState,
     ZeroProbabilityCondition,
 )
+from .graph import Dag
 
 MAX_JOINT = 1 << 20
 
@@ -209,8 +211,7 @@ class DiscreteModel:
     def _setup(self, cpts, rows):
         """Attach checked CPTs and their integer rows ({node: (scale, rows)},
         see `_integer_rows`) to a model whose dag, state spaces and key
-        layout are set. An intervened model has the same nodes and state
-        spaces, so the same layout."""
+        layout are set."""
         self.cpts = cpts
         self._rows = rows
         self._den = prod(scale for scale, _ in rows.values())
@@ -226,6 +227,16 @@ class DiscreteModel:
         self._abs_biases = {}
         self._cf_cache = {}
         self._ace = None
+
+    def _derived(self, dag, cpts, rows):
+        """A model on `dag`, whose nodes are among this model's, from CPTs
+        and integer rows already checked, with this model's state spaces
+        (so its joint's cap) and key layout; nothing is checked again."""
+        model = DiscreteModel.__new__(DiscreteModel)
+        model.dag, model.state_spaces = dag, self.state_spaces
+        model._fields, model._codes = self._fields, self._codes
+        model._setup(cpts, rows)
+        return model
 
     def _check_cpt(self, node, cpt):
         if isinstance(cpt, Cpt):
@@ -297,40 +308,22 @@ class DiscreteModel:
         """The packed key of a partial assignment {node: state}."""
         return sum([self._codes[node][value] for node, value in partial.items()])
 
-    def _extend(self, held=None, arm=None):
-        """[(packed key, integer weight > 0)] of the full assignments, grown
+    def _joint_items(self):
+        """[(packed key, integer weight > 0)] of every full assignment, grown
         one node at a time in topological order: each partial key is
         extended by the node's codes, weighted by the row its parents'
         fields select (`key & parent mask`). A zero entry is not in its
-        row, so it drops every assignment below it.
-
-        `held`, a full packed key, keeps only the extensions that agree
-        with it. `arm` extends the single-world intervention graph of
-        do(exposure=arm): the exposure keeps its own CPT, and each of its
-        children reads the rows where the exposure's field holds `arm`."""
-        if held is None:
+        row, so it drops every assignment below it."""
+        if self._joint is None:
             total = prod(len(states) for states in self.state_spaces.values())
             if total > MAX_JOINT:
                 raise SizeLimit(
                     f"joint state space has {total} assignments, over the cap of {MAX_JOINT}"
                 )
-        cut = code = 0
-        if arm is not None:
-            cut, code = self._fields[self.dag.exposure], self._codes[self.dag.exposure][arm]
-        items = [(0, 1)]
-        for field, pmask, rows in self._steps:
-            if pmask & cut:
-                rows = {k ^ code: row for k, row in rows.items() if k & cut == code}
-                pmask ^= cut
-            items = [(key | c, w * p) for key, w in items for c, p in rows[key & pmask]]
-            if held is not None:
-                items = [(key, w) for key, w in items if key & field == held & field]
-        return items
-
-    def _joint_items(self):
-        """[(packed key, integer weight > 0)] of every full assignment."""
-        if self._joint is None:
-            self._joint = self._extend()
+            items = [(0, 1)]
+            for _, pmask, rows in self._steps:
+                items = [(key | c, w * p) for key, w in items for c, p in rows[key & pmask]]
+            self._joint = items
         return self._joint
 
     def _margin(self, names):
@@ -356,14 +349,15 @@ class DiscreteModel:
     # -- queries -------------------------------------------------------------
 
     def joint_probability(self, assignment):
-        """P of a full assignment: the product of CPT rows."""
+        """P of a full assignment: the product of one CPT entry per node."""
         missing = [n for n in self.dag.nodes if n not in assignment]
         if missing:
             raise IncompleteAssignment(f"assignment misses {missing[0]!r}")
         for node, value in assignment.items():
             self._require_state(node, value)
-        items = self._extend(held=self._key(assignment))
-        return Fraction(items[0][1] if items else 0, self._den)
+        key = self._key(assignment)
+        weight = prod(dict(rows[key & pmask]).get(key & field, 0) for field, pmask, rows in self._steps)
+        return Fraction(weight, self._den)
 
     def cond_probability(self, event, given):
         for node, value in event.items():
@@ -423,15 +417,11 @@ class DiscreteModel:
         self._require_state(node, value)
         row = tuple(int(s == value) for s in self.state_spaces[node])
         point = Cpt(node, (), {(): tuple(Fraction(w) for w in row)})
-        model = DiscreteModel.__new__(DiscreteModel)
-        model.dag = self.dag.without_edges_into(node)
-        model.state_spaces = self.state_spaces
-        model._fields, model._codes = self._fields, self._codes
-        model._setup(
+        return self._derived(
+            self.dag.without_edges_into(node),
             {**self.cpts, node: point},
             {**self._rows, node: (1, {0: ((self._codes[node][value], 1),)})},
         )
-        return model
 
     def _require_binary_exposure(self):
         if set(self.state_spaces[self.dag.exposure]) != {0, 1}:
@@ -439,6 +429,11 @@ class DiscreteModel:
                 f"exposure {self.dag.exposure!r} must have states {{0, 1}}, "
                 f"got {self.state_spaces[self.dag.exposure]!r}"
             )
+
+    def _outcome_values(self):
+        """The outcome's states as numbers; ModelError at the first that is not."""
+        outcome = self.dag.outcome
+        return [_numeric_value(outcome, state) for state in self.state_spaces[outcome]]
 
     def ace(self):
         """E(Y_1) - E(Y_0): the difference of the counterfactual means.
@@ -448,9 +443,7 @@ class DiscreteModel:
         """
         if self._ace is None:
             self._require_binary_exposure()
-            outcome = self.dag.outcome
-            for state in self.state_spaces[outcome]:
-                _numeric_value(outcome, state)
+            self._outcome_values()  # checked before any joint is built
             self._ace = self._cf_joint(1).mean_y() - self._cf_joint(0).mean_y()
         return self._ace
 
@@ -473,33 +466,40 @@ class DiscreteModel:
         """|bias| of a sorted pool tuple, unchecked, kept per set."""
         return _kept(self._abs_biases, covariates, lambda c: abs(self._rd_of(c) - self.ace()))
 
-    def _standardized_rd(self, covariates):
-        """standardized_rd of a sorted pool tuple, uncached, in one pass
-        over the margin of (X, A, Y).
-
-        The pass collects, per stratum x and arm a, the weight w_a and
-        s_a = sum over y of y' w(x, a, y), y' the outcome's state times d,
-        the LCM of the states' denominators. A stratum adds
-        (w0 + w1) (s1 w0 - s0 w1) / (w0 w1); over L, the LCM of the strata's
-        w0 w1, the numerators are integers, and the sum is one Fraction over
-        L d and the joint's denominator. A failed check is reported at its
-        first stratum in the order of the covariates' state products."""
+    @cached_property
+    def _rd_outcome(self):
+        """(numeric, d, slots) of `_standardized_rd`, once per model: are all
+        outcome states numeric (if not, each counts as 0), d the LCM of
+        their denominators, and `slots`, which maps the exposure's and
+        outcome's fields of a cell to its slot in the stratum's
+        [w0, s0, w1, s1] and its outcome value times d."""
         a, y = self.dag.exposure, self.dag.outcome
-        fields, states = self._fields, self.state_spaces[y]
         try:
-            values = [_numeric_value(y, state) for state in states]
-            bad = None
-        except ModelError as exc:
-            values, bad = [0] * len(states), exc
+            values, numeric = self._outcome_values(), True
+        except ModelError:
+            values, numeric = [0] * len(self.state_spaces[y]), False
         d = lcm(*[v.denominator for v in values])
-        # the outcome's and exposure's fields of a cell pick its slot in
-        # the stratum's [w0, s0, w1, s1] and its scaled outcome value
         a1 = self._codes[a][1]
         slots = {
             arm | code: (2 * (arm == a1), v.numerator * (d // v.denominator))
             for arm in self._codes[a].values()
             for code, v in zip(self._codes[y].values(), values)
         }
+        return numeric, d, slots
+
+    def _standardized_rd(self, covariates):
+        """standardized_rd of a sorted pool tuple, uncached, in one pass
+        over the margin of (X, A, Y).
+
+        The pass collects, per stratum x and arm a, the weight w_a and
+        s_a = sum over y of y' w(x, a, y), y' the outcome's state times d
+        (see `_rd_outcome`). A stratum adds
+        (w0 + w1) (s1 w0 - s0 w1) / (w0 w1); over L, the LCM of the strata's
+        w0 w1, the numerators are integers, and the sum is one Fraction over
+        L d and the joint's denominator. A failed check is reported at its
+        first stratum in the order of the covariates' state products."""
+        a, y, fields = self.dag.exposure, self.dag.outcome, self._fields
+        numeric, d, slots = self._rd_outcome
         xmask, aymask = self._mask(covariates), fields[a] | fields[y]
         strata = {}
         for key, p in self._margin(covariates + (a, y)).items():
@@ -509,13 +509,13 @@ class DiscreteModel:
                 t = strata[key & xmask] = [0, 0, 0, 0]
             t[i] += p
             t[i + 1] += p * v
-        if bad is not None or not all(t[0] and t[2] for t in strata.values()):
+        if not numeric or not all(t[0] and t[2] for t in strata.values()):
             # strata keys compare field by field as their state indices do
-            failed = strata if bad is not None else [x for x, t in strata.items() if not (t[0] and t[2])]
+            failed = strata if not numeric else [x for x, t in strata.items() if not (t[0] and t[2])]
             first = min(failed, key=lambda x: [x & fields[n] for n in covariates])
             w0, _, w1, _ = strata[first]
             if w0 and w1:
-                raise bad
+                self._outcome_values()  # raises the ModelError of the first non-numeric state
             stratum = {
                 n: next(s for s, c in self._codes[n].items() if c == first & fields[n])
                 for n in covariates
@@ -537,39 +537,61 @@ class DiscreteModel:
     # -- identified counterfactual joint ---------------------------------------
 
     def cf_joint(self, a):
-        """Joint of (Y_a, A, W), W = nondescendants of the exposure.
-
-        It is the joint of the single-world intervention graph of do(A=a)
-        (Richardson & Robins, 2013), which splits the exposure in two: the
-        observed A, which keeps its own CPT and has no children, and the
-        fixed value a, which each child of A reads in its place. A node
-        below the split is its counterfactual under A=a, Y among them; W
-        lies above it and is unchanged. The graph's joint is a product of
-        this model's own CPT entries, so it is one extension
-        (`_extend(arm=a)`) over the same denominator, and summed onto Y, A
-        and W it is P(Y_a=y, A=a', W=w) = P(w) * P(a' | pa_A(w)) *
-        Q(y | do(A=a), w): the factors of W and A are untouched, and those
-        below the split do not read a', so summing them out leaves the Q
-        of the truncated factorization. An outcome inside W needs no
-        special case.
-        """
+        """Joint of (Y_a, A, W), W = nondescendants of the exposure, as a
+        view over the single-world model of do(A=a) (`_swig`). Summed onto
+        Y, A and W, that model's joint is P(Y_a=y, A=a', W=w) =
+        P(w) * P(a' | pa_A(w)) * Q(y | do(A=a), w): the factors of W and A
+        are untouched, and those below the split do not read a', so summing
+        them out leaves the Q of the truncated factorization. An outcome
+        inside W needs no special case."""
         self._require_binary_exposure()
         self._require_state(self.dag.exposure, a)
         return self._cf_joint(a)
 
     def _cf_joint(self, a):
-        """cf_joint of a state of a binary exposure, unchecked, kept per arm."""
-        if a in self._cf_cache:
-            return self._cf_cache[a]
-        dag = self.dag
-        w_set = dag.nondescendants(dag.exposure)
-        w_nodes = tuple(n for n in dag.nodes if n in w_set)
-        weights = _sum_by(self._extend(arm=a), self._mask((dag.outcome, dag.exposure, *w_nodes)))
-        joint = CounterfactualJoint(
-            a, dag.exposure, dag.outcome, w_nodes, weights, self._den, self._codes
-        )
-        self._cf_cache[a] = joint
+        """cf_joint of a state of a binary exposure, unchecked, kept per arm
+        once its joint is built, so a joint over the cap raises every time."""
+        joint = self._cf_cache.get(a)
+        if joint is None:
+            model = self._swig(a)
+            model._joint_items()
+            joint = self._cf_cache[a] = CounterfactualJoint(a, self._single_world[0], model)
         return joint
+
+    @cached_property
+    def _single_world(self):
+        """(W, Dag) of both arms: W, the nondescendants of the exposure in
+        node order, and this Dag without the exposure's outgoing edges, on
+        W, the exposure, the outcome and its ancestors. The other
+        descendants of the exposure are barren, so leaving them out changes
+        no (Y_a, A, W) answer (Shachter, 1986)."""
+        dag, exposure = self.dag, self.dag.exposure
+        w_set = dag.nondescendants(exposure)
+        keep = w_set | dag.ancestors(dag.outcome) | {exposure, dag.outcome}
+        edges = tuple((u, v) for u, v in dag.edges if u != exposure and u in keep and v in keep)
+        swig = Dag(tuple(n for n in dag.nodes if n in keep), edges, exposure, dag.outcome)
+        return tuple(n for n in dag.nodes if n in w_set), swig
+
+    def _swig(self, a):
+        """The single-world intervention graph of do(A=a) (Richardson &
+        Robins, 2013) as a model. It splits the exposure A in two: the
+        observed A keeps its own CPT and has no children, and each child of
+        A reads the fixed value a in its place, keeping the rows where A's
+        field holds a, with that field cut from their keys. A node below the
+        split is its counterfactual under A=a; W lies above it, unchanged."""
+        exposure = self.dag.exposure
+        _, dag = self._single_world
+        cut, code = self._fields[exposure], self._codes[exposure][a]
+        cpts, rows = {}, {}
+        for node in dag.nodes:
+            cpt, (scale, node_rows) = self.cpts[node], self._rows[node]
+            if exposure in cpt.parent_order:
+                i = cpt.parent_order.index(exposure)
+                table = {k[:i] + k[i + 1:]: row for k, row in cpt.table.items() if k[i] == a}
+                cpt = Cpt(node, cpt.parent_order[:i] + cpt.parent_order[i + 1:], table)
+                node_rows = {k ^ code: row for k, row in node_rows.items() if k & cut == code}
+            cpts[node], rows[node] = cpt, (scale, node_rows)
+        return self._derived(dag, cpts, rows)
 
     def cf_unconfounded(self, covariates=()):
         """True iff Y_a ⟂ A | covariates inside cf_joint, for both arms."""
@@ -579,64 +601,44 @@ class DiscreteModel:
 
     def _cf_unconfounded(self, covariates):
         """cf_unconfounded of pool names, unchecked; the exposure is binary."""
-        zm = self._mask(covariates)
-        return self._cf_joint(0)._independent_given(zm) and self._cf_joint(1)._independent_given(zm)
+        y, a = (self.dag.outcome,), (self.dag.exposure,)
+        return all(self._cf_joint(arm).model._ci(y, a, covariates) for arm in (0, 1))
 
 
 @dataclass(frozen=True)
 class CounterfactualJoint:
-    """Distribution of (Y_a, A, W). `weights` maps packed keys over the
-    fields of Y, A and W to integer weights over the denominator `den`;
-    `codes` is the model's layout, {node: {state: code}}, and `table` the
-    decoded view."""
+    """Distribution of (Y_a, A, W): a view over `model`, the single-world
+    intervention graph of do(A=a) (see `DiscreteModel.cf_joint`), whose
+    exposure and outcome are A and Y."""
 
     a: object
-    exposure: str
-    outcome: str
     w_nodes: tuple[str, ...]
-    weights: dict
-    den: int
-    codes: dict
-
-    def _mask(self, names):
-        # the codes of a node are its state indices 0..n-1 in place, and
-        # their OR sets every bit of its field
-        mask = 0
-        for name in names:
-            for code in self.codes[name].values():
-                mask |= code
-        return mask
-
-    def _decoder(self, node):
-        """(field mask, {code: state}) of one node."""
-        return self._mask((node,)), {code: state for state, code in self.codes[node].items()}
+    model: DiscreteModel
 
     @cached_property
     def table(self):
-        """{(y, a_observed, w_states): P}, the weights as Fractions."""
-        decoders = [self._decoder(n) for n in (self.outcome, self.exposure, *self.w_nodes)]
+        """{(y, a_observed, w_states): P}, decoded from the model's margin."""
+        m = self.model
+        names = (m.dag.outcome, m.dag.exposure, *self.w_nodes)
+        decoders = [(m._fields[n], {c: s for s, c in m._codes[n].items()}) for n in names]
         out = {}
-        for k, p in self.weights.items():
+        for k, p in m._margin(names).items():
             y, a_obs, *w = [states[k & mask] for mask, states in decoders]
-            out[(y, a_obs, tuple(w))] = Fraction(p, self.den)
+            out[(y, a_obs, tuple(w))] = Fraction(p, m._den)
         return out
 
     def total(self):
-        return Fraction(sum(self.weights.values()), self.den)
+        return self.model.probability({})
 
     def marginal_y(self):
-        mask, states = self._decoder(self.outcome)
-        return {
-            states[k]: Fraction(w, self.den)
-            for k, w in _sum_by(self.weights.items(), mask).items()
-        }
+        """{y: P(Y_a = y) > 0}."""
+        y = self.model.dag.outcome
+        return {s: p for s in self.model.state_spaces[y] if (p := self.model.probability({y: s}))}
 
     def mean_y(self):
-        """E(Y_a); every outcome state in the table must be numeric."""
-        return sum(
-            (_numeric_value(self.outcome, y) * p for y, p in self.marginal_y().items()),
-            Fraction(0),
-        )
+        """E(Y_a); every outcome state must be numeric, as for
+        `cond_expectation`, including states of probability zero."""
+        return self.model.cond_expectation(self.model.dag.outcome)
 
     def independent_given(self, covariates):
         """Exact test of Y_a ⟂ A | covariates (covariates ⊆ W)."""
@@ -644,9 +646,5 @@ class CounterfactualJoint:
         for name in covariates:
             if name not in self.w_nodes:
                 raise UnknownNode(f"{name!r} is not among the joint's covariates")
-        return self._independent_given(self._mask(covariates))
-
-    def _independent_given(self, zm):
-        """Y_a ⟂ A | the fields of `zm`, which lie inside W's; unchecked."""
-        ym, am = self._mask((self.outcome,)), self._mask((self.exposure,))
-        return _independent(_sum_by(self.weights.items(), ym | am | zm), ym, am, zm)
+        m = self.model
+        return m._ci((m.dag.outcome,), (m.dag.exposure,), covariates)

@@ -18,6 +18,7 @@ from confounders.errors import (
     NonCovariateInSet,
     OverlappingSets,
     PositivityViolation,
+    SizeLimit,
     UnknownNode,
     UnknownState,
     ZeroProbabilityCondition,
@@ -25,7 +26,7 @@ from confounders.errors import (
 from confounders.classify import classify_d5, classify_d6
 from confounders.formats import parse_graph, parse_model
 from confounders.graph import Dag, Graph
-from confounders.model import Cpt, DiscreteModel, as_fraction
+from confounders.model import MAX_JOINT, Cpt, DiscreteModel, as_fraction
 from confounders.registry import get_entry
 from confounders.fuzz import FuzzConfig, fuzz, random_dag, random_model
 from helpers_oracle import (
@@ -399,10 +400,33 @@ def test_ace_rejects_a_non_numeric_outcome_state_of_probability_zero():
             "Y": Cpt("Y", ("A",), {(0,): (F(1, 2), F(1, 2), F(0)), (1,): (F(1, 4), F(3, 4), F(0))}),
         },
     )
-    with pytest.raises(ModelError, match="non-numeric state 'x'"):
-        m.ace()
-    with pytest.raises(ModelError, match="non-numeric state 'x'"):
-        m.cond_expectation("Y")
+    for call in (m.ace, lambda: m.cond_expectation("Y"), m.cf_joint(1).mean_y):
+        with pytest.raises(ModelError, match="non-numeric state 'x'"):
+            call()
+
+
+def test_single_world_joints_are_capped_by_the_full_state_space():
+    # A -> Y plus 19 three-state children of A: the single-world graph
+    # keeps only A and Y, but the cap counts every node's states
+    children = [f"C{i}" for i in range(19)]
+    dag = Dag(("A", "Y", *children), (("A", "Y"), *(("A", c) for c in children)), "A", "Y")
+    half, third = (F(1, 2), F(1, 2)), (F(1, 3), F(1, 3), F(1, 3))
+    m = DiscreteModel(
+        dag,
+        {"A": (0, 1), "Y": (0, 1), **{c: (0, 1, 2) for c in children}},
+        {
+            "A": Cpt("A", (), {(): half}),
+            "Y": Cpt("Y", ("A",), {(0,): half, (1,): half}),
+            **{c: Cpt(c, ("A",), {(0,): third, (1,): third}) for c in children},
+        },
+    )
+    total = 2 * 2 * 3**19
+    assert total > MAX_JOINT
+    message = f"joint state space has {total} assignments, over the cap of {MAX_JOINT}"
+    for call in (m.ace, lambda: m.cf_joint(1), lambda: m.cf_unconfounded(()), lambda: m.probability({})):
+        with pytest.raises(SizeLimit) as info:
+            call()
+        assert str(info.value) == message
 
 
 # -- random cross-checks against the flat evaluator ----------------------------------------
@@ -888,6 +912,43 @@ def test_extension_loop_matches_the_flat_joint(seed, n_nodes):
         assert model.cf_joint(arm).table == table
 
 
+def derived_case(rng, n_nodes):
+    """A raw_model DAG whose nodes have 2-4 states, the exposure's listed
+    as (0, 1) or (1, 0), with small_row CPT rows (zeros allowed)."""
+    names, edges, exposure, outcome, _, _ = raw_model(rng, n_nodes)
+    spaces = {v: tuple(range(rng.randint(2, 4))) for v in names}
+    spaces[exposure] = rng.choice(((0, 1), (1, 0)))
+    cpts = {}
+    for v in names:
+        parents = tuple(sorted(u for u, w in edges if w == v))
+        keys = product(*(spaces[q] for q in parents))
+        cpts[v] = Cpt(v, parents, {key: small_row(rng, len(spaces[v])) for key in keys})
+    return DiscreteModel(Dag(names, edges, exposure, outcome), spaces, cpts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7))
+def test_derived_models_pass_the_checked_constructor(seed, n_nodes):
+    # single-world and intervened models skip the checks; rebuilt with the
+    # checked constructor from their own Dag, states and CPTs, each must be
+    # accepted and give the same probability to every full assignment
+    m = derived_case(random.Random(seed), n_nodes)
+    dag = m.dag
+    edges, exposure, outcome = dag.edges, dag.exposure, dag.outcome
+    single_world = set(dag.nodes) - naive_descendants(edges, exposure)
+    single_world |= naive_descendants([(v, u) for u, v in edges], outcome) | {outcome}
+    derived = [m.cf_joint(arm).model for arm in (0, 1)]
+    for model in derived:
+        assert set(model.dag.nodes) == single_world
+    derived += [m.intervene(n, v) for n in dag.nodes for v in m.state_spaces[n]]
+    for model in derived:
+        nodes = model.dag.nodes
+        rebuilt = DiscreteModel(model.dag, {n: model.state_spaces[n] for n in nodes}, model.cpts)
+        for states in product(*(model.state_spaces[n] for n in nodes)):
+            assignment = dict(zip(nodes, states))
+            assert model.joint_probability(assignment) == rebuilt.joint_probability(assignment)
+
+
 # -- work done per model -------------------------------------------------------------------
 
 
@@ -963,34 +1024,37 @@ def test_each_node_set_is_summed_once_per_model(monkeypatch):
 
 @pytest.mark.parametrize("stem", ["fig1", "fig2", "fig3", "fig4", "prop5"])
 def test_counterfactual_joints_build_no_graph_and_no_intervened_model(monkeypatch, stem):
-    # each arm is one extension of the model itself, in the single-world
-    # intervention graph: no Dag is built and no model is intervened on.
-    # The model is parsed afresh, with no joint built yet.
+    # each arm is a single-world model derived from the model itself: one
+    # Dag, the single-world graph, is built for both arms (no graph per arm
+    # or per query), no model is intervened on, and each arm's joint is
+    # built once. The model is parsed afresh, with no joint built yet.
     fixtures = files("confounders").joinpath("fixtures")
     dag = parse_graph(fixtures.joinpath(f"{stem}.graph").read_text(encoding="utf-8"))
     model = parse_model(fixtures.joinpath(f"{stem}.json").read_text(encoding="utf-8"), dag)
-    graphs, intervened, extended = [], [], Counter()
-    graph_init, intervene, extend = Graph.__init__, DiscreteModel.intervene, DiscreteModel._extend
+    graphs, intervened, built = [], [], Counter()
+    graph_init, intervene, joint_items = Graph.__init__, DiscreteModel.intervene, DiscreteModel._joint_items
 
     def counted_graph(self, *args, **kwargs):
-        graphs.append(args)
+        graphs.append(type(self))
         graph_init(self, *args, **kwargs)
 
     def counted_intervene(self, *args):
         intervened.append(args)
         return intervene(self, *args)
 
-    def counted_extend(self, held=None, arm=None):
-        extended[id(self), arm] += 1
-        return extend(self, held, arm)
+    def counted_joint_items(self):
+        built[id(self)] += self._joint is None
+        return joint_items(self)
 
     monkeypatch.setattr(Graph, "__init__", counted_graph)
     monkeypatch.setattr(DiscreteModel, "intervene", counted_intervene)
-    monkeypatch.setattr(DiscreteModel, "_extend", counted_extend)
+    monkeypatch.setattr(DiscreteModel, "_joint_items", counted_joint_items)
     model.ace()
     for arm in (0, 1):
         model.cf_joint(arm)
     for subset in all_subsets(dag.covariate_pool):
         model.cf_unconfounded(subset)
-    assert graphs == [] and intervened == []
-    assert extended == {(id(model), 0): 1, (id(model), 1): 1}
+    arms = [model.cf_joint(arm).model for arm in (0, 1)]
+    assert graphs == [Dag] and intervened == []
+    assert arms[0].dag is arms[1].dag
+    assert built == {id(arms[0]): 1, id(arms[1]): 1}
