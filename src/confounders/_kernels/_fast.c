@@ -1,15 +1,15 @@
-/* Compiled reachability kernel. Mirrors _pure.BitDag method for method.
+/* Compiled reachability kernel: the three queries of _pure.BitDag.
 
 Nodes are integers 0..n-1 (n <= 64); node sets are uint64 masks. Parent and
-child masks live in fixed 64-entry arrays, and entries past n stay 0. `reach`
-runs the same two-phase d-connection ball game as `_pure.BitDag.reachable` on
-an explicit stack of (node, direction) states. A state is marked visited before it is
-pushed, so at most 64 up-states and 64 down-states are ever pushed and the
-128-entry stack never overflows.
+child masks live in fixed 64-entry arrays, and entries past n stay 0.
+`closure_up` and `closure_down` close a mask under ancestors or descendants.
+`dsep` runs `reach`, the same two-phase d-connection ball game as the pure
+kernel's `_reachable`, on an explicit stack of (node, direction) states. A
+state is marked visited before it is pushed, so at most 64 up-states and 64
+down-states are ever pushed and the 128-entry stack never overflows.
 
-Python ints cross the boundary as node indices (0..n-1, else IndexError)
-and masks: a parent mask or a query mask with a bit at or past n, negative
-ones included, raises ValueError, as in the pure kernel.
+Every argument is a mask. A parent mask or a query mask with a bit at or
+past n, negative ones included, raises ValueError, as in the pure kernel.
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -127,22 +127,6 @@ as_query(const BitDag *d, PyObject *obj, u64 *out)
 }
 
 static int
-as_node(const BitDag *d, PyObject *obj, int *out)
-{
-    int overflow;
-    long i = PyLong_AsLongAndOverflow(obj, &overflow);
-    if (i == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || i < 0 || i >= d->n) {
-        PyErr_Format(PyExc_IndexError, "node index %S out of range for %d nodes",
-                     obj, d->n);
-        return -1;
-    }
-    *out = (int)i;
-    return 0;
-}
-
-static int
 arity(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
     if (nargs == want)
@@ -198,26 +182,6 @@ BitDag_init(PyObject *self, PyObject *args, PyObject *kwds)
 }
 
 static PyObject *
-BitDag_parents_mask(PyObject *self, PyObject *arg)
-{
-    BitDag *d = (BitDag *)self;
-    int i;
-    if (as_node(d, arg, &i) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(d->p[i]);
-}
-
-static PyObject *
-BitDag_children_mask(PyObject *self, PyObject *arg)
-{
-    BitDag *d = (BitDag *)self;
-    int i;
-    if (as_node(d, arg, &i) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(d->c[i]);
-}
-
-static PyObject *
 BitDag_closure_up(PyObject *self, PyObject *arg)
 {
     u64 mask;
@@ -233,41 +197,6 @@ BitDag_closure_down(PyObject *self, PyObject *arg)
     if (as_query((BitDag *)self, arg, &mask) < 0)
         return NULL;
     return PyLong_FromUnsignedLongLong(closure(((BitDag *)self)->c, mask));
-}
-
-static PyObject *
-BitDag_ancestors(PyObject *self, PyObject *arg)
-{
-    BitDag *d = (BitDag *)self;
-    u64 bit;
-    int i;
-    if (as_node(d, arg, &i) < 0)
-        return NULL;
-    bit = (u64)1 << i;
-    return PyLong_FromUnsignedLongLong(closure(d->p, bit) ^ bit);
-}
-
-static PyObject *
-BitDag_descendants(PyObject *self, PyObject *arg)
-{
-    BitDag *d = (BitDag *)self;
-    u64 bit;
-    int i;
-    if (as_node(d, arg, &i) < 0)
-        return NULL;
-    bit = (u64)1 << i;
-    return PyLong_FromUnsignedLongLong(closure(d->c, bit) ^ bit);
-}
-
-static PyObject *
-BitDag_reachable(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 src, z;
-    BitDag *d = (BitDag *)self;
-    if (arity("reachable", nargs, 2) < 0 || as_query(d, args[0], &src) < 0
-        || as_query(d, args[1], &z) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(reach(d, src, z));
 }
 
 static PyObject *
@@ -288,14 +217,8 @@ BitDag_get_n(PyObject *self, void *Py_UNUSED(context))
 }
 
 static PyMethodDef BitDag_methods[] = {
-    {"parents_mask", BitDag_parents_mask, METH_O, "Parents of node i, as a mask."},
-    {"children_mask", BitDag_children_mask, METH_O, "Children of node i, as a mask."},
     {"closure_up", BitDag_closure_up, METH_O, "mask plus all its ancestors."},
     {"closure_down", BitDag_closure_down, METH_O, "mask plus all its descendants."},
-    {"ancestors", BitDag_ancestors, METH_O, "Strict ancestors of node i, as a mask."},
-    {"descendants", BitDag_descendants, METH_O, "Strict descendants of node i, as a mask."},
-    {"reachable", (PyCFunction)(void (*)(void))BitDag_reachable, METH_FASTCALL,
-     "Nodes d-connected to the source set given z (sources included)."},
     {"dsep", (PyCFunction)(void (*)(void))BitDag_dsep, METH_FASTCALL,
      "True iff every path between masks a and b is blocked by z."},
     {NULL, NULL, 0, NULL},
@@ -321,7 +244,7 @@ static PyTypeObject BitDagType = {
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "confounders._kernels._fast",
-    .m_doc = "Compiled reachability kernel. Mirrors _pure.BitDag method for method.",
+    .m_doc = "Compiled reachability kernel: the three queries of _pure.BitDag.",
     .m_size = -1,
 };
 

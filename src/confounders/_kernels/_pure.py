@@ -1,14 +1,16 @@
 """Pure-Python reachability kernel over bitmask DAGs.
 
-Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks,
-and a query mask with a bit at or past n is refused with ValueError.
-`reachable` runs the two-phase d-connection ball game: phase one closes the
-conditioning set under ancestors, phase two bounces over (node, direction)
-states so a path is followed exactly when d-separation says it is open.
+Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks.
+The kernel answers three queries, all on masks: `closure_up` and
+`closure_down` close a set under ancestors or descendants, and `dsep` runs
+the two-phase d-connection ball game: phase one closes the conditioning set
+under ancestors, phase two bounces over (node, direction) states so a path
+is followed exactly when d-separation says it is open. A query mask with a
+bit at or past n is refused with ValueError.
 
-The compiled kernel in _fast.c mirrors this class method for method, with
-the same error messages; the package picks it at import time when it is
-built. Keep the two in lockstep.
+The compiled kernel in _fast.c has the same three queries and the same
+error messages; the package picks it at import time when it is built.
+`tests/test_kernels.py` checks that both expose the same names.
 """
 
 BACKEND = "pure"
@@ -40,12 +42,6 @@ class BitDag:
                 m ^= low
         self._children = children
 
-    def parents_mask(self, i):
-        return self._parents[_node(i, self.n)]
-
-    def children_mask(self, i):
-        return self._children[_node(i, self.n)]
-
     def closure_up(self, mask):
         """mask plus all its ancestors."""
         if mask >> self.n:
@@ -58,73 +54,57 @@ class BitDag:
             raise ValueError(_OUTSIDE)
         return _closure(self._children, mask)
 
-    def ancestors(self, i):
-        """Strict ancestors of node i, as a mask."""
-        return _closure(self._parents, 1 << _node(i, self.n)) ^ (1 << i)
-
-    def descendants(self, i):
-        """Strict descendants of node i, as a mask."""
-        return _closure(self._children, 1 << _node(i, self.n)) ^ (1 << i)
-
-    def reachable(self, src, z):
-        """Nodes d-connected to the source set given z (sources included)."""
-        if (src | z) >> self.n:
-            raise ValueError(_OUTSIDE)
-        anz = _closure(self._parents, z)
-        vis_up = src
-        vis_down = 0
-        stack = []
-        m = src
-        while m:
-            low = m & -m
-            stack.append((low.bit_length() - 1, _UP))
-            m ^= low
-        while stack:
-            i, direction = stack.pop()
-            bit = 1 << i
-            if direction == _UP:
-                if not (z & bit):
-                    new = self._parents[i] & ~vis_up
-                    vis_up |= new
-                    while new:
-                        low = new & -new
-                        stack.append((low.bit_length() - 1, _UP))
-                        new ^= low
-                    new = self._children[i] & ~vis_down
-                    vis_down |= new
-                    while new:
-                        low = new & -new
-                        stack.append((low.bit_length() - 1, _DOWN))
-                        new ^= low
-            else:
-                if not (z & bit):
-                    new = self._children[i] & ~vis_down
-                    vis_down |= new
-                    while new:
-                        low = new & -new
-                        stack.append((low.bit_length() - 1, _DOWN))
-                        new ^= low
-                if anz & bit:
-                    new = self._parents[i] & ~vis_up
-                    vis_up |= new
-                    while new:
-                        low = new & -new
-                        stack.append((low.bit_length() - 1, _UP))
-                        new ^= low
-        return (vis_up | vis_down) & ~z
-
     def dsep(self, a, b, z):
         """True iff every path between masks a and b is blocked by z."""
-        if b >> self.n:
+        if (a | b | z) >> self.n:
             raise ValueError(_OUTSIDE)
-        return not (self.reachable(a, z) & b)
+        return not (_reachable(self._parents, self._children, a, z) & b)
 
 
-def _node(i, n):
-    """i, unless it is not one of the n node indices."""
-    if not 0 <= i < n:
-        raise IndexError(f"node index {i} out of range for {n} nodes")
-    return i
+def _reachable(parents, children, src, z):
+    """Nodes d-connected to the source set given z (sources included)."""
+    anz = _closure(parents, z)
+    vis_up = src
+    vis_down = 0
+    stack = []
+    m = src
+    while m:
+        low = m & -m
+        stack.append((low.bit_length() - 1, _UP))
+        m ^= low
+    while stack:
+        i, direction = stack.pop()
+        bit = 1 << i
+        if direction == _UP:
+            if not (z & bit):
+                new = parents[i] & ~vis_up
+                vis_up |= new
+                while new:
+                    low = new & -new
+                    stack.append((low.bit_length() - 1, _UP))
+                    new ^= low
+                new = children[i] & ~vis_down
+                vis_down |= new
+                while new:
+                    low = new & -new
+                    stack.append((low.bit_length() - 1, _DOWN))
+                    new ^= low
+        else:
+            if not (z & bit):
+                new = children[i] & ~vis_down
+                vis_down |= new
+                while new:
+                    low = new & -new
+                    stack.append((low.bit_length() - 1, _DOWN))
+                    new ^= low
+            if anz & bit:
+                new = parents[i] & ~vis_up
+                vis_up |= new
+                while new:
+                    low = new & -new
+                    stack.append((low.bit_length() - 1, _UP))
+                    new ^= low
+    return (vis_up | vis_down) & ~z
 
 
 def _closure(adj, mask):

@@ -122,7 +122,7 @@ def _first_backdoor_path(dag, noncollider_ok, collider_ok, through=0):
         dag,
         a,
         dag._index[dag.outcome],
-        dag._kernel.parents_mask(a),
+        dag._pmask[a],
         noncollider_ok,
         collider_ok,
         through,

@@ -34,7 +34,7 @@ import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import GraphError, ParseError
 from .graph import Dag, Path
 from .model import Cpt, DiscreteModel
 
@@ -98,7 +98,7 @@ def parse_graph(text):
         raise ParseError("no node declared as outcome")
     try:
         return Dag(nodes, edges, exposure, outcome, pre if any_pre else None)
-    except Exception as exc:
+    except GraphError as exc:
         raise ParseError(str(exc)) from exc
 
 

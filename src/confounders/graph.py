@@ -1,7 +1,12 @@
 """Directed acyclic graphs with named nodes, paths, and d-separation.
 
-Separation questions are decided by a bitmask reachability kernel
-(`d_separated`, backed by confounders._kernels). Literal path enumeration
+A Graph keeps its adjacency once, as parent and child bitmasks, and asks
+the reachability kernel (confounders._kernels) only for what the masks do
+not give directly: the closure of a set under ancestors or descendants, and
+d-separation (`d_separated`). Every derived graph (`subgraph`,
+`without_edges_into`, `without_edges_from`) is built by one factory, so a
+Dag's derived graphs keep its exposure, outcome and declared pre-exposure
+set wherever both ends survive. Literal path enumeration
 (`enumerate_paths` + `is_blocked`) is the oracle: the test suite
 cross-checks the kernel against it on random graphs, and the registry uses
 it to list paths. A single path that explains a verdict comes from
@@ -104,6 +109,7 @@ class Graph:
         self.nodes = nodes
         self._index = {name: i for i, name in enumerate(nodes)}
         pmask = [0] * len(nodes)
+        cmask = [0] * len(nodes)
         edge_list = []
         edge_seen = set()
         for u, v in edges:
@@ -117,13 +123,13 @@ class Graph:
                 raise DuplicateEdge(f"duplicate edge {u!r} -> {v!r}")
             edge_seen.add((u, v))
             edge_list.append((u, v))
-            pmask[self._index[v]] |= 1 << self._index[u]
+            iu, iv = self._index[u], self._index[v]
+            pmask[iv] |= 1 << iu
+            cmask[iu] |= 1 << iv
         self.edges = tuple(edge_list)
         self._pmask = pmask
+        self._cmask = cmask
         self._kernel = BitDag(pmask)
-        # children masks, read once: the path search and the sliced pass
-        # read every node's masks on each call
-        self._cmask = list(map(self._kernel.children_mask, range(len(nodes))))
         self._topo = self._toposort()
 
     def _toposort(self):
@@ -199,28 +205,29 @@ class Graph:
         return bool(self._pmask[self._require(v)] >> self._require(u) & 1)
 
     def parents(self, node):
-        return self._names(self._kernel.parents_mask(self._require(node)))
+        return self._names(self._pmask[self._require(node)])
 
     def children(self, node):
-        return self._names(self._kernel.children_mask(self._require(node)))
+        return self._names(self._cmask[self._require(node)])
 
     def ancestors(self, node):
         """Strict ancestors."""
-        return self._names(self._kernel.ancestors(self._require(node)))
+        bit = 1 << self._require(node)
+        return self._names(self._kernel.closure_up(bit) ^ bit)
 
     def descendants(self, node):
         """Strict descendants."""
-        return self._names(self._kernel.descendants(self._require(node)))
+        bit = 1 << self._require(node)
+        return self._names(self._kernel.closure_down(bit) ^ bit)
 
     def nondescendants(self, node):
         """Everything except the node and its descendants."""
-        i = self._require(node)
         all_mask = (1 << len(self.nodes)) - 1
-        return self._names(all_mask & ~self._kernel.descendants(i) & ~(1 << i))
+        return self._names(all_mask & ~self._kernel.closure_down(1 << self._require(node)))
 
     def adjacent(self, node):
         i = self._require(node)
-        return self._names(self._kernel.parents_mask(i) | self._kernel.children_mask(i))
+        return self._names(self._pmask[i] | self._cmask[i])
 
     # -- surgery -----------------------------------------------------------
 
@@ -228,17 +235,22 @@ class Graph:
         keep = frozenset(keep)
         for name in keep:
             self._require(name)
-        nodes = tuple(n for n in self.nodes if n in keep)
-        edges = tuple((u, v) for u, v in self.edges if u in keep and v in keep)
-        return Graph(nodes, edges)
+        return self._derived(
+            tuple(n for n in self.nodes if n in keep),
+            tuple((u, v) for u, v in self.edges if u in keep and v in keep),
+        )
 
     def without_edges_into(self, node):
         self._require(node)
-        return Graph(self.nodes, tuple(e for e in self.edges if e[1] != node))
+        return self._derived(self.nodes, tuple(e for e in self.edges if e[1] != node))
 
     def without_edges_from(self, node):
         self._require(node)
-        return Graph(self.nodes, tuple(e for e in self.edges if e[0] != node))
+        return self._derived(self.nodes, tuple(e for e in self.edges if e[0] != node))
+
+    def _derived(self, nodes, edges):
+        """The graph on `nodes`, a subsequence of this graph's, and `edges`."""
+        return Graph(nodes, edges)
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.nodes)} nodes, {len(self.edges)} edges)"
@@ -297,37 +309,22 @@ class Dag(Graph):
         return out
 
     def without_exposure_out_edges(self):
-        """The graph with the exposure's outgoing edges removed (cached).
+        """The Dag with the exposure's outgoing edges removed (cached).
 
         Separation of exposure and outcome in this graph, given S, is the
         backdoor sufficiency test for S.
         """
         if self._no_out is None:
-            self._no_out = Graph(
-                self.nodes, tuple(e for e in self.edges if e[0] != self.exposure)
-            )
+            self._no_out = self.without_edges_from(self.exposure)
         return self._no_out
 
-    def subgraph(self, keep):
-        keep = frozenset(keep)
-        if self.exposure in keep and self.outcome in keep:
-            for name in keep:
-                self._require(name)
-            nodes = tuple(n for n in self.nodes if n in keep)
-            edges = tuple((u, v) for u, v in self.edges if u in keep and v in keep)
-            pre = None if self.declared_pre is None else self.declared_pre & keep
-            return Dag(nodes, edges, self.exposure, self.outcome, pre)
-        return super().subgraph(keep)
-
-    def without_edges_into(self, node):
-        self._require(node)
-        return Dag(
-            self.nodes,
-            tuple(e for e in self.edges if e[1] != node),
-            self.exposure,
-            self.outcome,
-            self.declared_pre,
-        )
+    def _derived(self, nodes, edges):
+        """A Dag with this exposure and outcome when `nodes` keeps both,
+        its declared pre-exposure set cut to `nodes`; a Graph otherwise."""
+        if self.exposure not in nodes or self.outcome not in nodes:
+            return Graph(nodes, edges)
+        pre = None if self.declared_pre is None else self.declared_pre.intersection(nodes)
+        return Dag(nodes, edges, self.exposure, self.outcome, pre)
 
     def __repr__(self):
         return (

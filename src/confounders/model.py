@@ -64,7 +64,6 @@ from .errors import (
     UnknownState,
     ZeroProbabilityCondition,
 )
-from .graph import Dag
 
 MAX_JOINT = 1 << 20
 
@@ -568,8 +567,7 @@ class DiscreteModel:
         dag, exposure = self.dag, self.dag.exposure
         w_set = dag.nondescendants(exposure)
         keep = w_set | dag.ancestors(dag.outcome) | {exposure, dag.outcome}
-        edges = tuple((u, v) for u, v in dag.edges if u != exposure and u in keep and v in keep)
-        swig = Dag(tuple(n for n in dag.nodes if n in keep), edges, exposure, dag.outcome)
+        swig = dag.without_exposure_out_edges().subgraph(keep)
         return tuple(n for n in dag.nodes if n in w_set), swig
 
     def _swig(self, a):

@@ -54,9 +54,6 @@ from .properties import (
 )
 from .selection import IndependenceOracle, backward_select, forward_select, robins_reduction
 
-REGISTRY_NAMES = ("Fig1", "Fig2", "Fig3", "Fig4", "Prop5")
-
-
 @dataclass(frozen=True)
 class Claim:
     claim: str
@@ -619,47 +616,29 @@ def _prop5_claims():
     )
 
 
-_SUMMARIES = {
-    "Fig1": "m-structure; nothing needs adjustment, conditioning on the collider hurts",
-    "Fig2": "confounder with a descendant proxy; the proxy strictly worsens bias",
-    "Fig3": "two-step backdoor chain; two disjoint minimal adjustment sets",
-    "Fig4": "off-path surrogate whose adjustment shrinks but cannot remove bias",
-    "Prop5": "cancellation triangle: zero bias yet counterfactually confounded",
-}
+# (name, summary, claims), in registry order; each fixture stem is name.lower()
+_ENTRIES = (
+    ("Fig1", "m-structure; nothing needs adjustment, conditioning on the collider hurts",
+     _fig1_claims),
+    ("Fig2", "confounder with a descendant proxy; the proxy strictly worsens bias",
+     _fig2_claims),
+    ("Fig3", "two-step backdoor chain; two disjoint minimal adjustment sets", _fig3_claims),
+    ("Fig4", "off-path surrogate whose adjustment shrinks but cannot remove bias",
+     _fig4_claims),
+    ("Prop5", "cancellation triangle: zero bias yet counterfactually confounded",
+     _prop5_claims),
+)
 
-_CLAIMS = {
-    "Fig1": _fig1_claims,
-    "Fig2": _fig2_claims,
-    "Fig3": _fig3_claims,
-    "Fig4": _fig4_claims,
-    "Prop5": _prop5_claims,
-}
-
-_FIXTURE_STEMS = {
-    "Fig1": "fig1",
-    "Fig2": "fig2",
-    "Fig3": "fig3",
-    "Fig4": "fig4",
-    "Prop5": "prop5",
-}
+REGISTRY_NAMES = tuple(name for name, _, _ in _ENTRIES)
 
 
 @lru_cache(maxsize=1)
 def registry_entries():
     """The five frozen entries, fixtures parsed once per process."""
-    entries = []
-    for name in REGISTRY_NAMES:
-        dag, model = _load(_FIXTURE_STEMS[name])
-        entries.append(
-            RegistryEntry(
-                name=name,
-                summary=_SUMMARIES[name],
-                dag=dag,
-                model=model,
-                expected=_CLAIMS[name](),
-            )
-        )
-    return tuple(entries)
+    return tuple(
+        RegistryEntry(name, summary, *_load(name.lower()), expected=claims())
+        for name, summary, claims in _ENTRIES
+    )
 
 
 def get_entry(name):

@@ -391,6 +391,16 @@ def test_size_limit_exits_3(capsys, tmp_path):
     assert code == 3 and "error:" in err
 
 
+def test_node_count_over_the_kernel_limit_exits_3(capsys, tmp_path):
+    big = tmp_path / "wide.graph"
+    lines = [f"node C{i:02d}" for i in range(63)]
+    lines += ["node A exposure", "node Y outcome", "edge A Y"]
+    big.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "minimal-sets", str(big))
+    assert code == 3 and out == ""
+    assert err == "error: 65 nodes exceeds the 64-node kernel limit\n"
+
+
 def test_positivity_violation_exits_5(capsys, tmp_path):
     graph = tmp_path / "pos.graph"
     graph.write_text(

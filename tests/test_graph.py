@@ -3,6 +3,8 @@ and d-separation checked against an independent path-based oracle."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confounders.errors import (
     CycleDetected,
@@ -25,7 +27,7 @@ from confounders.graph import (
     enumerate_paths,
     is_blocked,
 )
-from helpers_oracle import naive_d_separated, naive_simple_paths
+from helpers_oracle import naive_d_separated, naive_descendants, naive_simple_paths
 
 CHAIN = Graph(("A", "B", "C"), (("A", "B"), ("B", "C")))
 FORK = Dag(("C1", "A", "Y"), (("C1", "A"), ("C1", "Y"), ("A", "Y")), "A", "Y")
@@ -140,6 +142,94 @@ def test_remove_into_strips_incoming_edges():
 def test_without_exposure_out_edges():
     g = FORK.without_exposure_out_edges()
     assert ("A", "Y") not in g.edges and ("C1", "Y") in g.edges
+
+
+def check_relatives(g, edges):
+    """Every relative query and has_edge of g against its edge list."""
+    edge_set = set(edges)
+    reverse = [(v, u) for u, v in edges]
+    for v in g.nodes:
+        parents = {u for u, w in edges if w == v}
+        children = {w for u, w in edges if u == v}
+        descendants = naive_descendants(edges, v)
+        assert g.parents(v) == parents
+        assert g.children(v) == children
+        assert g.adjacent(v) == parents | children
+        assert g.ancestors(v) == naive_descendants(reverse, v)
+        assert g.descendants(v) == descendants
+        assert g.nondescendants(v) == set(g.nodes) - descendants - {v}
+        for u in g.nodes:
+            assert g.has_edge(u, v) == ((u, v) in edge_set)
+
+
+def check_derived(parent, derived, keep, edges):
+    """`derived` is the graph on the nodes of `parent` in `keep`, in the
+    parent's order, with exactly `edges`, in the parent's edge order; a Dag
+    with the parent's roles and declared_pre & keep when the parent is a
+    Dag and keep holds both its ends, a Graph otherwise."""
+    assert derived.nodes == tuple(n for n in parent.nodes if n in keep)
+    assert derived.edges == tuple(edges)
+    roles = isinstance(parent, Dag) and parent.exposure in keep and parent.outcome in keep
+    if not roles:
+        assert type(derived) is Graph
+        return
+    assert type(derived) is Dag
+    assert (derived.exposure, derived.outcome) == (parent.exposure, parent.outcome)
+    if parent.declared_pre is None:
+        assert derived.declared_pre is None
+    else:
+        assert derived.declared_pre == parent.declared_pre & set(keep)
+    check_relatives(derived, edges)
+
+
+def check_surgery(g, rng):
+    everything = set(g.nodes)
+    for v in g.nodes:
+        check_derived(
+            g, g.without_edges_into(v), everything, [e for e in g.edges if e[1] != v]
+        )
+        check_derived(
+            g, g.without_edges_from(v), everything, [e for e in g.edges if e[0] != v]
+        )
+    for _ in range(4):
+        keep = {n for n in g.nodes if rng.random() < 0.6}
+        edges = [(u, v) for u, v in g.edges if u in keep and v in keep]
+        check_derived(g, g.subgraph(keep), keep, edges)
+    if isinstance(g, Dag):
+        back = g.without_exposure_out_edges()
+        assert back is g.without_exposure_out_edges()
+        check_derived(g, back, everything, [e for e in g.edges if e[0] != g.exposure])
+        for end in (g.exposure, g.outcome):
+            rest = everything - {end}
+            edges = [(u, v) for u, v in g.edges if end not in (u, v)]
+            check_derived(g, g.subgraph(rest), rest, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 16))
+def test_relatives_and_surgery_match_the_edge_list(seed, n):
+    rng = random.Random(seed)
+    g, edges = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+    edges = list(edges)
+    rng.shuffle(edges)
+    g = Graph(g.nodes, edges)
+    check_relatives(g, edges)
+    check_surgery(g, rng)
+    exposure, outcome = rng.sample(g.nodes, 2)
+    pre = rng.choice((None, {v for v in g.nodes if rng.random() < 0.5}))
+    dag = Dag(g.nodes, edges, exposure, outcome, pre)
+    check_relatives(dag, edges)
+    check_surgery(dag, rng)
+
+
+def test_relatives_and_surgery_on_a_64_node_chain():
+    names = tuple(f"N{i}" for i in range(64))
+    edges = list(zip(names, names[1:]))
+    chain = Dag(names, edges, "N0", "N63", names[:32])
+    check_relatives(chain, edges)
+    assert chain.ancestors("N63") == set(names[:63])
+    assert chain.descendants("N0") == set(names[1:])
+    check_surgery(chain, random.Random(64))
 
 
 # -- path enumeration ----------------------------------------------------------

@@ -1,6 +1,10 @@
 """Bitmask reachability kernels: both backends, checked against each other
 and against a mask-free reference on random graphs.
 
+A kernel answers three queries, every argument a mask: `closure_up`,
+`closure_down` and `dsep`. Both backends must expose exactly these and
+`n`, and refuse the same masks with the same message.
+
 The compiled backend is built here from the hand-written `_fast.c`, once
 per session, into a temporary directory, and loaded under its own name
 without entering `sys.modules`: the package's own kernel choice is left
@@ -142,6 +146,13 @@ def test_compiled_backend_names_its_package_module(fast_build):
     assert module.BitDag.dsep.__qualname__ == "BitDag.dsep"
 
 
+KERNEL_API = {"n", "closure_up", "closure_down", "dsep"}
+
+
+def test_backends_expose_the_same_three_queries(kernel):
+    assert {name for name in dir(kernel) if not name.startswith("_")} == KERNEL_API
+
+
 def test_backend_tags(request):
     assert _pure.BACKEND == "pure"
     if not MISSING:
@@ -150,21 +161,13 @@ def test_backend_tags(request):
 
 def test_chain_masks(kernel):
     dag = kernel([0, 1, 2])  # 0 -> 1 -> 2
-    assert dag.parents_mask(0) == 0
-    assert dag.parents_mask(2) == 0b010
-    assert dag.children_mask(0) == 0b010
-    assert dag.ancestors(2) == 0b011
-    assert dag.descendants(0) == 0b110
+    assert dag.n == 3
+    assert dag.closure_up(0b001) == 0b001
+    assert dag.closure_up(0b010) == 0b011
     assert dag.closure_up(0b100) == 0b111
     assert dag.closure_down(0b001) == 0b111
-
-
-@pytest.mark.parametrize("i", [-1, 3, 63, 64, 99])
-@pytest.mark.parametrize("query", ["parents_mask", "children_mask", "ancestors", "descendants"])
-def test_node_index_out_of_range_is_refused(kernel, query, i):
-    dag = kernel([0, 1, 2])
-    with pytest.raises(IndexError, match=f"node index {i} out of range for 3 nodes"):
-        getattr(dag, query)(i)
+    assert dag.closure_down(0b100) == 0b100
+    assert dag.closure_up(0) == 0 and dag.closure_down(0) == 0
 
 
 def test_more_than_64_nodes_are_refused(kernel):
@@ -186,13 +189,11 @@ OUTSIDE = "^query mask references node >= n$"
     [
         lambda dag, m: dag.closure_up(m),
         lambda dag, m: dag.closure_down(m),
-        lambda dag, m: dag.reachable(m, 0),
-        lambda dag, m: dag.reachable(1, m),
         lambda dag, m: dag.dsep(m, 1, 0),
         lambda dag, m: dag.dsep(1, m, 0),
         lambda dag, m: dag.dsep(1, 2, m),
     ],
-    ids=["closure_up", "closure_down", "reachable_src", "reachable_z", "dsep_a", "dsep_b", "dsep_z"],
+    ids=["closure_up", "closure_down", "dsep_a", "dsep_b", "dsep_z"],
 )
 def test_query_mask_past_the_last_node_is_refused(kernel, query, mask):
     dag = kernel([0, 1, 2])  # 0 -> 1 -> 2
@@ -206,7 +207,7 @@ def test_query_masks_at_full_width(kernel):
     dag = kernel([0] * 64)
     full = 2**64 - 1
     assert dag.closure_up(full) == full and dag.closure_down(full) == full
-    assert dag.reachable(1, 0) == 1 and dag.dsep(1, full ^ 1, 0)
+    assert dag.dsep(1, full ^ 1, 0) and dag.dsep(1 << 63, full >> 1, 0)
     for mask in (1 << 64, -1):
         with pytest.raises(ValueError, match=OUTSIDE):
             dag.closure_up(mask)
@@ -218,8 +219,13 @@ def test_64_node_chain_uses_every_bit(kernel):
     # 0 -> 1 -> ... -> 63: no mask check applies at full width
     dag = kernel([0] + [1 << (i - 1) for i in range(1, 64)])
     assert dag.n == 64
-    assert dag.ancestors(63) == 2**63 - 1
-    assert dag.descendants(0) == 2**64 - 2
+    full = 2**64 - 1
+    assert dag.closure_up(1 << 63) == full
+    assert dag.closure_down(1) == full
+    assert dag.closure_up(1 << 62) == full >> 1
+    assert dag.closure_down(1 << 63) == 1 << 63
+    assert not dag.dsep(1, 1 << 63, 0)
+    assert dag.dsep(1, 1 << 63, 1 << 31)
 
 
 def test_chain_dsep(kernel):
@@ -255,9 +261,14 @@ def test_closures_against_reference(kernel):
         dag = kernel(parents)
         for i in range(n):
             want = mask_of(naive_descendants(edges, i))
-            assert dag.descendants(i) == want
+            assert dag.closure_down(1 << i) == want | 1 << i
             up = mask_of(naive_descendants([(b, a) for a, b in edges], i))
-            assert dag.ancestors(i) == up
+            assert dag.closure_up(1 << i) == up | 1 << i
+        # a set's closure is the union of its members' closures
+        m = rng.getrandbits(n)
+        assert dag.closure_down(m) == mask_of(
+            j for i in range(n) if m >> i & 1 for j in [i, *naive_descendants(edges, i)]
+        )
 
 
 def test_dsep_against_naive_oracle(kernel):
@@ -283,15 +294,16 @@ def test_backend_parity_on_random_graphs(fast_build):
         parents = random_parent_masks(rng, n, 0.3)
         pure, fast = _pure.BitDag(parents), _fast.BitDag(parents)
         for i in range(n):
-            assert pure.ancestors(i) == fast.ancestors(i)
-            assert pure.descendants(i) == fast.descendants(i)
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if a == b:
-            continue
-        z = mask_of(i for i in range(n) if i not in (a, b) and rng.random() < 0.4)
-        assert pure.reachable(1 << a, z) == fast.reachable(1 << a, z)
-        assert pure.dsep(1 << a, 1 << b, z) == fast.dsep(1 << a, 1 << b, z)
+            assert pure.closure_up(1 << i) == fast.closure_up(1 << i)
+            assert pure.closure_down(1 << i) == fast.closure_down(1 << i)
+        m = rng.getrandbits(n)
+        assert pure.closure_up(m) == fast.closure_up(m)
+        assert pure.closure_down(m) == fast.closure_down(m)
+        # one target per node reads the whole d-connected set of a given z
+        a = rng.getrandbits(n)
+        z = rng.getrandbits(n) & ~a
+        for j in range(n):
+            assert pure.dsep(a, 1 << j, z) == fast.dsep(a, 1 << j, z)
 
 
 @needs_compiler
@@ -305,27 +317,23 @@ def test_compiled_kernel_does_not_leak(fast_build):
         big = (1 << 40) + r
         dag = BitDag(chain)
         dag.n
-        dag.parents_mask(11)
-        dag.children_mask(10)
-        dag.ancestors(11)
-        dag.descendants(0)
         dag.closure_up((1 << 11) | (r & 1))
         dag.closure_down(1)
-        dag.reachable((1 << 11) | (r & 1), 0)
         dag.dsep(1, (1 << 11) | (r & 1), 1 << 5)
         for call, *args in (
-            (dag.ancestors, big),
-            (dag.parents_mask, -big),
+            (dag.closure_up, big),
             (dag.closure_up, -big),
             (dag.closure_down, 1 << 12),
-            (dag.reachable, big << 30, 0),
+            (dag.dsep, big << 30, 2, 0),
+            (dag.dsep, 1, -big, 0),
             (dag.dsep, 1, 2, 1 << 12),
+            (dag.dsep, 1, 2),
             (BitDag, [0, big]),
             (BitDag, [0] * 65),
         ):
             try:
                 call(*args)
-            except (IndexError, OverflowError, ValueError):
+            except (OverflowError, TypeError, ValueError):
                 pass
 
     tracemalloc.start()
