@@ -1,12 +1,13 @@
-/* Compiled reachability kernel: the three queries of _pure.BitDag.
+/* Compiled reachability kernel: the four queries of _pure.BitDag.
 
 Nodes are integers 0..n-1 (n <= 64); node sets are uint64 masks. Parent and
 child masks live in fixed 64-entry arrays, and entries past n stay 0.
 `closure_up` and `closure_down` close a mask under ancestors or descendants.
-`dsep` runs `reach`, the same two-phase d-connection ball game as the pure
-kernel's `_reachable`, on an explicit stack of (node, direction) states. A
-state is marked visited before it is pushed, so at most 64 up-states and 64
-down-states are ever pushed and the 128-entry stack never overflows.
+`reachable` and `dsep` run `reach`, the same two-phase d-connection ball
+game as the pure kernel's `_reachable`, on an explicit stack of (node,
+direction) states. A state is marked visited before it is pushed, so at
+most 64 up-states and 64 down-states are ever pushed and the 128-entry
+stack never overflows.
 
 Every argument is a mask. A parent mask or a query mask with a bit at or
 past n, negative ones included, raises ValueError, as in the pure kernel.
@@ -200,6 +201,17 @@ BitDag_closure_down(PyObject *self, PyObject *arg)
 }
 
 static PyObject *
+BitDag_reachable(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 src, z;
+    BitDag *d = (BitDag *)self;
+    if (arity("reachable", nargs, 2) < 0 || as_query(d, args[0], &src) < 0
+        || as_query(d, args[1], &z) < 0)
+        return NULL;
+    return PyLong_FromUnsignedLongLong(reach(d, src, z));
+}
+
+static PyObject *
 BitDag_dsep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 a, b, z;
@@ -219,6 +231,8 @@ BitDag_get_n(PyObject *self, void *Py_UNUSED(context))
 static PyMethodDef BitDag_methods[] = {
     {"closure_up", BitDag_closure_up, METH_O, "mask plus all its ancestors."},
     {"closure_down", BitDag_closure_down, METH_O, "mask plus all its descendants."},
+    {"reachable", (PyCFunction)(void (*)(void))BitDag_reachable, METH_FASTCALL,
+     "Nodes d-connected to the source set given z (sources included)."},
     {"dsep", (PyCFunction)(void (*)(void))BitDag_dsep, METH_FASTCALL,
      "True iff every path between masks a and b is blocked by z."},
     {NULL, NULL, 0, NULL},
@@ -244,7 +258,7 @@ static PyTypeObject BitDagType = {
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "confounders._kernels._fast",
-    .m_doc = "Compiled reachability kernel: the three queries of _pure.BitDag.",
+    .m_doc = "Compiled reachability kernel: the four queries of _pure.BitDag.",
     .m_size = -1,
 };
 

@@ -1,14 +1,16 @@
 """Pure-Python reachability kernel over bitmask DAGs.
 
 Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks.
-The kernel answers three queries, all on masks: `closure_up` and
-`closure_down` close a set under ancestors or descendants, and `dsep` runs
-the two-phase d-connection ball game: phase one closes the conditioning set
-under ancestors, phase two bounces over (node, direction) states so a path
-is followed exactly when d-separation says it is open. A query mask with a
-bit at or past n is refused with ValueError.
+The kernel answers four queries, all on masks: `closure_up` and
+`closure_down` close a set under ancestors or descendants, `reachable`
+returns the nodes d-connected to a source set, and `dsep` asks whether that
+set misses a target. `reachable` runs the two-phase d-connection ball game:
+phase one closes the conditioning set under ancestors, phase two bounces
+over (node, direction) states so a path is followed exactly when
+d-separation says it is open. A query mask with a bit at or past n is
+refused with ValueError.
 
-The compiled kernel in _fast.c has the same three queries and the same
+The compiled kernel in _fast.c has the same four queries and the same
 error messages; the package picks it at import time when it is built.
 `tests/test_kernels.py` checks that both expose the same names.
 """
@@ -53,6 +55,12 @@ class BitDag:
         if mask >> self.n:
             raise ValueError(_OUTSIDE)
         return _closure(self._children, mask)
+
+    def reachable(self, src, z):
+        """Nodes d-connected to the source set given z (sources included)."""
+        if (src | z) >> self.n:
+            raise ValueError(_OUTSIDE)
+        return _reachable(self._parents, self._children, src, z)
 
     def dsep(self, a, b, z):
         """True iff every path between masks a and b is blocked by z."""

@@ -1,9 +1,9 @@
 """Bitmask reachability kernels: both backends, checked against each other
 and against a mask-free reference on random graphs.
 
-A kernel answers three queries, every argument a mask: `closure_up`,
-`closure_down` and `dsep`. Both backends must expose exactly these and
-`n`, and refuse the same masks with the same message.
+A kernel answers four queries, every argument a mask: `closure_up`,
+`closure_down`, `reachable` and `dsep`. Both backends must expose exactly
+these and `n`, and refuse the same masks with the same message.
 
 The compiled backend is built here from the hand-written `_fast.c`, once
 per session, into a temporary directory, and loaded under its own name
@@ -146,10 +146,10 @@ def test_compiled_backend_names_its_package_module(fast_build):
     assert module.BitDag.dsep.__qualname__ == "BitDag.dsep"
 
 
-KERNEL_API = {"n", "closure_up", "closure_down", "dsep"}
+KERNEL_API = {"n", "closure_up", "closure_down", "reachable", "dsep"}
 
 
-def test_backends_expose_the_same_three_queries(kernel):
+def test_backends_expose_the_same_queries(kernel):
     assert {name for name in dir(kernel) if not name.startswith("_")} == KERNEL_API
 
 
@@ -168,6 +168,8 @@ def test_chain_masks(kernel):
     assert dag.closure_down(0b001) == 0b111
     assert dag.closure_down(0b100) == 0b100
     assert dag.closure_up(0) == 0 and dag.closure_down(0) == 0
+    assert dag.reachable(0b001, 0) == 0b111
+    assert dag.reachable(0b001, 0b010) == 0b001
 
 
 def test_more_than_64_nodes_are_refused(kernel):
@@ -189,11 +191,13 @@ OUTSIDE = "^query mask references node >= n$"
     [
         lambda dag, m: dag.closure_up(m),
         lambda dag, m: dag.closure_down(m),
+        lambda dag, m: dag.reachable(m, 0),
+        lambda dag, m: dag.reachable(1, m),
         lambda dag, m: dag.dsep(m, 1, 0),
         lambda dag, m: dag.dsep(1, m, 0),
         lambda dag, m: dag.dsep(1, 2, m),
     ],
-    ids=["closure_up", "closure_down", "dsep_a", "dsep_b", "dsep_z"],
+    ids=["closure_up", "closure_down", "reachable_src", "reachable_z", "dsep_a", "dsep_b", "dsep_z"],
 )
 def test_query_mask_past_the_last_node_is_refused(kernel, query, mask):
     dag = kernel([0, 1, 2])  # 0 -> 1 -> 2
@@ -207,10 +211,13 @@ def test_query_masks_at_full_width(kernel):
     dag = kernel([0] * 64)
     full = 2**64 - 1
     assert dag.closure_up(full) == full and dag.closure_down(full) == full
+    assert dag.reachable(1, 0) == 1 and dag.reachable(full, 0) == full
     assert dag.dsep(1, full ^ 1, 0) and dag.dsep(1 << 63, full >> 1, 0)
     for mask in (1 << 64, -1):
         with pytest.raises(ValueError, match=OUTSIDE):
             dag.closure_up(mask)
+        with pytest.raises(ValueError, match=OUTSIDE):
+            dag.reachable(mask, 0)
         with pytest.raises(ValueError, match=OUTSIDE):
             dag.dsep(1, 2, mask)
 
@@ -224,6 +231,8 @@ def test_64_node_chain_uses_every_bit(kernel):
     assert dag.closure_down(1) == full
     assert dag.closure_up(1 << 62) == full >> 1
     assert dag.closure_down(1 << 63) == 1 << 63
+    assert dag.reachable(1 << 31, 0) == full
+    assert dag.reachable(1 << 31, 1 << 30) == full & ~((1 << 31) - 1)
     assert not dag.dsep(1, 1 << 63, 0)
     assert dag.dsep(1, 1 << 63, 1 << 31)
 
@@ -249,6 +258,7 @@ def test_collider_descendant_opens(kernel):
 
 def test_reachable_excludes_nothing_reachable(kernel):
     dag = kernel([0, 0])  # two isolated nodes
+    assert dag.reachable(0b01, 0) == 0b01
     assert dag.dsep(0b01, 0b10, 0)
 
 
@@ -283,6 +293,7 @@ def test_dsep_against_naive_oracle(kernel):
         z = [i for i in rest if rng.random() < 0.4]
         want = naive_d_separated(edges, [a], [b], z)
         assert dag.dsep(1 << a, 1 << b, mask_of(z)) == want
+        assert (not dag.reachable(1 << a, mask_of(z)) >> b & 1) == want
 
 
 @needs_compiler
@@ -302,6 +313,7 @@ def test_backend_parity_on_random_graphs(fast_build):
         # one target per node reads the whole d-connected set of a given z
         a = rng.getrandbits(n)
         z = rng.getrandbits(n) & ~a
+        assert pure.reachable(a, z) == fast.reachable(a, z)
         for j in range(n):
             assert pure.dsep(a, 1 << j, z) == fast.dsep(a, 1 << j, z)
 
@@ -319,11 +331,15 @@ def test_compiled_kernel_does_not_leak(fast_build):
         dag.n
         dag.closure_up((1 << 11) | (r & 1))
         dag.closure_down(1)
+        dag.reachable(1, r & 2)
         dag.dsep(1, (1 << 11) | (r & 1), 1 << 5)
         for call, *args in (
             (dag.closure_up, big),
             (dag.closure_up, -big),
             (dag.closure_down, 1 << 12),
+            (dag.reachable, big, 0),
+            (dag.reachable, 1, -big),
+            (dag.reachable, 1),
             (dag.dsep, big << 30, 2, 0),
             (dag.dsep, 1, -big, 0),
             (dag.dsep, 1, 2, 1 << 12),
