@@ -23,7 +23,8 @@ the conditional confounder run passes of their own.
 
 A lane vector is turned back into sets in canonical order: by size, then
 lexicographically by the sorted name tuple (`graph._lane_sets`); this is
-also the order of `subsets_canonical`, which the model-side scans still
+also the order of `subsets_canonical`, which the subset scans that remain
+(selection, and D5 and D6 on a model with an undefined risk difference)
 walk. Every "first witness" set in the package means first in that order,
 and every first witness path means first in the lexicographic order of
 `backdoor_paths`.

@@ -16,6 +16,19 @@ D1-D4 need only the graph; D5/D6 need a DiscreteModel. Existential
 quantifiers range over subsets of the covariate pool minus C, visited in
 canonical order, so witnesses are reproducible.
 
+The model scans visit only the contexts the graph leaves open. A model
+factorizes over its Dag, so d-separation implies exact independence (the
+global Markov property), zero CPT entries included. A witness of numeric
+D1 is therefore a graphical D1 context, and so is every context where
+adding C can change a risk difference: if C is independent of A given X,
+or of Y given (A, X), adding C to X leaves the risk difference as it is,
+when both are defined. Numeric D1 always tests the graphical D1 contexts
+only (`_d1_contexts`); D5 and D6 do when every risk difference of the
+model is defined (`DiscreteModel._rd_defined`), and otherwise walk every
+context, so that an error is raised at the context a full scan meets it.
+Either way the verdicts and witnesses are those of a scan over every
+context.
+
 The implication lattice: D3=>D4=>D2, D4=>D1, D3=>D1 hold on every DAG
 (D1 in its graphical reading); D5=>D6=>D1, D5=>D1 hold in every model
 (D1 numeric). All other arrows can fail and are only ever counted as
@@ -89,34 +102,66 @@ def _context_sets(dag, variable):
     return _require_enumerable(others, f"the context search for {variable!r}")
 
 
-def classify_d1_graphical(dag, variable):
-    """(verdict, witness X): C d-connected to A given X and to Y given
-    (A, X), for the canonically first context X that works.
+def _d1_contexts(dag, variable):
+    """The graphical D1 contexts of C, in canonical order: each X in which
+    C is d-connected to A given X and to Y given (A, X).
 
-    The empty context, the usual witness, is one scalar probe; on a miss
-    two sliced passes from C, given X and given X plus A, mark every
-    context at once."""
+    The empty context, the usual first one, is one scalar probe. Only when
+    more are asked for are the rest read off the D1 lane vector: two sliced
+    passes from C, given X and given X plus A, that mark every context at
+    once. The vector is kept per covariate on the Dag (`_d1`), so the
+    graphical D1 and the model scans share one pair of passes.
+    """
     others = _context_sets(dag, variable)
     kernel = dag._kernel
     c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
     if not kernel.dsep(1 << c, 1 << a, 0) and not kernel.dsep(1 << c, 1 << y, 1 << a):
-        return True, ()
+        yield ()
     if not others:
-        return False, None
-    members = [dag._index[name] for name in others]
-    full = (1 << (1 << len(others))) - 1
-    connected = full & ~_sliced_dsep(dag, c, 1 << a, 0, members)
-    if connected:
-        connected &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
-    context = next(_lane_sets(connected, others), None)
+        return
+    if dag._d1 is None:
+        dag._d1 = {}
+    connected = dag._d1.get(variable)
+    if connected is None:
+        members = [dag._index[name] for name in others]
+        full = (1 << (1 << len(others))) - 1
+        connected = full & ~_sliced_dsep(dag, c, 1 << a, 0, members)
+        if connected:
+            connected &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
+        dag._d1[variable] = connected
+    # lane 0, the empty context, was the probe's
+    yield from _lane_sets(connected & ~1, others)
+
+
+def _model_contexts(model, variable):
+    """The contexts the D5 and D6 scans must test, in canonical order,
+    after their checks: the graphical D1 contexts when every risk
+    difference is defined (`_rd_defined`), every context otherwise."""
+    others = _context_sets(model.dag, variable)
+    model._require_binary_exposure()
+    if model._rd_defined:
+        return _d1_contexts(model.dag, variable)
+    return subsets_canonical(others)
+
+
+def classify_d1_graphical(dag, variable):
+    """(verdict, witness X): C d-connected to A given X and to Y given
+    (A, X), for the canonically first context X that works."""
+    context = next(_d1_contexts(dag, variable), None)
     return context is not None, context
 
 
 def classify_d1_numeric(model, variable):
-    """Same quantifier as the graphical D1, with exact CI tests."""
-    others = _context_sets(model.dag, variable)
+    """Same quantifier as the graphical D1, with exact CI tests.
+
+    The model factorizes over its Dag, so d-separation implies exact
+    independence (the global Markov property), with zero CPT entries too.
+    A context where C is dependent on A, and on Y given A, is therefore a
+    graphical D1 context, and only those are tested, in the same order:
+    the verdict and witness are those of a scan over every context.
+    """
     c, a, y = (variable,), (model.dag.exposure,), (model.dag.outcome,)
-    for context in subsets_canonical(others):
+    for context in _d1_contexts(model.dag, variable):
         if model._ci(c, a, context):
             continue
         if model._ci(c, y, context + a):
@@ -154,10 +199,16 @@ def classify_d4(dag, variable):
 
 def classify_d5(model, variable):
     """(verdict, witness (X, (|bias with C|, |bias without|))): adding C to
-    some context strictly shrinks absolute bias."""
-    others = _context_sets(model.dag, variable)
-    model._require_binary_exposure()
-    for context in subsets_canonical(others):
+    some context strictly shrinks absolute bias.
+
+    Where C is independent of A given X, or of Y given (A, X), adding C
+    leaves the risk difference as it is, provided both are defined. So
+    when every risk difference is (`_rd_defined`), only the graphical D1
+    contexts are tested (see `classify_d1_numeric`); otherwise every
+    context is, so the first PositivityViolation or ModelError is raised
+    where a full scan raises it.
+    """
+    for context in _model_contexts(model, variable):
         with_c = model._abs_bias(tuple(sorted(context + (variable,))))
         without = model._abs_bias(context)
         if with_c < without:
@@ -167,10 +218,8 @@ def classify_d5(model, variable):
 
 def classify_d6(model, variable):
     """(verdict, witness X): adding C to some context changes the
-    standardized risk difference."""
-    others = _context_sets(model.dag, variable)
-    model._require_binary_exposure()
-    for context in subsets_canonical(others):
+    standardized risk difference. Contexts as for `classify_d5`."""
+    for context in _model_contexts(model, variable):
         if model._rd_of(tuple(sorted(context + (variable,)))) != model._rd_of(context):
             return True, context
     return False, None

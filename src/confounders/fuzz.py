@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from numbers import Real
 
 from .adjust import (
     _sufficiency_vector,
@@ -69,9 +70,11 @@ class FuzzConfig:
             raise InvalidConfig("seed is mandatory and must be an int")
         if not isinstance(self.n_nodes, int) or not 2 <= self.n_nodes <= MAX_FUZZ_NODES:
             raise InvalidConfig(f"n_nodes must be an int in [2, {MAX_FUZZ_NODES}]")
-        if not isinstance(self.n_trials, int) or self.n_trials < 0:
+        if isinstance(self.n_trials, bool) or not isinstance(self.n_trials, int) or self.n_trials < 0:
             raise InvalidConfig("n_trials must be a nonnegative int")
-        if not 0 < float(self.edge_prob) <= 1:
+        if isinstance(self.edge_prob, bool) or not isinstance(self.edge_prob, Real):
+            raise InvalidConfig("edge_prob must be a real number")
+        if not 0 < self.edge_prob <= 1:
             raise InvalidConfig("edge_prob must lie in (0, 1]")
 
 
@@ -148,7 +151,9 @@ def random_dag(rng, n_nodes, edge_prob):
 
 def random_model(rng, dag):
     """Strictly positive binary CPTs with rational entries num/den, den <=
-    MAX_DENOMINATOR; positivity holds by construction."""
+    MAX_DENOMINATOR; positivity holds by construction. Every row sums to 1
+    and lists the node's sorted parents, so the model is built without the
+    constructor's checks."""
     spaces = {name: (0, 1) for name in dag.nodes}
     cpts = {}
     for node in dag.nodes:
@@ -159,7 +164,7 @@ def random_model(rng, dag):
             num = rng.randint(1, den - 1)
             table[key] = (Fraction(den - num, den), Fraction(num, den))
         cpts[node] = Cpt(node, parents, table)
-    return DiscreteModel(dag, spaces, cpts)
+    return DiscreteModel._trusted(dag, spaces, cpts)
 
 
 def _run_trial(index, dag, model, failures, counters):

@@ -265,7 +265,7 @@ class Dag(Graph):
     """
 
     __slots__ = (
-        "exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency", "_catalog"
+        "exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency", "_catalog", "_d1"
     )
 
     def __init__(self, nodes, edges, exposure, outcome, declared_pre=None):
@@ -286,6 +286,7 @@ class Dag(Graph):
         self._pool = None
         self._sufficiency = None  # adjust._sufficiency_vector
         self._catalog = None  # adjust.minimal_sufficient_sets
+        self._d1 = None  # classify._d1_contexts: {covariate: lane vector}, made on first use
 
     @property
     def covariate_pool(self):

@@ -21,7 +21,8 @@ question is an ordinary query of it: Y_a ⟂ A | S is `_ci`, E(Y_a) is
 `cond_expectation`, and the average causal effect is E(Y_1) - E(Y_0).
 Intervened and single-world models are derived from a checked model
 (`_derived`): same state spaces and key layout, CPTs and integer rows
-reused, nothing checked twice.
+reused, nothing checked twice. The fuzzer's draws are valid by
+construction and skip the checks as well (`_trusted`).
 
 One loop multiplies integer CPT entries (`_joint_items`), with no modes:
 it walks the Dag in topological order and grows every partial assignment
@@ -169,18 +170,7 @@ class DiscreteModel:
             if len(set(states)) != len(states):
                 raise ModelError(f"duplicate states for node {node!r}")
             spaces[node] = states
-        self.state_spaces = spaces
-        # the key layout: each node, in Dag node order, owns a field of
-        # `(len(states) - 1).bit_length()` bits that holds the index of its
-        # state; `_codes[node][state]` is that index shifted into the field,
-        # `_fields[node]` the field's mask (0 for a one-state node), and a
-        # key is the sum of its nodes' codes
-        self._fields, self._codes, shift = {}, {}, 0
-        for node in dag.nodes:
-            width = (len(spaces[node]) - 1).bit_length()
-            self._fields[node] = ((1 << width) - 1) << shift
-            self._codes[node] = {state: i << shift for i, state in enumerate(spaces[node])}
-            shift += width
+        self._layout(spaces)
 
         normalized = {}
         for node in cpts:
@@ -191,6 +181,33 @@ class DiscreteModel:
                 raise ModelError(f"no cpt for node {node!r}")
             normalized[node] = self._check_cpt(node, cpts[node])
         self._setup(normalized, {node: self._integer_rows(c) for node, c in normalized.items()})
+
+    @classmethod
+    def _trusted(cls, dag, state_spaces, cpts):
+        """The model the constructor builds from these arguments, with
+        nothing checked: the caller vouches that they would pass the checks
+        unchanged, as `fuzz.random_model`'s draws do by construction (state
+        spaces are tuples; each Cpt lists the node's parents and one row of
+        Fractions per parent state tuple, keyed in product order)."""
+        model = cls.__new__(cls)
+        model.dag = dag
+        model._layout(state_spaces)
+        model._setup(cpts, {node: model._integer_rows(c) for node, c in cpts.items()})
+        return model
+
+    def _layout(self, spaces):
+        """Set the state spaces and the key layout: each node, in Dag node
+        order, owns a field of `(len(states) - 1).bit_length()` bits that
+        holds the index of its state; `_codes[node][state]` is that index
+        shifted into the field, `_fields[node]` the field's mask (0 for a
+        one-state node), and a key is the sum of its nodes' codes."""
+        self.state_spaces = spaces
+        self._fields, self._codes, shift = {}, {}, 0
+        for node in self.dag.nodes:
+            width = (len(spaces[node]) - 1).bit_length()
+            self._fields[node] = ((1 << width) - 1) << shift
+            self._codes[node] = {state: i << shift for i, state in enumerate(spaces[node])}
+            shift += width
 
     def _integer_rows(self, cpt):
         """(scale, {packed parent key: ((code, weight > 0), ...)}): the table
@@ -485,6 +502,20 @@ class DiscreteModel:
             for code, v in zip(self._codes[y].values(), values)
         }
         return numeric, d, slots
+
+    @cached_property
+    def _rd_defined(self):
+        """Whether every covariate set's risk difference is defined, so that
+        `_standardized_rd` cannot raise: the outcome's states are numeric
+        and every CPT entry is positive (each integer row holds one entry
+        per state), so every stratum has both arms. The exposure must be
+        binary."""
+        spaces = self.state_spaces
+        return self._rd_outcome[0] and all(
+            len(row) == len(spaces[node])
+            for node, (_, rows) in self._rows.items()
+            for row in rows.values()
+        )
 
     def _standardized_rd(self, covariates):
         """standardized_rd of a sorted pool tuple, uncached, in one pass

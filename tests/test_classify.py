@@ -1,10 +1,13 @@
 """The six confounder definitions, their witnesses, the implication lattice,
 and the conditional/surrogate variants."""
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import confounders.classify as classify_module
 from confounders.classify import (
     DASHED_EDGES,
     SOLID_GRAPH_EDGES,
@@ -23,7 +26,9 @@ from confounders.classify import (
     surrogate_confounder,
 )
 from confounders.errors import IncompleteReport, NotACovariate, OverlappingSets
+from confounders.fuzz import random_dag, random_model
 from confounders.graph import Dag
+from confounders.model import DiscreteModel
 from confounders.registry import get_entry
 
 F = Fraction
@@ -139,6 +144,59 @@ def test_witnesses_only_for_held_definitions():
     assert set(report.witnesses) >= {"D1", "D5", "D6"}
     assert report.witnesses["D2"] is None
     assert report.witnesses["D5"][0] == ()
+
+
+# -- one D1 lane vector per covariate -------------------------------------------------
+
+
+def counted_passes(monkeypatch):
+    """{(Dag, covariate index): sliced passes classify ran from it}; the
+    Dags are kept alive, so their ids stay unique."""
+    passes, graphs = Counter(), []
+    real = classify_module._sliced_dsep
+
+    def counted(graph, source, *rest):
+        passes[id(graph), source] += 1
+        graphs.append(graph)
+        return real(graph, source, *rest)
+
+    monkeypatch.setattr(classify_module, "_sliced_dsep", counted)
+    return passes
+
+
+def test_a_model_report_runs_two_sliced_passes_per_covariate(monkeypatch):
+    # graphical D1, numeric D1, D5 and D6 read one lane vector, kept on
+    # the Dag per covariate: a second report on the same Dag runs no pass,
+    # and each report is the one a fresh Dag and model give
+    passes = counted_passes(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(30):
+        dag = random_dag(rng, 7, 0.4)
+        model = random_model(rng, dag)
+        for variable in dag.covariate_pool:
+            report = classify_variable(dag, variable, model)
+            assert classify_variable(dag, variable, model) == report
+            fresh = Dag(dag.nodes, dag.edges, dag.exposure, dag.outcome)
+            fresh_model = DiscreteModel(fresh, model.state_spaces, model.cpts)
+            assert classify_variable(fresh, variable, fresh_model) == report
+    assert set(passes.values()) == {1, 2}
+
+
+def test_a_graph_report_with_an_empty_context_hit_runs_no_sliced_pass(monkeypatch):
+    passes = counted_passes(monkeypatch)
+    rng = random.Random(8)
+    hits = misses = 0
+    for _ in range(30):
+        dag = random_dag(rng, 7, 0.4)
+        for variable in dag.covariate_pool:
+            report = classify_variable(dag, variable)
+            ran = passes[id(dag), dag._index[variable]]
+            if report.witnesses["D1"] == ():
+                assert ran == 0
+                hits += 1
+            else:
+                misses += ran > 0
+    assert hits and misses
 
 
 # -- implication lattice ------------------------------------------------------------

@@ -2,12 +2,14 @@
 silent, phenomenon counters counting, and byte-level determinism."""
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from confounders.errors import InvalidConfig
 from confounders.fuzz import FuzzConfig, FuzzReport, fuzz, random_dag, random_model
 from confounders.graph import Dag
+from confounders.model import DiscreteModel
 
 
 # -- config validation -------------------------------------------------------------
@@ -31,6 +33,25 @@ def test_config_bounds():
         FuzzConfig(n_nodes=5, edge_prob=1.5, n_trials=5, seed=1)
     with pytest.raises(InvalidConfig):
         FuzzConfig(n_nodes=5, edge_prob=0.4, n_trials=-1, seed=1)
+
+
+@pytest.mark.parametrize("edge_prob", ["0.5", "abc", None, True, [0.5]])
+def test_config_requires_a_real_edge_prob(edge_prob):
+    # a string once passed validation and failed inside random_dag; True
+    # once passed as 1.0
+    with pytest.raises(InvalidConfig, match="edge_prob must be a real number"):
+        FuzzConfig(n_nodes=4, edge_prob=edge_prob, n_trials=1, seed=1)
+
+
+@pytest.mark.parametrize("n_trials", [True, False, 1.0, "1", None])
+def test_config_requires_an_int_n_trials(n_trials):
+    with pytest.raises(InvalidConfig, match="n_trials must be a nonnegative int"):
+        FuzzConfig(n_nodes=4, edge_prob=0.5, n_trials=n_trials, seed=1)
+
+
+def test_config_accepts_real_edge_probs():
+    for edge_prob in (1, Fraction(1, 3), 0.25):
+        assert fuzz(FuzzConfig(n_nodes=4, edge_prob=edge_prob, n_trials=2, seed=1)).ok
 
 
 def test_fuzz_accepts_config_dict():
@@ -119,6 +140,18 @@ def test_random_model_is_binary_with_small_denominators():
         for row in model.cpts[node].table.values():
             assert sum(row) == 1
             assert all(p.denominator <= 64 for p in row)
+
+
+def test_random_model_is_the_model_the_checked_constructor_builds():
+    # random_model skips the constructor's checks; each draw must pass them
+    # and come out the same
+    rng = random.Random(29)
+    for n_nodes in range(2, 11):
+        for _ in range(10):
+            model = random_model(rng, random_dag(rng, n_nodes, 0.4))
+            checked = DiscreteModel(model.dag, model.state_spaces, model.cpts)
+            for attr in ("state_spaces", "cpts", "_fields", "_codes", "_rows", "_den", "_steps"):
+                assert getattr(model, attr) == getattr(checked, attr), attr
 
 
 # -- runs ----------------------------------------------------------------------------

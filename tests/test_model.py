@@ -23,12 +23,19 @@ from confounders.errors import (
     UnknownState,
     ZeroProbabilityCondition,
 )
-from confounders.classify import classify_d5, classify_d6
+from confounders.classify import (
+    _d1_contexts,
+    classify_d1_graphical,
+    classify_d1_numeric,
+    classify_d5,
+    classify_d6,
+    classify_variable,
+)
 from confounders.formats import parse_graph, parse_model
 from confounders.graph import Dag, Graph
 from confounders.model import MAX_JOINT, Cpt, DiscreteModel, as_fraction
 from confounders.registry import get_entry
-from confounders.fuzz import FuzzConfig, fuzz, random_dag, random_model
+from confounders.fuzz import FuzzConfig, _run_trial, fuzz, random_dag, random_model
 from helpers_oracle import (
     NaiveModel,
     _marginal,
@@ -725,10 +732,10 @@ LAYOUT_STATES = (
 LAYOUT_OUTCOMES = ((F(5, 2),), (0, 1), (F(-1, 2), 0, 3, F(7, 3)), (0, 1, 2, 3, 4))
 
 
-def layout_model(rng, n_nodes):
+def layout_model(rng, n_nodes, row=small_row):
     """A raw_model DAG with the exposure's states in either order and
     every other node's states drawn from LAYOUT_STATES (the outcome's
-    from LAYOUT_OUTCOMES)."""
+    from LAYOUT_OUTCOMES), CPT rows drawn by `row`."""
     names, edges, exposure, outcome, _, _ = raw_model(rng, n_nodes)
     spaces = {v: rng.choice(LAYOUT_STATES) for v in names}
     spaces[exposure] = rng.choice(((0, 1), (1, 0)))
@@ -737,7 +744,28 @@ def layout_model(rng, n_nodes):
     for v in names:
         parents = tuple(sorted(u for u, w in edges if w == v))
         keys = product(*(spaces[q] for q in parents))
-        cpts[v] = (parents, {key: small_row(rng, len(spaces[v])) for key in keys})
+        cpts[v] = (parents, {key: row(rng, len(spaces[v])) for key in keys})
+    return names, edges, exposure, outcome, spaces, cpts
+
+
+def positive_row(rng, size):
+    """A small_row with no zero entry."""
+    weights = [rng.choice((1, 2, 3)) for _ in range(size)]
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def unfaithful_model(rng, n_nodes, row=small_row):
+    """A layout_model in which each node reads only some of its parents:
+    the row of the first key that agrees on the parents it reads is copied
+    to every other such key. So the model holds exact independences that
+    its graph does not show."""
+    names, edges, exposure, outcome, spaces, cpts = layout_model(rng, n_nodes, row)
+    for v, (parents, table) in cpts.items():
+        read = [i for i in range(len(parents)) if rng.random() < 0.5]
+        first = {}
+        for key, vector in table.items():
+            first.setdefault(tuple(key[i] for i in read), vector)
+        cpts[v] = (parents, {key: first[tuple(key[i] for i in read)] for key in table})
     return names, edges, exposure, outcome, spaces, cpts
 
 
@@ -841,13 +869,16 @@ def naive_d5_d6(names, spaces, cpts, exposure, outcome, pool, variable):
     return outcome_of(d5), outcome_of(d6)
 
 
-def d5_d6_case(seed, n_nodes):
+def d5_d6_case(seed, n_nodes, draw=layout_model, row=small_row):
     """Compare classify_d5 and classify_d6 with the naive scan for every
-    covariate of one layout_model; returns the kinds of case it met."""
+    covariate of one drawn model; returns the kinds of case it met. With
+    positive rows every risk difference is defined, so the scans test the
+    graphical D1 contexts only."""
     rng = random.Random(seed)
-    names, edges, exposure, outcome, spaces, cpts = layout_model(rng, n_nodes)
+    names, edges, exposure, outcome, spaces, cpts = draw(rng, n_nodes, row)
     dag = Dag(names, edges, exposure, outcome)
     model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    assert model._rd_defined or row is not positive_row
     kinds = set()
     for variable in dag.covariate_pool:
         want = naive_d5_d6(names, spaces, cpts, exposure, outcome, dag.covariate_pool, variable)
@@ -867,12 +898,87 @@ def test_d5_and_d6_match_a_naive_scan(seed, n_nodes):
     d5_d6_case(seed, n_nodes)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.sampled_from((layout_model, unfaithful_model)))
+def test_pruned_d5_and_d6_match_a_naive_scan(seed, n_nodes, draw):
+    d5_d6_case(seed, n_nodes, draw, positive_row)
+
+
 def test_d5_and_d6_scan_meets_every_case():
-    # both exposure orders, each with verdicts held, failed and raised
-    kinds = set()
+    # both exposure orders, each with verdicts held, failed and raised;
+    # with positive rows, held and failed, in the pruned scan
+    kinds, pruned = set(), set()
     for seed in range(120):
         kinds |= d5_d6_case(seed, 3 + seed % 3)
-    assert kinds == {(order, kind) for order in ((0, 1), (1, 0)) for kind in (True, False, "raises")}
+        pruned |= d5_d6_case(seed, 3 + seed % 3, unfaithful_model if seed % 2 else layout_model, positive_row)
+    orders = ((0, 1), (1, 0))
+    assert kinds == {(order, kind) for order in orders for kind in (True, False, "raises")}
+    assert pruned == {(order, kind) for order in orders for kind in (True, False)}
+
+
+# -- numeric D1 against a naive scan -----------------------------------------------------
+
+
+def naive_d1_numeric(names, spaces, joint, exposure, outcome, pool, variable):
+    """Numeric D1 of `variable` by a scan over all of its contexts in
+    canonical order, each independence tested in the flat joint."""
+    for context in all_subsets([v for v in pool if v != variable]):
+        if naive_independent(names, spaces, joint, (variable,), (exposure,), context):
+            continue
+        if naive_independent(names, spaces, joint, (variable,), (outcome,), context + (exposure,)):
+            continue
+        return True, context
+    return False, None
+
+
+def d1_numeric_case(seed, n_nodes, draw):
+    """Compare classify_d1_numeric with the naive scan for every covariate
+    of one drawn model; returns the kinds of case it met, each numeric
+    verdict beside the graphical one."""
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = draw(rng, n_nodes)
+    dag = Dag(names, edges, exposure, outcome)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    joint = naive_joint(names, spaces, cpts)
+    kinds = set()
+    for variable in dag.covariate_pool:
+        want = naive_d1_numeric(names, spaces, joint, exposure, outcome, dag.covariate_pool, variable)
+        assert classify_d1_numeric(model, variable) == want
+        graphical = classify_d1_graphical(dag, variable)
+        kinds.add((want[0], graphical[0], want == graphical))
+    return kinds
+
+
+def fuzz_draw(rng, n_nodes):
+    """A model fuzz draw, random_dag and random_model, as raw data: its
+    pools are wider than raw_model's."""
+    dag = random_dag(rng, n_nodes, 0.4)
+    model = random_model(rng, dag)
+    cpts = {v: (c.parent_order, c.table) for v, c in model.cpts.items()}
+    return dag.nodes, dag.edges, dag.exposure, dag.outcome, model.state_spaces, cpts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.sampled_from((layout_model, unfaithful_model)))
+def test_d1_numeric_matches_a_naive_scan(seed, n_nodes, draw):
+    # zero entries, 3-state nodes and both exposure orders (layout_model),
+    # and exact cancellations (unfaithful_model)
+    d1_numeric_case(seed, n_nodes, draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 8))
+def test_d1_numeric_matches_a_naive_scan_on_fuzz_draws(seed, n_nodes):
+    d1_numeric_case(seed, n_nodes, fuzz_draw)
+
+
+def test_d1_numeric_scan_meets_every_case():
+    # numeric and graphical D1 agree; numeric fails where the graph holds;
+    # both hold with different witnesses (rarer: seeds 285 and 127 draw it)
+    kinds = set()
+    for seed, n_nodes in [(seed, 3 + seed % 4) for seed in range(80)] + [(285, 5), (127, 6)]:
+        kinds |= d1_numeric_case(seed, n_nodes, unfaithful_model)
+    assert kinds == {(True, True, True), (False, False, True), (False, True, False), (True, True, False)}
 
 
 # -- the extension loop ------------------------------------------------------------------
@@ -953,9 +1059,21 @@ def test_derived_models_pass_the_checked_constructor(seed, n_nodes):
 
 
 def one_model_trial():
-    """Run one 6-node model fuzz trial; its Dag has a three-member pool."""
-    report = fuzz(FuzzConfig(6, 0.35, 1, 3, with_models=True))
-    assert report.hard_failures == ()
+    """Run the one trial of a 6-node model fuzz run (seed 5; its Dag has a
+    four-member pool and graphical D1 contexts for every member), then ask its model again: every covariate's report,
+    and every subset's risk difference with its members in reverse order.
+    The trial's scans ask each set once; the second round must be answered
+    from what the first one kept."""
+    rng = random.Random(5)
+    dag = random_dag(rng, 6, 0.35)
+    model = random_model(rng, dag)
+    failures = []
+    _run_trial(0, dag, model, failures, Counter())
+    assert failures == []
+    for variable in dag.covariate_pool:
+        classify_variable(dag, variable, model)
+    for subset in all_subsets(dag.covariate_pool):
+        model.standardized_rd(subset[::-1])
 
 
 def test_each_risk_difference_is_computed_once_per_set(monkeypatch):
@@ -1020,6 +1138,100 @@ def test_each_node_set_is_summed_once_per_model(monkeypatch):
     one_model_trial()
     assert set(summed.values()) == {1}
     assert any(len(seen) > 1 for seen in orders.values())  # asked in two orders
+
+
+def scanned_sets(contexts, variable, witness_context):
+    """The sets whose risk differences a D5 or D6 scan over `contexts`
+    asks for: each context and the context plus `variable`, up to the
+    witness's context."""
+    out = set()
+    for context in contexts:
+        out |= {context, tuple(sorted(context + (variable,)))}
+        if context == witness_context:
+            break
+    return out
+
+
+def test_d5_and_d6_ask_only_the_graphical_d1_contexts(monkeypatch):
+    # strictly positive CPTs: only the graphical D1 contexts are tested;
+    # one zero entry in the outcome's CPT leaves every risk difference
+    # defined, but the scans then test every context
+    asked = []
+    kept = DiscreteModel._rd_of
+
+    def counted(self, covariates):
+        asked.append(covariates)
+        return kept(self, covariates)
+
+    monkeypatch.setattr(DiscreteModel, "_rd_of", counted)
+    seen = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        dag = random_dag(rng, 6, 0.35)
+        positive = random_model(rng, dag)
+        cpts = dict(positive.cpts)
+        y = cpts[dag.outcome]
+        first = next(iter(y.table))
+        cpts[dag.outcome] = Cpt(dag.outcome, y.parent_order, {**y.table, first: (F(1), F(0))})
+        for model in (positive, DiscreteModel(dag, positive.state_spaces, cpts)):
+            assert model._rd_defined == (model is positive)
+            for variable in dag.covariate_pool:
+                others = [c for c in dag.covariate_pool if c != variable]
+                contexts = list(
+                    _d1_contexts(dag, variable) if model is positive else all_subsets(others)
+                )
+                for classify in (classify_d5, classify_d6):
+                    fresh = DiscreteModel(dag, model.state_spaces, model.cpts)
+                    del asked[:]
+                    held, witness = classify(fresh, variable)
+                    context = witness[0] if classify is classify_d5 and held else witness
+                    assert set(asked) == scanned_sets(contexts, variable, context)
+                    seen[model is positive, bool(asked), len(contexts) < 2 ** len(others)] += 1
+    # positive models whose scans ask nothing, or fewer than every context
+    assert seen[True, False, True] and seen[True, True, True]
+    assert seen[False, True, False] and not seen[False, False, False]
+
+
+def test_every_random_model_has_every_risk_difference_defined():
+    # model fuzz keeps the pruned D5 and D6 scans
+    rng = random.Random(4)
+    for n_nodes in (2, 4, 6, 8, 10):
+        for _ in range(20):
+            assert random_model(rng, random_dag(rng, n_nodes, 0.4))._rd_defined
+
+
+def test_a_model_past_the_joint_cap_answers_when_the_graph_leaves_no_context():
+    # C causes Y alone, so no context leaves C d-connected to A: numeric
+    # D1, D5 and D6 answer without the joint, which is over the cap. The
+    # confounder Z's scans need it, and raise.
+    isolated = [f"N{i:02d}" for i in range(12)]
+    dag = Dag(
+        ["A", "Y", "C", "Z"] + isolated,
+        [("C", "Y"), ("Z", "A"), ("Z", "Y"), ("A", "Y")],
+        "A",
+        "Y",
+    )
+    spaces = {v: (0, 1) for v in ("A", "Y", "C", "Z")} | {v: ("a", "b", "c") for v in isolated}
+    cpts = {v: Cpt(v, (), {(): (F(1, 3),) * 3}) for v in isolated}
+    cpts["C"] = Cpt("C", (), {(): (F(1, 2), F(1, 2))})
+    cpts["Z"] = Cpt("Z", (), {(): (F(1, 4), F(3, 4))})
+    cpts["A"] = Cpt("A", ("Z",), {(0,): (F(1, 3), F(2, 3)), (1,): (F(3, 4), F(1, 4))})
+    cpts["Y"] = Cpt(
+        "Y",
+        ("A", "C", "Z"),
+        {k: (F(2, 5 + sum(k)), F(3 + sum(k), 5 + sum(k))) for k in product((0, 1), repeat=3)},
+    )
+    model = DiscreteModel(dag, spaces, cpts)
+    assert 16 * 3**12 > MAX_JOINT and model._rd_defined
+    assert classify_d1_numeric(model, "C") == (False, None)
+    assert classify_d5(model, "C") == (False, None)
+    assert classify_d6(model, "C") == (False, None)
+    report = classify_variable(dag, "C", model)
+    assert report.d1_numeric is False and not report.verdicts["D5"] and not report.verdicts["D6"]
+    assert model._joint is None
+    for classify in (classify_d1_numeric, classify_d5, classify_d6):
+        with pytest.raises(SizeLimit, match="joint state space"):
+            classify(model, "Z")
 
 
 @pytest.mark.parametrize("stem", ["fig1", "fig2", "fig3", "fig4", "prop5"])
