@@ -36,7 +36,7 @@ observations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .adjust import (
     _first_backdoor_path,
@@ -263,6 +263,28 @@ def conditional_confounder(dag, variable, conditioning=()):
     return True, tuple(name for name in full if name != variable)
 
 
+def _broken_arrows(verdicts, d1_numeric, has_model):
+    """The solid arrows a verdict table breaks, as `check_implications`
+    labels them."""
+    broken = [f"{p}=>{c}" for p, c in SOLID_GRAPH_EDGES if verdicts[p] and not verdicts[c]]
+    if has_model:
+        layer = dict(verdicts, D1=verdicts["D1"] if d1_numeric is None else d1_numeric)
+        broken += [f"{p}=>{c}" for p, c in SOLID_MODEL_EDGES if layer[p] and not layer[c]]
+    return tuple(broken)
+
+
+def _dashed_arrows(verdicts, has_model):
+    """The dashed arrows a verdict table shows, as `dashed_observations`
+    labels them; without a model, those that touch D5 or D6 are skipped."""
+    return tuple(
+        f"{p}->{c}"
+        for p, c in DASHED_EDGES
+        if (has_model or {p, c}.isdisjoint(MODEL_DEFINITIONS))
+        and verdicts.get(p)
+        and verdicts.get(c) is False
+    )
+
+
 def check_implications(report, has_model):
     """Verify the solid lattice arrows against a report.
 
@@ -270,40 +292,17 @@ def check_implications(report, has_model):
     graphically; model-layer arrows read it numerically when available.
     Dashed arrows are never checked here (see dashed_observations).
     """
-    verdicts = report.verdicts
-    for def_id in GRAPH_DEFINITIONS:
-        if def_id not in verdicts:
+    for def_id in DEFINITIONS if has_model else GRAPH_DEFINITIONS:
+        if def_id not in report.verdicts:
             raise IncompleteReport(f"report for {report.variable!r} lacks {def_id}")
-    if has_model:
-        for def_id in MODEL_DEFINITIONS:
-            if def_id not in verdicts:
-                raise IncompleteReport(f"report for {report.variable!r} lacks {def_id}")
-    violated = []
-    for premise, conclusion in SOLID_GRAPH_EDGES:
-        if verdicts[premise] and not verdicts[conclusion]:
-            violated.append(f"{premise}=>{conclusion}")
-    if has_model:
-        d1_numeric = report.d1_numeric if report.d1_numeric is not None else verdicts["D1"]
-        layer = {"D5": verdicts["D5"], "D6": verdicts["D6"], "D1": d1_numeric}
-        for premise, conclusion in SOLID_MODEL_EDGES:
-            if layer[premise] and not layer[conclusion]:
-                violated.append(f"{premise}=>{conclusion}")
-    return not violated, tuple(violated)
+    violated = _broken_arrows(report.verdicts, report.d1_numeric, has_model)
+    return not violated, violated
 
 
 def dashed_observations(report, has_model):
     """Dashed arrows whose premise holds but conclusion fails: reported,
     never a failure."""
-    verdicts = report.verdicts
-    out = []
-    for premise, conclusion in DASHED_EDGES:
-        if conclusion in MODEL_DEFINITIONS and not has_model:
-            continue
-        if premise in MODEL_DEFINITIONS and not has_model:
-            continue
-        if verdicts.get(premise) and verdicts.get(conclusion) is False:
-            out.append(f"{premise}->{conclusion}")
-    return tuple(out)
+    return _dashed_arrows(report.verdicts, has_model)
 
 
 def _evaluators(dag, model=None):
@@ -361,15 +360,12 @@ def classify_variable(dag, variable, model=None):
     if has_model:
         d1_numeric, witnesses["D1_numeric"] = classify_d1_numeric(model, variable)
         surrogate = verdicts["D5"] and not verdicts["D4"]
-    report = ConfounderReport(
+    return ConfounderReport(
         variable=variable,
         verdicts=verdicts,
         witnesses=witnesses,
         surrogate=surrogate,
-        lattice_ok=True,
+        lattice_ok=not _broken_arrows(verdicts, d1_numeric, has_model),
         d1_numeric=d1_numeric,
-    )
-    ok, _violated = check_implications(report, has_model)
-    return replace(
-        report, lattice_ok=ok, dashed_observations=dashed_observations(report, has_model)
+        dashed_observations=_dashed_arrows(verdicts, has_model),
     )

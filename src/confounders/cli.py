@@ -39,12 +39,7 @@ from .errors import (
 )
 from .formats import format_effect, format_set, json_ready, load_graph, load_model
 from .fuzz import FuzzConfig, fuzz
-from .properties import (
-    check_property1,
-    check_property2a,
-    check_property2b,
-    positive_covariates,
-)
+from .properties import _property2a, _property2b, check_property1
 from .registry import run_paper_suite
 from .selection import IndependenceOracle, backward_select, forward_select, robins_reduction
 
@@ -166,14 +161,13 @@ def cmd_properties(args):
     def_id = args.definition
     if def_id in MODEL_DEFINITIONS and model is None:
         raise MissingModel(f"{def_id} needs --model")
-    positives = positive_covariates(dag, def_id, model=model)
-    rows = [(check_property1(dag, model, def_id, _positives=positives), None)]
+    p1 = check_property1(dag, model, def_id)
+    positives = p1.witness["set"]
+    rows = [(p1, None)]
     for c in positives:
-        rows.append(
-            (check_property2a(dag if model is None else model.dag, def_id, c, _positives=positives), c)
-        )
+        rows.append((_property2a(dag if model is None else model.dag, def_id, c), c))
         if model is not None:
-            rows.append((check_property2b(model, def_id, c, _positives=positives), c))
+            rows.append((_property2b(model, def_id, c), c))
 
     if args.format == "json":
         _emit_json(

@@ -46,6 +46,7 @@ def parse_graph(text):
     nodes = []
     edges = []
     seen = set()
+    edge_seen = set()
     exposure = None
     outcome = None
     pre = set()
@@ -87,8 +88,9 @@ def parse_graph(text):
             for name in (parent, child):
                 if name not in seen:
                     raise ParseError(f"edge mentions undeclared node {name!r}", lineno)
-            if (parent, child) in edges:
+            if (parent, child) in edge_seen:
                 raise ParseError(f"duplicate edge {parent} -> {child}", lineno)
+            edge_seen.add((parent, child))
             edges.append((parent, child))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno)

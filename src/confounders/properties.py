@@ -12,6 +12,10 @@ Property 2 (individual relevance), two readings for a single positive C:
 Only D4 satisfies Property 1 and 2A on every input; each of the other
 definitions fails at least one of these somewhere, and the registry holds
 a concrete counterexample for every such failure.
+
+The public checks verify a known definition id and, for Property 2, that C
+is positive. `_property2a` and `_property2b` are their unchecked bodies, for
+a caller that holds the positive set already (the P1 witness's "set").
 """
 from __future__ import annotations
 
@@ -52,18 +56,18 @@ def positive_covariates(dag, def_id, model=None):
     return tuple(c for c in dag.covariate_pool if evaluate(c)[0])
 
 
-def check_property1(dag, model, def_id, _positives=None):
+def check_property1(dag, model, def_id):
     """Does adjusting for all def_id-positive covariates suffice?
 
     Graph check: the positive set is sufficient. Model check (when one is
     given): additionally the counterfactual outcome under each arm is
-    independent of exposure given that set. `_positives`, when given, is
-    that set as `positive_covariates` lists it.
+    independent of exposure given that set. The witness's "set" is that
+    set, as `positive_covariates` lists it, whatever the verdict.
     """
     _require_definition(def_id)
     if model is not None:
         dag = model.dag
-    positives = positive_covariates(dag, def_id, model=model) if _positives is None else _positives
+    positives = positive_covariates(dag, def_id, model=model)
     witness = {"set": positives}
     if not _sufficient(dag, positives):
         witness["open_backdoor"] = str(_open_backdoor_witness(dag, positives))
@@ -74,16 +78,12 @@ def check_property1(dag, model, def_id, _positives=None):
     return PropertyVerdict("P1", def_id, True, witness)
 
 
-def _check_positive(dag, def_id, variable, model=None, positives=None):
+def _check_positive(dag, def_id, variable, model=None):
     if def_id in MODEL_DEFINITIONS and model is None:
         return
     if model is not None:
         dag = model.dag
-    if positives is not None:
-        positive = variable in positives
-    else:
-        positive = variable in dag.covariate_pool and _evaluators(dag, model)[def_id](variable)[0]
-    if not positive:
+    if variable not in dag.covariate_pool or not _evaluators(dag, model)[def_id](variable)[0]:
         raise InvalidConfig(
             f"{variable!r} is not {def_id}-positive; property 2 applies to positives only"
         )
@@ -105,15 +105,19 @@ def distinguishing_context(dag, variable):
     return next(_lane_sets(hits, pool), None)
 
 
-def check_property2a(dag, def_id, variable, _positives=None):
+def check_property2a(dag, def_id, variable):
     """Is there a context X where (X, C) is sufficient but X is not?
 
     Precondition: C is def_id-positive. That is verified here for the
-    graph definitions, against `_positives` when given; for D5/D6 (model
-    definitions) the caller vouches, since this check takes no model.
+    graph definitions; for D5/D6 (model definitions) the caller vouches,
+    since this check takes no model.
     """
     _require_definition(def_id)
-    _check_positive(dag, def_id, variable, positives=_positives)
+    _check_positive(dag, def_id, variable)
+    return _property2a(dag, def_id, variable)
+
+
+def _property2a(dag, def_id, variable):
     context = distinguishing_context(dag, variable)
     if context is not None:
         witness = {
@@ -125,14 +129,17 @@ def check_property2a(dag, def_id, variable, _positives=None):
     return PropertyVerdict("P2A", def_id, False, witness)
 
 
-def check_property2b(model, def_id, variable, _positives=None):
+def check_property2b(model, def_id, variable):
     """Is there a context X where adding C strictly shrinks |bias|?
 
-    Precondition: C is def_id-positive (verified, against `_positives`
-    when given; D1 read graphically).
+    Precondition: C is def_id-positive (verified; D1 read graphically).
     """
     _require_definition(def_id)
-    _check_positive(model.dag, def_id, variable, model=model, positives=_positives)
+    _check_positive(model.dag, def_id, variable, model=model)
+    return _property2b(model, def_id, variable)
+
+
+def _property2b(model, def_id, variable):
     hit, witness = classify_d5(model, variable)
     if hit:
         context, (with_c, without) = witness

@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confounders.classify as classify_module
 from confounders.classify import (
@@ -257,6 +259,55 @@ def test_dashed_observations_reported_not_failed():
     ok, _ = check_implications(report, has_model=False)
     assert ok
     assert "D2->D1" in dashed_observations(report, has_model=False)
+
+
+def assert_report_matches_the_public_checks(report, has_model):
+    ok, violated = check_implications(report, has_model)
+    assert report.lattice_ok == ok and ok == (violated == ())
+    assert report.dashed_observations == dashed_observations(report, has_model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 10))
+def test_graph_report_lattice_fields_match_the_public_checks(seed, n):
+    rng = random.Random(seed)
+    dag = random_dag(rng, n, rng.choice((0.2, 0.35, 0.5)))
+    for variable in dag.covariate_pool:
+        assert_report_matches_the_public_checks(classify_variable(dag, variable), False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_model_report_lattice_fields_match_the_public_checks(seed, n):
+    rng = random.Random(seed)
+    model = random_model(rng, random_dag(rng, n, rng.choice((0.2, 0.35, 0.5))))
+    for variable in model.dag.covariate_pool:
+        report = classify_variable(model.dag, variable, model)
+        assert_report_matches_the_public_checks(report, True)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["classify_d1_graphical", "classify_d1_numeric", "classify_d2", "classify_d3",
+     "classify_d4", "classify_d5", "classify_d6"],
+)
+def test_report_lattice_fields_follow_verdicts_that_break_the_lattice(monkeypatch, name):
+    # one definition answers the opposite: the report must still agree with
+    # the public checks, and some arrow must break
+    real = getattr(classify_module, name)
+
+    def flipped(*args):
+        out = real(*args)
+        return not out if isinstance(out, bool) else (not out[0], out[1])
+
+    monkeypatch.setattr(classify_module, name, flipped)
+    broken = 0
+    for entry in (COLLIDER_CHILD, get_entry("Fig2"), TWO_ROUTES, SURROGATE, SINGLE):
+        for variable in entry.dag.covariate_pool:
+            report = classify_variable(entry.dag, variable, entry.model)
+            assert_report_matches_the_public_checks(report, True)
+            broken += not report.lattice_ok
+    assert broken
 
 
 # -- conditional confounders ------------------------------------------------------------

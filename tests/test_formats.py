@@ -51,7 +51,14 @@ def test_parse_graph_without_pre_tags():
 
 
 def test_parse_errors_carry_line_numbers():
+    # a complete DAG on 64 nodes, its first edge repeated after the other 2015
+    names = [f"V{i}" for i in range(62)] + ["A", "Y"]
+    complete = "\n".join(
+        [f"node {v}" for v in names[:62]] + ["node A exposure", "node Y outcome"]
+        + [f"edge {u} {v}" for i, u in enumerate(names) for v in names[i + 1:]]
+    )
     cases = [
+        (complete + "\nedge V0 V1", 64 + 2016 + 1, "duplicate edge V0 -> V1"),
         ("node C pre\nnode C\nnode A exposure\nnode Y outcome\nedge A Y", 2, "duplicate node"),
         ("node A exposure\nnode Y outcome\nedge A Y\nedge A Y", 4, "duplicate edge"),
         ("node A exposure\nnode B exposure\nnode Y outcome\nedge A Y", 2, "second exposure"),

@@ -1,11 +1,16 @@
 """The two safeguard properties: adjusting for all positives suffices (P1),
 and each positive has a context where it matters (P2A graphical, P2B model)."""
+import json
+from importlib.resources import files
+
 import pytest
 
 import confounders.adjust
 import confounders.classify
 import confounders.cli
+from confounders.classify import DEFINITIONS, MODEL_DEFINITIONS
 from confounders.errors import InvalidConfig, MissingModel
+from confounders.formats import json_ready, load_graph, load_model
 from confounders.graph import Dag
 from confounders.properties import (
     PropertyVerdict,
@@ -193,6 +198,47 @@ def test_properties_command_evaluates_each_positive_once(monkeypatch, tmp_path, 
     out = capsys.readouterr().out
     assert out.count("P2A D1 C") == n
     assert len(calls) == n
+
+
+def public_rows(graph, model_file, def_id):
+    """The properties command's rows, from the public checks called one by
+    one: P1, then P2A (and P2B with a model) for each positive."""
+    dag = load_graph(graph)
+    model = load_model(model_file, dag) if model_file else None
+    rows = [(check_property1(dag, model, def_id), None)]
+    positives = positive_covariates(dag, def_id, model)
+    for c in positives:
+        rows.append((check_property2a(dag if model is None else model.dag, def_id, c), c))
+        if model is not None:
+            rows.append((check_property2b(model, def_id, c), c))
+    return positives, rows
+
+
+@pytest.mark.parametrize("with_model", [False, True], ids=["graph", "model"])
+@pytest.mark.parametrize("def_id", DEFINITIONS)
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "prop5"])
+def test_properties_command_rows_match_the_public_checks(capsys, figure, def_id, with_model):
+    fixtures = files("confounders").joinpath("fixtures")
+    graph = str(fixtures.joinpath(f"{figure}.graph"))
+    model_file = str(fixtures.joinpath(f"{figure}.json")) if with_model else None
+    argv = ["properties", graph, "--def", def_id] + (["--model", model_file] if with_model else [])
+    if def_id in MODEL_DEFINITIONS and not with_model:
+        assert confounders.cli.main(argv) == 4
+        return
+    positives, rows = public_rows(graph, model_file, def_id)
+
+    assert confounders.cli.main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["positives"] == list(positives)
+    assert doc["verdicts"] == json.loads(json.dumps([dict(json_ready(v), variable=c) for v, c in rows]))
+
+    assert confounders.cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"{v.property} {def_id}{f' {c}' if c else ''}: {'PASS' if v.holds else 'FAIL'}"
+        + confounders.cli._describe_witness(v, False)
+        for v, c in rows
+    ]
 
 
 def test_p2a_for_model_definitions_trusts_caller():
