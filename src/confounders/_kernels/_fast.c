@@ -4,10 +4,9 @@ Nodes are integers 0..n-1 (n <= 64); node sets are uint64 masks. Parent and
 child masks live in fixed 64-entry arrays, and entries past n stay 0.
 `closure_up` and `closure_down` close a mask under ancestors or descendants.
 `reachable` and `dsep` run `reach`, the same two-phase d-connection ball
-game as the pure kernel's `_reachable`, on an explicit stack of (node,
-direction) states. A state is marked visited before it is pushed, so at
-most 64 up-states and 64 down-states are ever pushed and the 128-entry
-stack never overflows.
+game as the pure kernel's `_reachable`, in the same rounds: each moves the
+whole frontier of up-states and of down-states, one mask each, so no stack
+is kept. `dsep` stops at the first round that reaches its target.
 
 Every argument is a mask. A parent mask or a query mask with a bit at or
 past n, negative ones included, raises ValueError, as in the pure kernel.
@@ -16,9 +15,6 @@ past n, negative ones included, raises ValueError, as in the pure kernel.
 #include <Python.h>
 
 typedef unsigned long long u64;
-
-/* direction flag of a stack state; the low 6 bits hold the node */
-#define UP 64
 
 /* index of the lowest set bit of a nonzero mask */
 static inline int
@@ -58,48 +54,27 @@ closure(const u64 *adj, u64 mask)
     return out;
 }
 
-static int
-push(unsigned char *stack, int sp, u64 nodes, int direction)
-{
-    for (; nodes; nodes &= nodes - 1)
-        stack[sp++] = (unsigned char)(lowest(nodes) | direction);
-    return sp;
-}
-
-/* nodes d-connected to the source set given z (sources included) */
+/* nodes d-connected to the source set given z (sources included), or, once
+   a round reaches a node of stop, the part found so far */
 static u64
-reach(const BitDag *d, u64 src, u64 z)
+reach(const BitDag *d, u64 src, u64 z, u64 stop)
 {
     u64 anz = closure(d->p, z);
-    u64 vis_up = src, vis_down = 0, fresh;
-    unsigned char stack[128];
-    int sp = push(stack, 0, src, UP);
-    while (sp) {
-        int state = stack[--sp], i = state & (UP - 1);
-        u64 bit = (u64)1 << i;
-        if (state & UP) { /* arrived from a child, or a source */
-            if (!(z & bit)) {
-                fresh = d->p[i] & ~vis_up;
-                vis_up |= fresh;
-                sp = push(stack, sp, fresh, UP);
-                fresh = d->c[i] & ~vis_down;
-                vis_down |= fresh;
-                sp = push(stack, sp, fresh, 0);
-            }
-        } else { /* arrived from a parent */
-            if (!(z & bit)) {
-                fresh = d->c[i] & ~vis_down;
-                vis_down |= fresh;
-                sp = push(stack, sp, fresh, 0);
-            }
-            if (anz & bit) {
-                fresh = d->p[i] & ~vis_up;
-                vis_up |= fresh;
-                sp = push(stack, sp, fresh, UP);
-            }
-        }
+    u64 up = src, down = 0, up_new = src, down_new = 0;
+    while ((up_new | down_new) && !((up | down) & stop)) {
+        u64 step_up = 0, step_down = 0;
+        /* up through an unconditioned node, or down into an ancestor of z */
+        for (u64 m = (up_new & ~z) | (down_new & anz); m; m &= m - 1)
+            step_up |= d->p[lowest(m)];
+        /* either way through an unconditioned node */
+        for (u64 m = (up_new | down_new) & ~z; m; m &= m - 1)
+            step_down |= d->c[lowest(m)];
+        up_new = step_up & ~up;
+        down_new = step_down & ~down;
+        up |= up_new;
+        down |= down_new;
     }
-    return (vis_up | vis_down) & ~z;
+    return (up | down) & ~z;
 }
 
 /* Argument conversion: 0 on success, -1 with an exception set. */
@@ -208,7 +183,7 @@ BitDag_reachable(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (arity("reachable", nargs, 2) < 0 || as_query(d, args[0], &src) < 0
         || as_query(d, args[1], &z) < 0)
         return NULL;
-    return PyLong_FromUnsignedLongLong(reach(d, src, z));
+    return PyLong_FromUnsignedLongLong(reach(d, src, z, 0));
 }
 
 static PyObject *
@@ -219,7 +194,7 @@ BitDag_dsep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (arity("dsep", nargs, 3) < 0 || as_query(d, args[0], &a) < 0
         || as_query(d, args[1], &b) < 0 || as_query(d, args[2], &z) < 0)
         return NULL;
-    return PyBool_FromLong(!(reach(d, a, z) & b));
+    return PyBool_FromLong(!(reach(d, a, z, b & ~z) & b));
 }
 
 static PyObject *

@@ -5,20 +5,19 @@ The kernel answers four queries, all on masks: `closure_up` and
 `closure_down` close a set under ancestors or descendants, `reachable`
 returns the nodes d-connected to a source set, and `dsep` asks whether that
 set misses a target. `reachable` runs the two-phase d-connection ball game:
-phase one closes the conditioning set under ancestors, phase two bounces
-over (node, direction) states so a path is followed exactly when
-d-separation says it is open. A query mask with a bit at or past n is
-refused with ValueError.
+phase one closes the conditioning set under ancestors, phase two moves
+whole frontiers of (node, direction) states, one mask per direction, a
+round at a time, so a path is followed exactly when d-separation says it is
+open. `dsep` stops at the first round that reaches its target. A query mask
+with a bit at or past n is refused with ValueError.
 
-The compiled kernel in _fast.c has the same four queries and the same
-error messages; the package picks it at import time when it is built.
-`tests/test_kernels.py` checks that both expose the same names.
+The compiled kernel in _fast.c has the same four queries, the same rounds
+and the same error messages; the package picks it at import time when it is
+built. `tests/test_kernels.py` checks that both expose the same names.
 """
 
 BACKEND = "pure"
 
-_UP = 1
-_DOWN = 0
 _OUTSIDE = "query mask references node >= n"
 
 
@@ -60,59 +59,45 @@ class BitDag:
         """Nodes d-connected to the source set given z (sources included)."""
         if (src | z) >> self.n:
             raise ValueError(_OUTSIDE)
-        return _reachable(self._parents, self._children, src, z)
+        return _reachable(self._parents, self._children, src, z, 0)
 
     def dsep(self, a, b, z):
         """True iff every path between masks a and b is blocked by z."""
         if (a | b | z) >> self.n:
             raise ValueError(_OUTSIDE)
-        return not (_reachable(self._parents, self._children, a, z) & b)
+        return not (_reachable(self._parents, self._children, a, z, b & ~z) & b)
 
 
-def _reachable(parents, children, src, z):
-    """Nodes d-connected to the source set given z (sources included)."""
+def _reachable(parents, children, src, z, stop):
+    """Nodes d-connected to the source set given z (sources included), or,
+    once a round reaches a node of `stop`, the part found so far.
+
+    A ball is on a node going up (it came from a child, or starts there) or
+    going down (it came from a parent). Each round moves the whole frontier
+    of both: a ball on an unconditioned node goes on down to its children;
+    one going up through an unconditioned node, or down into an ancestor of
+    z (a collider z opens), goes on up to its parents.
+    """
     anz = _closure(parents, z)
-    vis_up = src
-    vis_down = 0
-    stack = []
-    m = src
-    while m:
-        low = m & -m
-        stack.append((low.bit_length() - 1, _UP))
-        m ^= low
-    while stack:
-        i, direction = stack.pop()
-        bit = 1 << i
-        if direction == _UP:
-            if not (z & bit):
-                new = parents[i] & ~vis_up
-                vis_up |= new
-                while new:
-                    low = new & -new
-                    stack.append((low.bit_length() - 1, _UP))
-                    new ^= low
-                new = children[i] & ~vis_down
-                vis_down |= new
-                while new:
-                    low = new & -new
-                    stack.append((low.bit_length() - 1, _DOWN))
-                    new ^= low
-        else:
-            if not (z & bit):
-                new = children[i] & ~vis_down
-                vis_down |= new
-                while new:
-                    low = new & -new
-                    stack.append((low.bit_length() - 1, _DOWN))
-                    new ^= low
-            if anz & bit:
-                new = parents[i] & ~vis_up
-                vis_up |= new
-                while new:
-                    low = new & -new
-                    stack.append((low.bit_length() - 1, _UP))
-                    new ^= low
-    return (vis_up | vis_down) & ~z
+    up = up_new = src
+    down = down_new = 0
+    while (up_new | down_new) and not (up | down) & stop:
+        step_up = step_down = 0
+        m = (up_new & ~z) | (down_new & anz)
+        while m:
+            low = m & -m
+            step_up |= parents[low.bit_length() - 1]
+            m ^= low
+        m = (up_new | down_new) & ~z
+        while m:
+            low = m & -m
+            step_down |= children[low.bit_length() - 1]
+            m ^= low
+        up_new = step_up & ~up
+        down_new = step_down & ~down
+        up |= up_new
+        down |= down_new
+    return (up | down) & ~z
 
 
 def _closure(adj, mask):

@@ -106,16 +106,21 @@ def _d1_contexts(dag, variable):
     """The graphical D1 contexts of C, in canonical order: each X in which
     C is d-connected to A given X and to Y given (A, X).
 
-    The empty context, the usual first one, is one scalar probe. Only when
-    more are asked for are the rest read off the D1 lane vector: two sliced
-    passes from C, given X and given X plus A, that mark every context at
-    once. The vector is kept per covariate on the Dag (`_d1`), so the
-    graphical D1 and the model scans share one pair of passes.
+    The empty context, the usual first one, is read off the probe mask:
+    the nodes d-connected to A, and to Y given A; two kernel queries per
+    Dag, kept on it (`_d1_probe`). By the symmetry of d-separation, C's bit
+    there says whether the empty context is one. Only when more are asked
+    for are the rest read off the D1 lane vector: two sliced passes from C,
+    given X and given X plus A, that mark every context at once. The vector
+    is kept per covariate on the Dag (`_d1`), so the graphical D1 and the
+    model scans share one pair of passes.
     """
     others = _context_sets(dag, variable)
-    kernel = dag._kernel
     c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
-    if not kernel.dsep(1 << c, 1 << a, 0) and not kernel.dsep(1 << c, 1 << y, 1 << a):
+    if dag._d1_probe is None:
+        kernel = dag._kernel
+        dag._d1_probe = kernel.reachable(1 << a, 0) & kernel.reachable(1 << y, 1 << a)
+    if dag._d1_probe >> c & 1:
         yield ()
     if not others:
         return

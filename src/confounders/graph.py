@@ -91,7 +91,7 @@ class Path:
 class Graph:
     """Immutable DAG. Construction validates names, edges, and acyclicity."""
 
-    __slots__ = ("nodes", "edges", "_index", "_pmask", "_cmask", "_kernel", "_topo")
+    __slots__ = ("nodes", "edges", "_index", "_pmask", "_cmask", "_kernel", "_topo", "_search")
 
     def __init__(self, nodes, edges):
         nodes = tuple(nodes)
@@ -131,6 +131,7 @@ class Graph:
         self._cmask = cmask
         self._kernel = BitDag(pmask)
         self._topo = self._toposort()
+        self._search = None  # _search_tables, made on the first path search
 
     def _toposort(self):
         n = len(self.nodes)
@@ -265,7 +266,8 @@ class Dag(Graph):
     """
 
     __slots__ = (
-        "exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency", "_catalog", "_d1"
+        "exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency", "_catalog",
+        "_d1_probe", "_d1",
     )
 
     def __init__(self, nodes, edges, exposure, outcome, declared_pre=None):
@@ -286,6 +288,7 @@ class Dag(Graph):
         self._pool = None
         self._sufficiency = None  # adjust._sufficiency_vector
         self._catalog = None  # adjust.minimal_sufficient_sets
+        self._d1_probe = None  # classify._d1_contexts: empty-context mask, made on first use
         self._d1 = None  # classify._d1_contexts: {covariate: lane vector}, made on first use
 
     @property
@@ -409,6 +412,19 @@ def _reaches(adjacency, start, allowed, needed):
     return True
 
 
+def _search_tables(graph):
+    """(adjacency, neighbors) of a graph, for `_first_path`: each node's
+    skeleton mask, and its neighbors in name order. Built on the first
+    search and kept on the graph (`_search`)."""
+    if graph._search is None:
+        n = len(graph.nodes)
+        adjacency = tuple(p | c for p, c in zip(graph._pmask, graph._cmask))
+        by_name = sorted(range(n), key=graph.nodes.__getitem__)
+        neighbors = tuple(tuple(j for j in by_name if adjacency[i] >> j & 1) for i in range(n))
+        graph._search = (adjacency, neighbors)
+    return graph._search
+
+
 def _first_path(graph, source, target, first_step, noncollider_ok, collider_ok, through=0):
     """The lexicographically first simple path from source to target whose
     second node is in `first_step`, whose interior nodes are each admissible
@@ -429,11 +445,8 @@ def _first_path(graph, source, target, first_step, noncollider_ok, collider_ok, 
     Raises SizeLimit once it has expanded more than MAX_PATH_EXPANSIONS
     nodes.
     """
-    n = len(graph.nodes)
     parents, children = graph._pmask, graph._cmask
-    adjacency = [p | c for p, c in zip(parents, children)]
-    by_name = sorted(range(n), key=graph.nodes.__getitem__)
-    neighbors = [[j for j in by_name if adjacency[i] >> j & 1] for i in range(n)]
+    adjacency, neighbors = _search_tables(graph)
     goal = (1 << target) | through
     path = [source]
     expanded = 0

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confounders.classify as classify_module
+import confounders.graph as graph_module
 from confounders.classify import (
     DASHED_EDGES,
     SOLID_GRAPH_EDGES,
     SOLID_MODEL_EDGES,
+    _d1_contexts,
     check_implications,
     classify_d1_graphical,
     classify_d1_numeric,
@@ -32,6 +34,7 @@ from confounders.fuzz import random_dag, random_model
 from confounders.graph import Dag
 from confounders.model import DiscreteModel
 from confounders.registry import get_entry
+from test_sliced import dags
 
 F = Fraction
 
@@ -199,6 +202,70 @@ def test_a_graph_report_with_an_empty_context_hit_runs_no_sliced_pass(monkeypatc
             else:
                 misses += ran > 0
     assert hits and misses
+
+
+# -- one D1 probe per Dag ---------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=dags(max_nodes=12))
+def test_d1_probe_mask_answers_the_two_scalar_probes(dag):
+    # C's bit in the probe mask: C d-connected to A, and to Y given A
+    kernel = dag._kernel
+    a, y = (1 << dag._index[name] for name in (dag.exposure, dag.outcome))
+    for variable in dag.covariate_pool:
+        c = 1 << dag._index[variable]
+        empty = not kernel.dsep(c, a, 0) and not kernel.dsep(c, y, a)
+        assert (next(_d1_contexts(dag, variable), None) == ()) == empty
+        assert bool(dag._d1_probe & c) == empty
+
+
+def counted_kernel_calls(monkeypatch):
+    """[(query, kernel, args)] for every `reachable` and `dsep` asked of
+    the kernel of a graph built from here on."""
+    calls = []
+
+    class Counting(graph_module.BitDag):
+        def reachable(self, src, z):
+            calls.append(("reachable", self, (src, z)))
+            return super().reachable(src, z)
+
+        def dsep(self, a, b, z):
+            calls.append(("dsep", self, (a, b, z)))
+            return super().dsep(a, b, z)
+
+    monkeypatch.setattr(graph_module, "BitDag", Counting)
+    return calls
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+def test_classifying_a_pool_probes_each_dag_with_two_reachable_queries(monkeypatch, with_model):
+    calls = counted_kernel_calls(monkeypatch)
+    rng = random.Random(3)
+    probed = 0
+    for _ in range(20):
+        dag = random_dag(rng, 7, 0.4)
+        model = random_model(rng, dag) if with_model else None
+        del calls[:]
+        for variable in dag.covariate_pool:
+            classify_variable(dag, variable, model)
+        a, y = (1 << dag._index[name] for name in (dag.exposure, dag.outcome))
+        reachable = [(kernel, args) for query, kernel, args in calls if query == "reachable"]
+        if not dag.covariate_pool:
+            assert reachable == []
+            continue
+        probed += 1
+        assert reachable == [(dag._kernel, (a, 0)), (dag._kernel, (y, a))]
+        scalar_probes = {
+            probe
+            for c in (1 << dag._index[name] for name in dag.covariate_pool)
+            for probe in ((c, a, 0), (c, y, a))
+        }
+        assert not [
+            args for query, kernel, args in calls
+            if query == "dsep" and kernel is dag._kernel and args in scalar_probes
+        ]
+    assert probed >= 10
 
 
 # -- implication lattice ------------------------------------------------------------

@@ -296,6 +296,38 @@ def test_dsep_against_naive_oracle(kernel):
         assert (not dag.reachable(1 << a, mask_of(z)) >> b & 1) == want
 
 
+def test_dsep_of_sets_against_naive_oracle(kernel):
+    # disjoint sets of any size: each node goes to a, b, z or none of them
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        parents = random_parent_masks(rng, n, 0.35)
+        edges = edges_from_masks(parents)
+        dag = kernel(parents)
+        roles = [rng.choice("abzz.") for _ in range(n)]
+        a, b, z = ([i for i, r in enumerate(roles) if r == role] for role in "abz")
+        want = naive_d_separated(edges, a, b, z)
+        assert dag.dsep(mask_of(a), mask_of(b), mask_of(z)) == want
+
+
+def test_dsep_stops_where_reachable_meets_the_target(kernel):
+    # dsep stops at the first round that reaches b & ~z; its answer must
+    # still be that of the whole reachable set, whatever the sets share
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        dag = kernel(random_parent_masks(rng, n, rng.choice((0.15, 0.3, 0.5))))
+        a, b, z = (rng.getrandbits(n) for _ in range(3))
+        for a, b, z in (
+            (a, b, z),  # masks drawn independently: any overlap
+            (a & ~b & ~z, b & ~z, z & ~a),  # pairwise disjoint
+            (a, b | a, z & ~a),  # a & b, outside z
+            (a, b, z | b),  # b inside z
+            (a | z, b & ~z, z),  # a & z
+        ):
+            assert dag.dsep(a, b, z) == (not dag.reachable(a, z) & b)
+
+
 @needs_compiler
 def test_backend_parity_on_random_graphs(fast_build):
     _fast = compiled(fast_build)

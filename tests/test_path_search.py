@@ -70,6 +70,33 @@ def test_d2_matches_enumeration(dag):
         assert classify_d2(dag, variable) == (want is not None, want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dag=dags(), data=st.data())
+def test_derived_graphs_search_with_tables_of_their_own(dag, data):
+    # the tables are built on a graph's first search and kept on it; a
+    # graph derived after the Dag has searched builds its own
+    others = [v for v in dag.nodes if v not in (dag.exposure, dag.outcome)]
+    keep, given_set = (
+        data.draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+        for _ in range(2)
+    )
+
+    def check_witness(graph):
+        given_here = [v for v in given_set if v in graph._index]
+        mask = graph._mask(given_here)
+        got = _first_backdoor_path(graph, ~mask, graph._kernel.closure_up(mask))
+        assert got == _first_open(graph, given_here)
+
+    check_witness(dag)
+    check_witness(dag)  # from the kept tables
+    sub = dag.subgraph([*keep, dag.exposure, dag.outcome])
+    graphs = [dag, dag.without_exposure_out_edges(), sub]
+    for graph in graphs[1:]:
+        check_witness(graph)
+    tables = [part for graph in graphs for part in (graph._search, *graph._search)]
+    assert len({id(part) for part in tables}) == len(tables)
+
+
 # -- the complete DAG: every path search answers -----------------------------
 
 N_COMPLETE = 16
