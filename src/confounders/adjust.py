@@ -14,12 +14,14 @@ one query per subset. Give each of the 2**k subsets of a k-member pool one
 bit ("lane") of an int: lane l holds pool member i when bit i of l is set,
 the members taken in sorted order. One sliced pass (`graph._sliced_dsep`)
 decides the separation in every lane at once, and its answer is a lane
-vector. Each Dag keeps its pool's sufficiency vector (`_sufficiency_vector`):
-lane l is set when the subset l is sufficient, and its catalog: that
-vector's minimal lanes, the sufficient lanes from which no single member
-can be dropped (`_minimal_lanes`). The distinguishing contexts of property
-2A and the fuzzer's per-subset verdicts read the same vector, and D1 and
-the conditional confounder run passes of their own.
+vector. Each Dag keeps its catalog of minimal sets: the minimal lanes, the
+sufficient lanes from which no single member can be dropped
+(`_minimal_lanes`), of one pass over the pool members that are ancestors
+of the exposure or the outcome, where every minimal set lies. A Dag also
+keeps its pool's sufficiency vector (`_sufficiency_vector`), one pass over
+the whole pool, where lane l is set when the subset l is sufficient: the
+distinguishing contexts of property 2A and the fuzzer's per-subset verdicts
+read it. D1 and the conditional confounder run passes of their own.
 
 A lane vector is turned back into sets in canonical order: by size, then
 lexicographically by the sorted name tuple (`graph._lane_sets`); this is
@@ -214,12 +216,25 @@ def is_sufficient(dag, covariates):
 def minimal_sufficient_sets(dag):
     """Enumerate every minimally sufficient adjustment set.
 
-    The minimal lanes of the pool's sufficiency vector, in canonical order,
-    listed once per Dag. An insufficiency everywhere yields an empty
-    catalog; a sufficient empty set yields the one-entry catalog (()).
+    The minimal lanes of one sliced pass over R, the pool members that are
+    ancestors of the exposure or the outcome, in canonical order, listed
+    once per Dag. Every minimal set Z lies in R. By the lemma of
+    `_minimal_lanes`, each member of Z is an ancestor of {A, Y} or of
+    another member. Take a member outside An({A, Y}) that is last in
+    topological order: it is no ancestor of {A, Y}, nor of another member,
+    which would be outside An({A, Y}) too and later in the order. (The
+    lemma's ancestors are those of the backdoor graph, which are ancestors
+    in the Dag too.) Minimality only looks at subsets, so the minimal lanes
+    over R are the minimal sets over the pool. The size cap is on the
+    whole pool. An insufficiency everywhere yields an empty catalog; a
+    sufficient empty set yields the one-entry catalog (()).
     """
     pool = _require_enumerable(dag.covariate_pool, "minimal_sufficient_sets")
     if dag._catalog is None:
-        minimal = tuple(_lane_sets(_minimal_lanes(_sufficiency_vector(dag), len(pool)), pool))
+        index = dag._index
+        hull = dag._kernel.closure_up(1 << index[dag.exposure] | 1 << index[dag.outcome])
+        members = tuple(name for name in pool if hull >> index[name] & 1)
+        sufficient = _sufficient_lanes(dag, members)
+        minimal = tuple(_lane_sets(_minimal_lanes(sufficient, len(members)), members))
         dag._catalog = MinimalSetCatalog(minimal, tuple(sorted(set().union(*minimal))))
     return dag._catalog

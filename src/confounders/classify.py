@@ -52,7 +52,7 @@ from .errors import (
     OverlappingSets,
 )
 from .formats import format_effect, format_set
-from .graph import _lane_pattern, _lane_sets, _sliced_dsep
+from .graph import _bits, _lane_pattern, _lane_sets, _search_tables, _sliced_dsep
 
 DEFINITIONS = ("D1", "D2", "D3", "D4", "D5", "D6")
 GRAPH_DEFINITIONS = ("D1", "D2", "D3", "D4")
@@ -175,14 +175,96 @@ def classify_d1_numeric(model, variable):
     return False, None
 
 
+def _d2_holds(dag, c):
+    """Whether node c is a non-collider on some backdoor path: the D2
+    verdict, in polynomial time and with no path built.
+
+    Cut such a path A <- ... C ... Y at C. That gives two paths from C that
+    share only C: one ends at A, entering it from a parent of A; the other
+    ends at Y; neither passes through A or Y; and as C is no collider, at
+    most one leaves C to a parent of C. Two such paths, joined at C, are in
+    turn a backdoor path with C a non-collider. Make them paths of a
+    network: arcs both ways along every edge between nodes other than A, Y
+    and C; arcs into A from A's parents, into Y from its neighbours, and
+    none out of either; arcs from C to its children and to one virtual
+    node g, and from g to C's parents. The pair is then two C-{A, Y} paths
+    of the network that share only C, for g lets at most one of them leave
+    C upward. By the fan form of Menger's theorem, such paths exist iff no
+    set of fewer than two nodes other than C meets every C-{A, Y} path. The
+    empty set does not iff an end is reachable. An end alone does not iff
+    both are, as neither end lies on a path to the other. Any other single
+    node that meets every path lies on the one path P traced below, so each
+    node of P is tested with one reachability search.
+    """
+    a, y = dag._index[dag.exposure], dag._index[dag.outcome]
+    parents, children = dag._pmask, dag._cmask
+    adjacency = _search_tables(dag)[0]
+    ends = (1 << a) | (1 << y)
+    exits = parents[a] | adjacency[y]  # the nodes with an arc into an end
+    inner = ~(ends | 1 << c)
+    first = children[c] | parents[c]  # C's first step, through g or not
+
+    def cut_off(start, removed):
+        # no end is reachable from C when its first step is `start` and the
+        # nodes of `removed` are taken out
+        if start & ends:
+            return False
+        allowed = inner & ~removed
+        seen = frontier = start & allowed
+        while frontier:
+            if frontier & exits:
+                return False
+            step = 0
+            for u in _bits(frontier):
+                step |= adjacency[u]
+            frontier = step & allowed & ~seen
+            seen |= frontier
+        return True
+
+    # one search from C in rounds, until it has reached both ends
+    to_a, to_y = first >> a & 1, first >> y & 1
+    rounds = []
+    seen = frontier = first & inner
+    while frontier and not (to_a and to_y):
+        rounds.append(frontier)
+        to_a = to_a or frontier & parents[a]
+        to_y = to_y or frontier & adjacency[y]
+        step = 0
+        for u in _bits(frontier):
+            step |= adjacency[u]
+        frontier = step & inner & ~seen
+        seen |= frontier
+    if not (to_a and to_y):
+        return False
+    if first & ends & children[c]:
+        return True  # P is one arc, with no node inside
+    if first & ends:
+        return not cut_off(children[c], 0)  # P is C, g, Y
+    # P, traced back from the first round with an arc into an end
+    k = next(i for i, r in enumerate(rounds) if r & exits)
+    path = [_bits(rounds[k] & exits)[0]]
+    for r in reversed(rounds[:k]):
+        path.append(_bits(r & adjacency[path[-1]])[0])
+    if parents[c] >> path[-1] & 1 and cut_off(children[c], 0):
+        return False  # g is on P and cuts
+    return not any(cut_off(first, 1 << v) for v in path)
+
+
 def classify_d2(dag, variable):
     """(verdict, witness path): C appears as a non-collider on some
-    backdoor path; the witness is the first such path."""
+    backdoor path; the witness is the first such path.
+
+    The verdict is `_d2_holds`; the path search runs only when it holds.
+    """
     _require_covariate(dag, variable)
-    c = 1 << dag._index[variable]
+    c = dag._index[variable]
+    if not _d2_holds(dag, c):
+        return False, None
     # any node may pass along the path; C must, and not as a collider
-    path = _first_backdoor_path(dag, -1, ~c, through=c)
-    return path is not None, path
+    path = _first_backdoor_path(dag, -1, ~(1 << c), through=1 << c)
+    if path is None:
+        raise AssertionError(f"D2 holds for {variable!r} but no backdoor path shows it")
+    return True, path
 
 
 def classify_d3(dag, variable):

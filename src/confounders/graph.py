@@ -6,7 +6,10 @@ not give directly: the closure of a set under ancestors or descendants, and
 d-separation (`d_separated`). Every derived graph (`subgraph`,
 `without_edges_into`, `without_edges_from`) is built by one factory, so a
 Dag's derived graphs keep its exposure, outcome and declared pre-exposure
-set wherever both ends survive. Literal path enumeration
+set wherever both ends survive. The factory builds index, masks and kernel
+straight from the filtered edges, with none of the constructor's checks,
+which the parent graph has passed; a derived graph's topological order is
+computed on first use. Literal path enumeration
 (`enumerate_paths` + `is_blocked`) is the oracle: the test suite
 cross-checks the kernel against it on random graphs, and the registry uses
 it to list paths. A single path that explains a verdict comes from
@@ -19,7 +22,8 @@ the marked subsets back in canonical order.
 
 Node sets returned by queries are frozensets; anything order-sensitive
 (paths, topological order) comes back as tuples. All tie-breaking is
-lexicographic by node name, so every operation is deterministic.
+lexicographic by node name, so every operation is deterministic: a check
+that meets several bad names in a set names the first in sorted order.
 """
 from __future__ import annotations
 
@@ -106,16 +110,12 @@ class Graph:
             seen.add(name)
         if len(nodes) > MAX_NODES:
             raise SizeLimit(f"{len(nodes)} nodes exceeds the {MAX_NODES}-node kernel limit")
-        self.nodes = nodes
-        self._index = {name: i for i, name in enumerate(nodes)}
-        pmask = [0] * len(nodes)
-        cmask = [0] * len(nodes)
         edge_list = []
         edge_seen = set()
         for u, v in edges:
-            if u not in self._index:
+            if u not in seen:
                 raise UnknownNode(f"edge endpoint {u!r} is not a node")
-            if v not in self._index:
+            if v not in seen:
                 raise UnknownNode(f"edge endpoint {v!r} is not a node")
             if u == v:
                 raise SelfLoop(f"self loop on {u!r}")
@@ -123,14 +123,26 @@ class Graph:
                 raise DuplicateEdge(f"duplicate edge {u!r} -> {v!r}")
             edge_seen.add((u, v))
             edge_list.append((u, v))
-            iu, iv = self._index[u], self._index[v]
+        self._build(nodes, tuple(edge_list))
+        self._topo = self._toposort()
+
+    def _build(self, nodes, edges):
+        """Index, masks and kernel from nodes and edges already checked:
+        the one place every graph is built. The topological order is left
+        for its first use."""
+        self.nodes = nodes
+        self.edges = edges
+        index = self._index = {name: i for i, name in enumerate(nodes)}
+        pmask = [0] * len(nodes)
+        cmask = [0] * len(nodes)
+        for u, v in edges:
+            iu, iv = index[u], index[v]
             pmask[iv] |= 1 << iu
             cmask[iu] |= 1 << iv
-        self.edges = tuple(edge_list)
         self._pmask = pmask
         self._cmask = cmask
         self._kernel = BitDag(pmask)
-        self._topo = self._toposort()
+        self._topo = None
         self._search = None  # _search_tables, made on the first path search
 
     def _toposort(self):
@@ -183,9 +195,15 @@ class Graph:
             raise UnknownNode(f"unknown node {name!r}") from None
 
     def _mask(self, names):
+        """The mask of the named nodes. An unknown name raises UnknownNode
+        for the first unknown name in sorted order."""
+        index = self._index
         m = 0
-        for name in names:
-            m |= 1 << self._require(name)
+        try:
+            for name in names:
+                m |= 1 << index[name]
+        except KeyError:
+            self._require(min((name for name in names if name not in index), key=str))
         return m
 
     def _names(self, mask):
@@ -200,6 +218,8 @@ class Graph:
 
     @property
     def topological_order(self):
+        if self._topo is None:
+            self._topo = self._toposort()
         return self._topo
 
     def has_edge(self, u, v):
@@ -234,8 +254,7 @@ class Graph:
 
     def subgraph(self, keep):
         keep = frozenset(keep)
-        for name in keep:
-            self._require(name)
+        self._mask(keep)  # every name must be a node
         return self._derived(
             tuple(n for n in self.nodes if n in keep),
             tuple((u, v) for u, v in self.edges if u in keep and v in keep),
@@ -250,8 +269,12 @@ class Graph:
         return self._derived(self.nodes, tuple(e for e in self.edges if e[0] != node))
 
     def _derived(self, nodes, edges):
-        """The graph on `nodes`, a subsequence of this graph's, and `edges`."""
-        return Graph(nodes, edges)
+        """The graph on `nodes`, a subsequence of this graph's, and `edges`,
+        a subsequence of its edges: built with no checks, which this graph
+        has passed."""
+        graph = Graph.__new__(Graph)
+        graph._build(nodes, edges)
+        return graph
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.nodes)} nodes, {len(self.edges)} edges)"
@@ -277,12 +300,14 @@ class Dag(Graph):
                 f"need one exposure and one distinct outcome among the nodes; "
                 f"got exposure={exposure!r}, outcome={outcome!r}"
             )
-        self.exposure = exposure
-        self.outcome = outcome
         if declared_pre is not None:
             declared_pre = frozenset(declared_pre)
-            for name in declared_pre:
-                self._require(name)
+            self._mask(declared_pre)  # every name must be a node
+        self._bind(exposure, outcome, declared_pre)
+
+    def _bind(self, exposure, outcome, declared_pre):
+        self.exposure = exposure
+        self.outcome = outcome
         self.declared_pre = declared_pre
         self._no_out = None
         self._pool = None
@@ -326,9 +351,12 @@ class Dag(Graph):
         """A Dag with this exposure and outcome when `nodes` keeps both,
         its declared pre-exposure set cut to `nodes`; a Graph otherwise."""
         if self.exposure not in nodes or self.outcome not in nodes:
-            return Graph(nodes, edges)
+            return Graph._derived(self, nodes, edges)
+        dag = Dag.__new__(Dag)
+        dag._build(nodes, edges)
         pre = None if self.declared_pre is None else self.declared_pre.intersection(nodes)
-        return Dag(nodes, edges, self.exposure, self.outcome, pre)
+        dag._bind(self.exposure, self.outcome, pre)
+        return dag
 
     def __repr__(self):
         return (
@@ -338,12 +366,14 @@ class Dag(Graph):
 
 
 def _disjoint(parts):
-    flat = set()
-    for part in parts:
-        for name in part:
-            if name in flat:
-                raise OverlappingSets(f"node {name!r} appears in more than one argument set")
-            flat.add(name)
+    """Raise OverlappingSets, naming the first shared name in sorted order,
+    unless the sets are pairwise disjoint."""
+    flat = frozenset().union(*parts)
+    if len(flat) < sum(map(len, parts)):
+        shared = [name for name in flat if sum(name in part for part in parts) > 1]
+        raise OverlappingSets(
+            f"node {min(shared, key=str)!r} appears in more than one argument set"
+        )
 
 
 def d_separated(graph, set_a, set_b, given=()):
@@ -679,12 +709,10 @@ def is_blocked(graph, path, given=()):
     """
     _validate_path(graph, path)
     given = frozenset(given)
-    for name in given:
-        graph._require(name)
+    given_mask = graph._mask(given)
     for end in (path.nodes[0], path.nodes[-1]):
         if end in given:
             raise OverlappingConditioningSet(f"path endpoint {end!r} is conditioned on")
-    given_mask = graph._mask(given)
     for i in range(1, len(path.nodes) - 1):
         node = path.nodes[i]
         if path.is_collider_at(i):

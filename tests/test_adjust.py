@@ -3,7 +3,10 @@ brute-force oracle that enumerates and blocks paths from scratch."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confounders.adjust as adjust_module
 from confounders.adjust import (
     AdjustmentVerdict,
     MinimalSetCatalog,
@@ -15,7 +18,7 @@ from confounders.adjust import (
 from confounders.errors import NonCovariateInSet, SizeLimit
 from confounders.graph import Dag
 from confounders.fuzz import random_dag
-from helpers_oracle import naive_backdoor_sufficient, naive_minimal_sets
+from helpers_oracle import naive_backdoor_sufficient, naive_descendants, naive_minimal_sets
 
 FORK = Dag(("C1", "A", "Y"), (("C1", "A"), ("C1", "Y"), ("A", "Y")), "A", "Y")
 TWO_ROUTES = Dag(
@@ -115,6 +118,50 @@ def test_minimal_sets_match_brute_force():
         # canonical enumeration: size ascending, then lexicographic
         key = [(len(s), s) for s in got]
         assert key == sorted(key)
+
+
+@st.composite
+def small_dags(draw, max_nodes=8):
+    """A random DAG, with a declared pre-exposure set half of the time."""
+    n = draw(st.integers(2, max_nodes))
+    names = [f"V{i}" for i in range(n)]
+    order = draw(st.permutations(names))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    exposure, outcome = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+    pre = draw(st.none() | st.sets(st.sampled_from(names)))
+    return Dag(names, [e for e, k in zip(pairs, keep) if k], exposure, outcome, pre)
+
+
+def hull_members(dag):
+    """The pool members that are ancestors of the exposure or the outcome,
+    from the edge list."""
+    reverse = [(v, u) for u, v in dag.edges]
+    hull = naive_descendants(reverse, dag.exposure) | naive_descendants(reverse, dag.outcome)
+    return tuple(c for c in dag.covariate_pool if c in hull)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=small_dags())
+def test_catalog_matches_brute_force_with_and_without_declared_pre(dag):
+    want = naive_minimal_sets(dag.edges, dag.exposure, dag.outcome, dag.covariate_pool)
+    assert minimal_sufficient_sets(dag).sets == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=small_dags())
+def test_catalog_pass_gets_the_pool_members_in_the_ancestor_hull(dag):
+    passes = []
+    lanes = adjust_module._sufficient_lanes
+
+    def counted(dag, members, fixed=()):
+        passes.append(tuple(members))
+        return lanes(dag, members, fixed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adjust_module, "_sufficient_lanes", counted)
+        minimal_sufficient_sets(dag)
+    assert passes == [hull_members(dag)]
 
 
 def test_minimal_sets_live_inside_ancestor_hull():

@@ -1,11 +1,15 @@
 """Directed-graph layer: construction guards, path enumeration, blocking,
 and d-separation checked against an independent path-based oracle."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confounders
 from confounders.errors import (
     CycleDetected,
     DuplicateEdge,
@@ -169,6 +173,11 @@ def check_derived(parent, derived, keep, edges):
     Dag and keep holds both its ends, a Graph otherwise."""
     assert derived.nodes == tuple(n for n in parent.nodes if n in keep)
     assert derived.edges == tuple(edges)
+    checked = Graph(derived.nodes, derived.edges)
+    assert (derived._index, derived._pmask, derived._cmask) == (
+        checked._index, checked._pmask, checked._cmask
+    )
+    assert derived.topological_order == checked.topological_order
     roles = isinstance(parent, Dag) and parent.exposure in keep and parent.outcome in keep
     if not roles:
         assert type(derived) is Graph
@@ -179,6 +188,9 @@ def check_derived(parent, derived, keep, edges):
         assert derived.declared_pre is None
     else:
         assert derived.declared_pre == parent.declared_pre & set(keep)
+    assert derived.covariate_pool == Dag(
+        derived.nodes, derived.edges, derived.exposure, derived.outcome, derived.declared_pre
+    ).covariate_pool
     check_relatives(derived, edges)
 
 
@@ -306,6 +318,42 @@ def test_dsep_overlapping_sets_rejected():
 def test_dsep_unknown_node():
     with pytest.raises(UnknownNode):
         d_separated(CHAIN, ("A",), ("Q",), ())
+
+
+# every check that meets several bad names names the first in sorted order,
+# whatever order the hash seed gives the sets
+ERRORS = """
+from confounders.graph import Dag, Graph, Path, d_separated, is_blocked
+g = Graph(("A", "B", "C", "D"), (("A", "B"), ("B", "C"), ("C", "D")))
+bad = {"S", "R", "Q", "P", "T"}
+for call in (
+    lambda: d_separated(g, {"B", "C", "D"}, {"D", "C", "B"}),
+    lambda: d_separated(g, {"A"}, bad),
+    lambda: is_blocked(g, Path(("A", "B", "C"), ("->", "->")), bad),
+    lambda: g.subgraph(bad | {"A"}),
+    lambda: Dag(g.nodes, g.edges, "A", "D", bad | {"B"}),
+):
+    try:
+        call()
+    except Exception as error:
+        print(type(error).__name__, error)
+"""
+
+
+def test_error_text_does_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(confounders.__file__)))
+    outputs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", ERRORS], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert outputs == {
+        "OverlappingSets node 'B' appears in more than one argument set\n"
+        + "UnknownNode unknown node 'P'\n" * 4
+    }
 
 
 def test_dsep_empty_side_is_separated():

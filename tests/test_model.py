@@ -1247,11 +1247,11 @@ def test_counterfactual_joints_build_no_graph_and_no_intervened_model(monkeypatc
     model = parse_model(fixtures.joinpath(f"{stem}.json").read_text(encoding="utf-8"), dag)
     dag.without_exposure_out_edges()
     graphs, intervened, built = [], [], Counter()
-    graph_init, intervene, joint_items = Graph.__init__, DiscreteModel.intervene, DiscreteModel._joint_items
+    graph_build, intervene, joint_items = Graph._build, DiscreteModel.intervene, DiscreteModel._joint_items
 
-    def counted_graph(self, *args, **kwargs):
+    def counted_graph(self, *args):
         graphs.append(type(self))
-        graph_init(self, *args, **kwargs)
+        graph_build(self, *args)
 
     def counted_intervene(self, *args):
         intervened.append(args)
@@ -1261,7 +1261,7 @@ def test_counterfactual_joints_build_no_graph_and_no_intervened_model(monkeypatc
         built[id(self)] += self._joint is None
         return joint_items(self)
 
-    monkeypatch.setattr(Graph, "__init__", counted_graph)
+    monkeypatch.setattr(Graph, "_build", counted_graph)
     monkeypatch.setattr(DiscreteModel, "intervene", counted_intervene)
     monkeypatch.setattr(DiscreteModel, "_joint_items", counted_joint_items)
     model.ace()

@@ -3,18 +3,25 @@
 The oracle is `backdoor_paths` filtered by `is_blocked` (for witnesses) or
 by the non-collider position of the variable (for D2): the search must
 return exactly the first path that filter keeps, or None when it keeps
-none.
+none. The D2 verdict comes before any search (`classify._d2_holds`), so it
+is checked against the same filter, and the search is checked to run only
+when the verdict holds.
 """
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confounders.adjust as adjust_module
 import confounders.graph as graph_module
 from confounders.adjust import _first_backdoor_path, backdoor_paths, is_sufficient
 from confounders.classify import classify_d2
 from confounders.cli import main
 from confounders.errors import SizeLimit
-from confounders.graph import Dag, is_blocked
+from confounders.fuzz import random_dag
+from confounders.graph import Dag, Graph, is_blocked
 
 
 @st.composite
@@ -26,6 +33,23 @@ def dags(draw, max_nodes=10):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     exposure, outcome = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
     return Dag(names, [e for e, k in zip(pairs, keep) if k], exposure, outcome)
+
+
+@st.composite
+def sparse_dags(draw, max_nodes=16):
+    """About one to two edges per node, so that every path can be listed;
+    the outcome descends from the exposure in about half of them."""
+    n = draw(st.integers(2, max_nodes))
+    names = [f"V{i}" for i in range(n)]
+    order = draw(st.permutations(names))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from((1.0, 1.5, 2.0))) * 2 / max(n - 1, 1)
+    edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    exposure = draw(st.sampled_from(names))
+    below = sorted(Graph(names, edges).descendants(exposure))
+    if not (below and draw(st.booleans())):
+        below = [v for v in names if v != exposure]
+    return Dag(names, edges, exposure, draw(st.sampled_from(below)))
 
 
 def _first_open(dag, given):
@@ -68,6 +92,78 @@ def test_d2_matches_enumeration(dag):
     for variable in dag.covariate_pool:
         want = _first_d2(dag, variable)
         assert classify_d2(dag, variable) == (want is not None, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=sparse_dags())
+def test_d2_matches_enumeration_up_to_16_nodes(dag):
+    # exposure and outcome are drawn apart from the edges, so the outcome
+    # often does not descend from the exposure
+    for variable in dag.covariate_pool:
+        want = _first_d2(dag, variable)
+        assert classify_d2(dag, variable) == (want is not None, want)
+
+
+# C's only neighbours are its parents P1, on the way to A, and P2, on the
+# way to Y: C is a collider on the one backdoor path, A <- P1 -> C <- P2 -> Y.
+# Two paths leave C to A and to Y and share only C, but both leave upward.
+COLLIDER = Dag(
+    ("P1", "P2", "C", "A", "Y"),
+    (("P1", "A"), ("P1", "C"), ("P2", "C"), ("P2", "Y"), ("A", "Y")),
+    "A",
+    "Y",
+)
+
+
+def test_d2_no_where_c_is_a_collider_on_every_backdoor_path():
+    assert [str(p) for p in backdoor_paths(COLLIDER)] == ["A <- P1 -> C <- P2 -> Y"]
+    assert classify_d2(COLLIDER, "C") == (False, None)
+    for variable in ("P1", "P2"):
+        assert classify_d2(COLLIDER, variable)[0]
+    # one arrow out of C is enough: C -> Y opens A <- P1 -> C -> Y
+    opened = Dag(COLLIDER.nodes, COLLIDER.edges + (("C", "Y"),), "A", "Y")
+    assert str(classify_d2(opened, "C")[1]) == "A <- P1 -> C -> Y"
+
+
+def test_d2_searches_for_a_path_only_when_the_verdict_holds(monkeypatch):
+    searches = []
+    search = adjust_module._first_path
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(adjust_module, "_first_path", counted)
+    assert classify_d2(COLLIDER, "C") == (False, None)
+    assert searches == []
+    rng = random.Random(17)
+    negatives = 0
+    for _ in range(40):
+        dag = random_dag(rng, rng.randint(4, 9), 0.35)
+        for variable in dag.covariate_pool:
+            before = len(searches)
+            verdict, _ = classify_d2(dag, variable)
+            assert len(searches) - before == verdict
+            negatives += not verdict
+    assert negatives > 0
+
+
+def test_d2_answers_every_covariate_of_20_node_dags():
+    # at 20 nodes and edge probability 0.3 the search alone exhausted
+    # MAX_PATH_EXPANSIONS on 4 negative covariates (about 0.8 s each)
+    rng = random.Random(3)
+    dags = [random_dag(rng, 20, 0.3) for _ in range(20)]
+    start = time.process_time()
+    positives = 0
+    for dag in dags:
+        for variable in dag.covariate_pool:
+            verdict, path = classify_d2(dag, variable)
+            if verdict:
+                i = path.nodes.index(variable)
+                assert path.starts_into_source and not path.is_collider_at(i)
+                positives += 1
+    assert time.process_time() - start < 1.0
+    assert positives == 127
 
 
 @settings(max_examples=200, deadline=None)
