@@ -14,7 +14,9 @@ The six readings of "C is a confounder for the effect of A on Y":
 
 D1-D4 need only the graph; D5/D6 need a DiscreteModel. Existential
 quantifiers range over subsets of the covariate pool minus C, visited in
-canonical order, so witnesses are reproducible.
+canonical order, so witnesses are reproducible. Each verdict is decided
+apart from its witness (`_verdicts`), and a witness is built only for a
+verdict that holds.
 
 The model scans visit only the contexts the graph leaves open. A model
 factorizes over its Dag, so d-separation implies exact independence (the
@@ -52,7 +54,7 @@ from .errors import (
     OverlappingSets,
 )
 from .formats import format_effect, format_set
-from .graph import _bits, _lane_pattern, _lane_sets, _search_tables, _sliced_dsep
+from .graph import _bits, _lane_pattern, _lane_sets, _skeleton, _sliced_dsep
 
 DEFINITIONS = ("D1", "D2", "D3", "D4", "D5", "D6")
 GRAPH_DEFINITIONS = ("D1", "D2", "D3", "D4")
@@ -102,26 +104,18 @@ def _context_sets(dag, variable):
     return _require_enumerable(others, f"the context search for {variable!r}")
 
 
-def _d1_contexts(dag, variable):
-    """The graphical D1 contexts of C, in canonical order: each X in which
-    C is d-connected to A given X and to Y given (A, X).
-
-    The empty context, the usual first one, is read off the probe mask:
-    the nodes d-connected to A, and to Y given A; two kernel queries per
-    Dag, kept on it (`_d1_probe`). By the symmetry of d-separation, C's bit
-    there says whether the empty context is one. Only when more are asked
-    for are the rest read off the D1 lane vector: two sliced passes from C,
-    given X and given X plus A, that mark every context at once. The vector
-    is kept per covariate on the Dag (`_d1`), so the graphical D1 and the
-    model scans share one pair of passes.
-    """
-    others = _context_sets(dag, variable)
+def _d1_lanes(dag, variable, others):
+    """C's D1 lane vector over the contexts drawn from `others`, in two
+    parts, the second made only when asked for. First lane 0, the empty
+    context: C's bit in the probe mask of the nodes d-connected to A, and to
+    Y given A (two kernel queries, kept on the Dag as `_d1_probe`). Then the
+    rest, from two sliced passes from C, given X and given X plus A, kept
+    on the Dag per covariate (`_d1`) for the model scans to share."""
     c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
     if dag._d1_probe is None:
         kernel = dag._kernel
         dag._d1_probe = kernel.reachable(1 << a, 0) & kernel.reachable(1 << y, 1 << a)
-    if dag._d1_probe >> c & 1:
-        yield ()
+    yield dag._d1_probe >> c & 1
     if not others:
         return
     if dag._d1 is None:
@@ -134,8 +128,22 @@ def _d1_contexts(dag, variable):
         if connected:
             connected &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
         dag._d1[variable] = connected
-    # lane 0, the empty context, was the probe's
-    yield from _lane_sets(connected & ~1, others)
+    yield connected & ~1  # lane 0 was the probe's
+
+
+def _d1_holds(dag, variable):
+    """The graphical D1 verdict, with no context listed."""
+    return any(_d1_lanes(dag, variable, _context_sets(dag, variable)))
+
+
+def _d1_contexts(dag, variable):
+    """The graphical D1 contexts of C, in canonical order: each X in which
+    C is d-connected to A given X and to Y given (A, X)."""
+    others = _context_sets(dag, variable)
+    lanes = _d1_lanes(dag, variable, others)
+    if next(lanes):
+        yield ()
+    yield from _lane_sets(next(lanes, 0), others)
 
 
 def _model_contexts(model, variable):
@@ -152,8 +160,8 @@ def _model_contexts(model, variable):
 def classify_d1_graphical(dag, variable):
     """(verdict, witness X): C d-connected to A given X and to Y given
     (A, X), for the canonically first context X that works."""
-    context = next(_d1_contexts(dag, variable), None)
-    return context is not None, context
+    held = _d1_holds(dag, variable)
+    return held, next(_d1_contexts(dag, variable)) if held else None
 
 
 def classify_d1_numeric(model, variable):
@@ -175,9 +183,9 @@ def classify_d1_numeric(model, variable):
     return False, None
 
 
-def _d2_holds(dag, c):
-    """Whether node c is a non-collider on some backdoor path: the D2
-    verdict, in polynomial time and with no path built.
+def _d2_holds(dag, variable):
+    """Whether C is a non-collider on some backdoor path: the D2 verdict,
+    in polynomial time and with no path built.
 
     Cut such a path A <- ... C ... Y at C. That gives two paths from C that
     share only C: one ends at A, entering it from a parent of A; the other
@@ -196,9 +204,10 @@ def _d2_holds(dag, c):
     node that meets every path lies on the one path P traced below, so each
     node of P is tested with one reachability search.
     """
-    a, y = dag._index[dag.exposure], dag._index[dag.outcome]
+    _require_covariate(dag, variable)
+    c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
     parents, children = dag._pmask, dag._cmask
-    adjacency = _search_tables(dag)[0]
+    adjacency = _skeleton(dag)
     ends = (1 << a) | (1 << y)
     exits = parents[a] | adjacency[y]  # the nodes with an arc into an end
     inner = ~(ends | 1 << c)
@@ -256,12 +265,11 @@ def classify_d2(dag, variable):
 
     The verdict is `_d2_holds`; the path search runs only when it holds.
     """
-    _require_covariate(dag, variable)
-    c = dag._index[variable]
-    if not _d2_holds(dag, c):
+    if not _d2_holds(dag, variable):
         return False, None
     # any node may pass along the path; C must, and not as a collider
-    path = _first_backdoor_path(dag, -1, ~(1 << c), through=1 << c)
+    c = 1 << dag._index[variable]
+    path = _first_backdoor_path(dag, -1, ~c, through=c)
     if path is None:
         raise AssertionError(f"D2 holds for {variable!r} but no backdoor path shows it")
     return True, path
@@ -314,11 +322,7 @@ def classify_d6(model, variable):
 
 def surrogate_confounder(model, variable):
     """D5 without D4: bias reduction without membership in any minimal set."""
-    d5, _ = classify_d5(model, variable)
-    if not d5:
-        return False
-    d4, _ = classify_d4(model.dag, variable)
-    return not d4
+    return classify_d5(model, variable)[0] and not classify_d4(model.dag, variable)[0]
 
 
 def conditional_confounder(dag, variable, conditioning=()):
@@ -392,13 +396,25 @@ def dashed_observations(report, has_model):
     return _dashed_arrows(report.verdicts, has_model)
 
 
-def _evaluators(dag, model=None):
-    """Definition id -> evaluator(variable) returning (verdict, witness).
+def _verdicts(dag, model=None):
+    """Definition id -> verdict(variable), for each definition the inputs
+    decide, with no witness built: the one place that knows how each is
+    decided. D3 and D4 read the Dag's minimal-set catalog; the D4, D5 and
+    D6 scans meet their witness with the verdict."""
+    table = {
+        "D1": lambda c: _d1_holds(dag, c),
+        "D2": lambda c: _d2_holds(dag, c),
+        "D3": lambda c: classify_d3(dag, c),
+        "D4": lambda c: classify_d4(dag, c)[0],
+    }
+    if model is not None:
+        table.update(D5=lambda c: classify_d5(model, c)[0], D6=lambda c: classify_d6(model, c)[0])
+    return table
 
-    The one place that knows how each definition is decided. D3 has no
-    witness. D3 and D4 read the Dag's minimal-set catalog, listed on first
-    use.
-    """
+
+def _evaluators(dag, model=None):
+    """Definition id -> evaluator(variable) returning (verdict, witness),
+    the witness built only for a verdict that holds. D3 has none."""
     return {
         "D1": lambda c: classify_d1_graphical(dag, c),
         "D2": lambda c: classify_d2(dag, c),

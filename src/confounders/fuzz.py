@@ -3,7 +3,7 @@
 Each trial draws a DAG (random topological order, independent edge
 coin-flips, exposure and outcome placed so a directed path joins them)
 and, optionally, random strictly-positive binary CPTs with denominators
-up to 64. On every draw the checker re-proves:
+up to 64. On every draw the checker re-proves, building no witness:
 
   hard (a failure is an implementation bug):
     - the union of all minimally sufficient sets is itself sufficient
@@ -39,11 +39,18 @@ from .adjust import (
     minimal_sufficient_sets,
     subsets_canonical,
 )
-from .classify import DASHED_EDGES, SOLID_MODEL_EDGES, check_implications, classify_variable
+from .classify import (
+    DASHED_EDGES,
+    SOLID_MODEL_EDGES,
+    _broken_arrows,
+    _dashed_arrows,
+    _verdicts,
+    classify_d1_numeric,
+)
 from .errors import InvalidConfig
 from .graph import Dag
 from .model import Cpt, DiscreteModel
-from .properties import distinguishing_context
+from .properties import _distinguishing_lanes
 
 MAX_FUZZ_NODES = 10
 MAX_DENOMINATOR = 64
@@ -127,7 +134,8 @@ def random_dag(rng, n_nodes, edge_prob):
     descends from the exposure. The edges come out sorted by their
     sources' places in the order, so one pass over them, growing the set
     reached from the exposure, finds its descendants, and only the draw
-    that is kept is built into a Dag.
+    that is kept is built into a Dag, without the constructor's checks,
+    which a forward-edge draw passes.
     """
     names = [f"V{i}" for i in range(n_nodes)]
     for _ in range(_PLACEMENT_ATTEMPTS):
@@ -143,7 +151,7 @@ def random_dag(rng, n_nodes, edge_prob):
             if u in reached:
                 reached.add(v)
         if outcome in reached:
-            return Dag(names, edges, exposure, outcome)
+            return Dag._trusted(tuple(names), tuple(edges), exposure, outcome)
     raise InvalidConfig(
         "could not draw a DAG with a directed exposure-outcome path; raise edge_prob"
     )
@@ -183,21 +191,20 @@ def _run_trial(index, dag, model, failures, counters):
         fail(f"union of minimal sets {catalog.union} is not sufficient")
 
     has_model = model is not None
-    reports = [classify_variable(dag, c, model) for c in pool]
+    holds = _verdicts(dag, model)
+    verdicts = {c: {def_id: verdict(c) for def_id, verdict in holds.items()} for c in pool}
     numeric_failures = []
-    for report in reports:
-        for arrow in check_implications(report, has_model)[1]:
+    for c in pool:
+        d1_numeric = classify_d1_numeric(model, c)[0] if has_model else None
+        for arrow in _broken_arrows(verdicts[c], d1_numeric, has_model):
             if tuple(arrow.split("=>")) in SOLID_MODEL_EDGES:
-                numeric_failures.append(
-                    f"solid arrow {arrow} broken at {report.variable} (numeric layer)"
-                )
+                numeric_failures.append(f"solid arrow {arrow} broken at {c} (numeric layer)")
             else:
-                fail(f"solid arrow {arrow} broken at {report.variable}")
-        for arrow in report.dashed_observations:
+                fail(f"solid arrow {arrow} broken at {c}")
+        for arrow in _dashed_arrows(verdicts[c], has_model):
             counters["dashed_" + arrow.replace("->", "_to_")] += 1
-        if has_model and report.d1_numeric != report.verdicts["D1"]:
+        if has_model and d1_numeric != verdicts[c]["D1"]:
             counters["d1_graphical_numeric_gaps"] += 1
-    verdicts = {report.variable: report.verdicts for report in reports}
 
     for def_id in ("D1", "D2"):
         marked = tuple(c for c in pool if verdicts[c][def_id])
@@ -208,7 +215,7 @@ def _run_trial(index, dag, model, failures, counters):
     if not _sufficient(dag, d3_marked):
         counters["p1_d3_failures"] += 1
 
-    p2a_marked = tuple(c for c in pool if distinguishing_context(dag, c) is not None)
+    p2a_marked = tuple(c for i, c in enumerate(pool) if _distinguishing_lanes(dag, i))
     if not _sufficient(dag, p2a_marked):
         counters["p2a_as_definition_p1_failures"] += 1
 

@@ -1,20 +1,22 @@
 """Directed acyclic graphs with named nodes, paths, and d-separation.
 
-A Graph keeps its adjacency once, as parent and child bitmasks, and asks
-the reachability kernel (confounders._kernels) only for what the masks do
-not give directly: the closure of a set under ancestors or descendants, and
-d-separation (`d_separated`). Every derived graph (`subgraph`,
-`without_edges_into`, `without_edges_from`) is built by one factory, so a
-Dag's derived graphs keep its exposure, outcome and declared pre-exposure
-set wherever both ends survive. The factory builds index, masks and kernel
-straight from the filtered edges, with none of the constructor's checks,
-which the parent graph has passed; a derived graph's topological order is
+A Graph keeps its adjacency once, as parent, child and skeleton bitmasks,
+and asks the reachability kernel (confounders._kernels) only for what the
+masks do not give directly: the closure of a set under ancestors or
+descendants, and d-separation (`d_separated`). Every derived graph
+(`subgraph`, `without_edges_into`, `without_edges_from`) is built by one
+factory, so a Dag's derived graphs keep its exposure, outcome and declared
+pre-exposure set wherever both ends survive. The factory builds index,
+masks and kernel straight from the filtered edges, with none of the
+constructor's checks, which the parent graph has passed, as `Dag._trusted`
+does for the fuzzer's draws; the topological order of such a graph is
 computed on first use. Literal path enumeration
 (`enumerate_paths` + `is_blocked`) is the oracle: the test suite
 cross-checks the kernel against it on random graphs, and the registry uses
 it to list paths. A single path that explains a verdict comes from
 `_first_path`, a depth-first search in the same lexicographic order that
-stops at the first admissible path instead of listing them all. A question
+stops at the first admissible path instead of listing them all; its
+name-ordered neighbour table is built on a graph's first search. A question
 asked of every subset of a set of nodes, such as "which conditioning sets
 separate these two nodes?", is one `_sliced_dsep` pass that answers all the
 subsets at once, one bit ("lane") of an int per subset; `_lane_sets` reads
@@ -95,7 +97,7 @@ class Path:
 class Graph:
     """Immutable DAG. Construction validates names, edges, and acyclicity."""
 
-    __slots__ = ("nodes", "edges", "_index", "_pmask", "_cmask", "_kernel", "_topo", "_search")
+    __slots__ = ("nodes", "edges", "_index", "_pmask", "_cmask", "_kernel", "_topo", "_adjacency", "_search")
 
     def __init__(self, nodes, edges):
         nodes = tuple(nodes)
@@ -143,6 +145,7 @@ class Graph:
         self._cmask = cmask
         self._kernel = BitDag(pmask)
         self._topo = None
+        self._adjacency = None  # _skeleton, made on first use
         self._search = None  # _search_tables, made on the first path search
 
     def _toposort(self):
@@ -347,16 +350,21 @@ class Dag(Graph):
             self._no_out = self.without_edges_from(self.exposure)
         return self._no_out
 
+    @classmethod
+    def _trusted(cls, nodes, edges, exposure, outcome, declared_pre=None):
+        """The Dag on node and edge tuples that pass its checks, built without them."""
+        dag = cls.__new__(cls)
+        dag._build(nodes, edges)
+        dag._bind(exposure, outcome, declared_pre)
+        return dag
+
     def _derived(self, nodes, edges):
         """A Dag with this exposure and outcome when `nodes` keeps both,
         its declared pre-exposure set cut to `nodes`; a Graph otherwise."""
         if self.exposure not in nodes or self.outcome not in nodes:
             return Graph._derived(self, nodes, edges)
-        dag = Dag.__new__(Dag)
-        dag._build(nodes, edges)
         pre = None if self.declared_pre is None else self.declared_pre.intersection(nodes)
-        dag._bind(self.exposure, self.outcome, pre)
-        return dag
+        return Dag._trusted(nodes, edges, self.exposure, self.outcome, pre)
 
     def __repr__(self):
         return (
@@ -442,13 +450,19 @@ def _reaches(adjacency, start, allowed, needed):
     return True
 
 
+def _skeleton(graph):
+    """Each node's skeleton mask, built on first use and kept on the graph."""
+    if graph._adjacency is None:
+        graph._adjacency = tuple(map(int.__or__, graph._pmask, graph._cmask))
+    return graph._adjacency
+
+
 def _search_tables(graph):
-    """(adjacency, neighbors) of a graph, for `_first_path`: each node's
-    skeleton mask, and its neighbors in name order. Built on the first
+    """(adjacency, neighbors) of a graph, for `_first_path`: the skeleton
+    masks, and each node's neighbors in name order, built on the first
     search and kept on the graph (`_search`)."""
     if graph._search is None:
-        n = len(graph.nodes)
-        adjacency = tuple(p | c for p, c in zip(graph._pmask, graph._cmask))
+        n, adjacency = len(graph.nodes), _skeleton(graph)
         by_name = sorted(range(n), key=graph.nodes.__getitem__)
         neighbors = tuple(tuple(j for j in by_name if adjacency[i] >> j & 1) for i in range(n))
         graph._search = (adjacency, neighbors)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adjust import _open_backdoor_witness, _sufficiency_vector, _sufficient
-from .classify import DEFINITIONS, MODEL_DEFINITIONS, _context_sets, _evaluators, classify_d5
+from .classify import DEFINITIONS, MODEL_DEFINITIONS, _context_sets, _verdicts, classify_d5
 from .errors import InvalidConfig, MissingModel
 from .graph import _lane_pattern, _lane_sets
 
@@ -52,8 +52,8 @@ def positive_covariates(dag, def_id, model=None):
         raise MissingModel(f"{def_id} classification needs a discrete model")
     if model is not None:
         dag = model.dag
-    evaluate = _evaluators(dag, model)[def_id]
-    return tuple(c for c in dag.covariate_pool if evaluate(c)[0])
+    holds = _verdicts(dag, model)[def_id]
+    return tuple(c for c in dag.covariate_pool if holds(c))
 
 
 def check_property1(dag, model, def_id):
@@ -83,26 +83,26 @@ def _check_positive(dag, def_id, variable, model=None):
         return
     if model is not None:
         dag = model.dag
-    if variable not in dag.covariate_pool or not _evaluators(dag, model)[def_id](variable)[0]:
+    if variable not in dag.covariate_pool or not _verdicts(dag, model)[def_id](variable):
         raise InvalidConfig(
             f"{variable!r} is not {def_id}-positive; property 2 applies to positives only"
         )
 
 
+def _distinguishing_lanes(dag, i):
+    """The contexts that distinguish pool member i, as lanes: with S the
+    pool's sufficiency vector and P_i its lanes with bit i set, the lanes
+    l of (S >> 2**i) & ~S & ~P_i, where l + 2**i is sufficient and l is not."""
+    sufficient = _sufficiency_vector(dag)
+    return (sufficient >> (1 << i)) & ~sufficient & ~_lane_pattern(len(dag.covariate_pool), i)
+
+
 def distinguishing_context(dag, variable):
     """First context X (canonical order) where (X, C) is sufficient but X
-    alone is not; None when no context distinguishes C.
-
-    Read off the pool's sufficiency vector S, with C as pool member i:
-    lane l without bit i is a distinguishing context when lane l + 2**i is
-    sufficient and lane l is not, so the contexts are (S >> 2**i) & ~S,
-    less P_i, the lanes with bit i set."""
+    alone is not; None when no context distinguishes C."""
     _context_sets(dag, variable)  # the covariate check and the size cap
     pool = dag.covariate_pool
-    i = pool.index(variable)
-    sufficient = _sufficiency_vector(dag)
-    hits = (sufficient >> (1 << i)) & ~sufficient & ~_lane_pattern(len(pool), i)
-    return next(_lane_sets(hits, pool), None)
+    return next(_lane_sets(_distinguishing_lanes(dag, pool.index(variable)), pool), None)
 
 
 def check_property2a(dag, def_id, variable):

@@ -8,7 +8,7 @@ import pytest
 
 from confounders.errors import InvalidConfig
 from confounders.fuzz import FuzzConfig, FuzzReport, fuzz, random_dag, random_model
-from confounders.graph import Dag
+from confounders.graph import Dag, Graph
 from confounders.model import DiscreteModel
 
 
@@ -108,14 +108,15 @@ def test_random_dag_matches_the_build_per_attempt_loop(n_nodes):
 
 
 def test_random_dag_builds_one_dag_per_call(monkeypatch):
+    # every graph is built by Graph._build, checked or not
     built = []
-    init = Dag.__init__
+    build = Graph._build
 
     def counted(self, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        build(self, *args, **kwargs)
 
-    monkeypatch.setattr(Dag, "__init__", counted)
+    monkeypatch.setattr(Graph, "_build", counted)
     rng = random.Random(17)
     for n_nodes in range(2, 11):
         for _ in range(10):

@@ -165,14 +165,15 @@ def test_p2a_rejects_names_outside_the_pool():
 
 
 def counted_d1(monkeypatch):
+    # the properties read the D1 verdict alone, `_d1_holds`
     calls = []
-    real = confounders.classify.classify_d1_graphical
+    real = confounders.classify._d1_holds
 
     def counted(dag, variable):
         calls.append(variable)
         return real(dag, variable)
 
-    monkeypatch.setattr(confounders.classify, "classify_d1_graphical", counted)
+    monkeypatch.setattr(confounders.classify, "_d1_holds", counted)
     return calls
 
 
