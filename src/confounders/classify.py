@@ -50,6 +50,8 @@ from .adjust import (
 )
 from .errors import (
     IncompleteReport,
+    InvalidConfig,
+    MissingModel,
     NotACovariate,
     OverlappingSets,
 )
@@ -75,11 +77,12 @@ DASHED_EDGES = (
 
 @dataclass(frozen=True)
 class ConfounderReport:
-    """All verdicts for one covariate.
+    """The verdicts asked for, for one covariate.
 
     verdicts["D1"] is the graphical reading; d1_numeric carries the exact
-    distributional reading when a model was supplied (they disagree only
-    on unfaithful CPTs). surrogate is None without a model.
+    distributional reading when a model was supplied and D1 asked for
+    (they disagree only on unfaithful CPTs). surrogate is None unless a
+    model was supplied and D4 and D5 asked for.
     """
 
     variable: str
@@ -354,46 +357,64 @@ def conditional_confounder(dag, variable, conditioning=()):
     return True, tuple(name for name in full if name != variable)
 
 
-def _broken_arrows(verdicts, d1_numeric, has_model):
+def _arrows(edges, table, sep):
+    """The arrows of `edges` with both ends in `table` whose premise holds
+    and whose conclusion fails, labelled premise, `sep`, conclusion."""
+    return [f"{p}{sep}{c}" for p, c in edges if table.get(p) and c in table and not table[c]]
+
+
+def _broken_arrows(verdicts, d1_numeric):
     """The solid arrows a verdict table breaks, as `check_implications`
-    labels them."""
-    broken = [f"{p}=>{c}" for p, c in SOLID_GRAPH_EDGES if verdicts[p] and not verdicts[c]]
-    if has_model:
-        layer = dict(verdicts, D1=verdicts["D1"] if d1_numeric is None else d1_numeric)
-        broken += [f"{p}=>{c}" for p, c in SOLID_MODEL_EDGES if layer[p] and not layer[c]]
-    return tuple(broken)
+    labels them. Model-layer arrows read D1 numerically when given."""
+    layer = verdicts if d1_numeric is None else dict(verdicts, D1=d1_numeric)
+    return tuple(_arrows(SOLID_GRAPH_EDGES, verdicts, "=>") + _arrows(SOLID_MODEL_EDGES, layer, "=>"))
 
 
-def _dashed_arrows(verdicts, has_model):
+def _dashed_arrows(verdicts):
     """The dashed arrows a verdict table shows, as `dashed_observations`
-    labels them; without a model, those that touch D5 or D6 are skipped."""
-    return tuple(
-        f"{p}->{c}"
-        for p, c in DASHED_EDGES
-        if (has_model or {p, c}.isdisjoint(MODEL_DEFINITIONS))
-        and verdicts.get(p)
-        and verdicts.get(c) is False
-    )
+    labels them."""
+    return tuple(_arrows(DASHED_EDGES, verdicts, "->"))
+
+
+def _require_complete(report, has_model):
+    for def_id in DEFINITIONS if has_model else GRAPH_DEFINITIONS:
+        if def_id not in report.verdicts:
+            raise IncompleteReport(f"report for {report.variable!r} lacks {def_id}")
 
 
 def check_implications(report, has_model):
-    """Verify the solid lattice arrows against a report.
+    """Verify the solid lattice arrows against a report that holds D1-D4,
+    and D5 and D6 too when `has_model`.
 
     Returns (ok, violated edge labels). Graph-layer arrows read D1
     graphically; model-layer arrows read it numerically when available.
     Dashed arrows are never checked here (see dashed_observations).
     """
-    for def_id in DEFINITIONS if has_model else GRAPH_DEFINITIONS:
-        if def_id not in report.verdicts:
-            raise IncompleteReport(f"report for {report.variable!r} lacks {def_id}")
-    violated = _broken_arrows(report.verdicts, report.d1_numeric, has_model)
+    _require_complete(report, has_model)
+    violated = _broken_arrows(report.verdicts, report.d1_numeric)
     return not violated, violated
 
 
 def dashed_observations(report, has_model):
-    """Dashed arrows whose premise holds but conclusion fails: reported,
-    never a failure."""
-    return _dashed_arrows(report.verdicts, has_model)
+    """Dashed arrows whose premise holds but conclusion fails, on a report
+    as complete as `check_implications` needs: reported, never a failure."""
+    _require_complete(report, has_model)
+    return _dashed_arrows(report.verdicts)
+
+
+def _definitions(defs=None, has_model=True):
+    """The definition ids a report evaluates: the sequence `defs`, checked,
+    in the order given, or by default every definition the inputs decide."""
+    if defs is None:
+        return DEFINITIONS if has_model else GRAPH_DEFINITIONS
+    if not defs:
+        raise InvalidConfig("the definition list names no definition id")
+    unknown = [d for d in defs if d not in DEFINITIONS]
+    if unknown:
+        raise InvalidConfig(f"unknown definition ids {unknown!r}")
+    if not has_model and any(d in MODEL_DEFINITIONS for d in defs):
+        raise MissingModel("D5/D6 verdicts need --model")
+    return defs
 
 
 def _verdicts(dag, model=None):
@@ -445,30 +466,30 @@ def _witness_text(def_id, witness, exact=False):
     return ""
 
 
-def classify_variable(dag, variable, model=None):
-    """Full report for one covariate: all applicable definitions,
-    witnesses, surrogate status, and the lattice verdict."""
+def classify_variable(dag, variable, model=None, defs=None):
+    """Report for one covariate on the definitions `defs` (default: every
+    definition the inputs decide), in the order given: their verdicts, the
+    witnesses of those that hold, numeric D1 when D1 is asked with a
+    model, surrogate status when D4 and D5 both are, and the lattice and
+    dashed arrows whose two ends were evaluated."""
     if model is not None and model.dag is not dag:
         dag = model.dag
-    has_model = model is not None
     evaluate = _evaluators(dag, model)
-    results = {
-        def_id: evaluate[def_id](variable)
-        for def_id in (DEFINITIONS if has_model else GRAPH_DEFINITIONS)
-    }
+    results = {def_id: evaluate[def_id](variable) for def_id in _definitions(defs, model is not None)}
     verdicts = {def_id: verdict for def_id, (verdict, _) in results.items()}
     witnesses = {def_id: witness for def_id, (_, witness) in results.items() if def_id != "D3"}
-    d1_numeric = None
-    surrogate = None
-    if has_model:
-        d1_numeric, witnesses["D1_numeric"] = classify_d1_numeric(model, variable)
-        surrogate = verdicts["D5"] and not verdicts["D4"]
+    d1_numeric = surrogate = None
+    if model is not None:
+        if "D1" in verdicts:
+            d1_numeric, witnesses["D1_numeric"] = classify_d1_numeric(model, variable)
+        if "D4" in verdicts and "D5" in verdicts:
+            surrogate = verdicts["D5"] and not verdicts["D4"]
     return ConfounderReport(
         variable=variable,
         verdicts=verdicts,
         witnesses=witnesses,
         surrogate=surrogate,
-        lattice_ok=not _broken_arrows(verdicts, d1_numeric, has_model),
+        lattice_ok=not _broken_arrows(verdicts, d1_numeric),
         d1_numeric=d1_numeric,
-        dashed_observations=_dashed_arrows(verdicts, has_model),
+        dashed_observations=_dashed_arrows(verdicts),
     )

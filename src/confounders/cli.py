@@ -24,8 +24,8 @@ from fractions import Fraction
 from .adjust import _sufficient, minimal_sufficient_sets
 from .classify import (
     DEFINITIONS,
-    GRAPH_DEFINITIONS,
     MODEL_DEFINITIONS,
+    _definitions,
     _witness_text,
     classify_variable,
 )
@@ -94,20 +94,11 @@ def cmd_minimal_sets(args):
 
 
 def cmd_classify(args):
-    wanted = _parse_names(args.defs) if args.defs is not None else None
-    if wanted is not None:
-        if not wanted:
-            raise InvalidConfig(f"--defs {args.defs!r} names no definition id")
-        unknown = [d for d in wanted if d not in DEFINITIONS]
-        if unknown:
-            raise InvalidConfig(f"unknown definition ids {unknown!r}")
+    wanted = None if args.defs is None else _definitions(_parse_names(args.defs))
     dag, model = _load_inputs(args)
-    if wanted is None:
-        wanted = DEFINITIONS if model is not None else GRAPH_DEFINITIONS
-    if model is None and any(d in MODEL_DEFINITIONS for d in wanted):
-        raise MissingModel("D5/D6 verdicts need --model")
+    wanted = _definitions(wanted, model is not None)
     variables = (args.variable,) if args.variable else dag.covariate_pool
-    reports = [classify_variable(dag, v, model=model) for v in variables]
+    reports = [classify_variable(dag, v, model=model, defs=wanted) for v in variables]
     cf_empty = model.cf_unconfounded(()) if model is not None else None
 
     if args.format == "json":
@@ -115,10 +106,8 @@ def cmd_classify(args):
             "variables": [
                 {
                     "variable": r.variable,
-                    "verdicts": {d: r.verdicts[d] for d in wanted},
-                    "witnesses": {
-                        k: v for k, v in r.witnesses.items() if k.split("_")[0] in wanted
-                    },
+                    "verdicts": r.verdicts,
+                    "witnesses": r.witnesses,
                     "surrogate": r.surrogate,
                     "lattice_ok": r.lattice_ok,
                     "d1_numeric": r.d1_numeric,
@@ -134,10 +123,9 @@ def cmd_classify(args):
     lines = []
     for r in reports:
         cells = []
-        for def_id in wanted:
-            mark = "yes" if r.verdicts[def_id] else "no"
-            wit = _witness_text(def_id, r.witnesses.get(def_id), args.exact) if r.verdicts[def_id] else ""
-            cells.append(f"{def_id} {mark}{wit}")
+        for def_id, verdict in r.verdicts.items():
+            wit = _witness_text(def_id, r.witnesses.get(def_id), args.exact)
+            cells.append(f"{def_id} {'yes' if verdict else 'no'}{wit}")
         extras = []
         if r.surrogate is not None:
             extras.append(f"surrogate {'yes' if r.surrogate else 'no'}")

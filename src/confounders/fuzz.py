@@ -196,12 +196,12 @@ def _run_trial(index, dag, model, failures, counters):
     numeric_failures = []
     for c in pool:
         d1_numeric = classify_d1_numeric(model, c)[0] if has_model else None
-        for arrow in _broken_arrows(verdicts[c], d1_numeric, has_model):
+        for arrow in _broken_arrows(verdicts[c], d1_numeric):
             if tuple(arrow.split("=>")) in SOLID_MODEL_EDGES:
                 numeric_failures.append(f"solid arrow {arrow} broken at {c} (numeric layer)")
             else:
                 fail(f"solid arrow {arrow} broken at {c}")
-        for arrow in _dashed_arrows(verdicts[c], has_model):
+        for arrow in _dashed_arrows(verdicts[c]):
             counters["dashed_" + arrow.replace("->", "_to_")] += 1
         if has_model and d1_numeric != verdicts[c]["D1"]:
             counters["d1_graphical_numeric_gaps"] += 1

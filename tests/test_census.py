@@ -1,0 +1,96 @@
+"""A census of every small DAG: the fuzzer's hard checks and the paper's
+headline result, on all graphs where random fuzz only samples.
+
+`every_dag(n)` lists each edge set over V0 < ... < V(n-1) with every
+exposure-outcome pair a directed path joins, so every DAG on n nodes
+appears, up to relabelling, at least once: 1, 13, 223 and 6,313 graphs at
+2-5 nodes. The counts are over these labelled graphs, not up to
+isomorphism.
+"""
+from functools import lru_cache
+
+import pytest
+
+from confounders.adjust import _sufficient
+from confounders.classify import GRAPH_DEFINITIONS, _verdicts
+from confounders.fuzz import _COUNTER_KEYS, _run_trial
+from confounders.properties import _distinguishing_lanes, check_property1, check_property2a
+from test_verdicts import every_dag
+
+
+def describe(dag):
+    return (tuple(dag.edges), dag.exposure, dag.outcome)
+
+
+@lru_cache(maxsize=None)
+def census(n):
+    """Over every DAG on n nodes: the fuzzer's hard failures, its counters
+    and the first graph that raised each one, and the first graph and the
+    number of graphs on which each of D1-D4 fails Property 1 and 2A."""
+    failures = []
+    counters = dict.fromkeys(_COUNTER_KEYS, 0)
+    first_event = {}
+    property_failures = {(d, p): 0 for d in GRAPH_DEFINITIONS for p in ("P1", "P2A")}
+    first_failure = {}
+    for index, dag in enumerate(every_dag(n)):
+        before = dict(counters)
+        _run_trial(index, dag, None, failures, counters)
+        for key, count in counters.items():
+            if count > before[key]:
+                first_event.setdefault(key, dag)
+        pool = dag.covariate_pool
+        holds = _verdicts(dag)
+        for def_id in GRAPH_DEFINITIONS:
+            positives = [i for i, c in enumerate(pool) if holds[def_id](c)]
+            failed = {
+                "P1": not _sufficient(dag, [pool[i] for i in positives]),
+                "P2A": any(not _distinguishing_lanes(dag, i) for i in positives),
+            }
+            for prop, fails in failed.items():
+                if fails:
+                    property_failures[def_id, prop] += 1
+                    first_failure.setdefault((def_id, prop), dag)
+    return failures, counters, first_event, property_failures, first_failure
+
+
+# the first graph of both counted events, at 4 nodes
+FIRST_EDGES = (("V0", "V1"), ("V0", "V3"), ("V1", "V2"), ("V2", "V3"))
+
+
+@pytest.mark.parametrize(
+    "n, p1_d3, dashed_d2_d1", [(2, 0, 0), (3, 0, 0), (4, 3, 2), (5, 231, 210)]
+)
+def test_no_dag_of_up_to_5_nodes_fails_a_hard_check(n, p1_d3, dashed_d2_d1):
+    failures, counters, first_event, _, _ = census(n)
+    assert failures == []
+    expected = dict.fromkeys(_COUNTER_KEYS, 0)
+    expected.update(p1_d3_failures=p1_d3, dashed_D2_to_D1=dashed_d2_d1)
+    assert counters == expected
+    if n >= 4:
+        assert describe(first_event["dashed_D2_to_D1"]) == (FIRST_EDGES, "V1", "V2")
+        assert describe(first_event["p1_d3_failures"]) == (FIRST_EDGES, "V2", "V3")
+    assert set(first_event) == {key for key, count in counters.items() if count}
+
+
+# graphs on which a definition fails a property; no other pair ever fails
+PROPERTY_FAILURES = {
+    3: {},
+    4: {("D1", "P2A"): 11, ("D2", "P2A"): 7, ("D3", "P1"): 3},
+    5: {("D1", "P2A"): 765, ("D2", "P2A"): 623, ("D3", "P1"): 231},
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_only_d4_satisfies_property_1_and_2a_on_every_small_dag(n):
+    _, _, _, property_failures, first_failure = census(n)
+    expected = {key: PROPERTY_FAILURES[n].get(key, 0) for key in property_failures}
+    assert property_failures == expected
+    both = [d for d in GRAPH_DEFINITIONS if not any(property_failures[d, p] for p in ("P1", "P2A"))]
+    assert both == (list(GRAPH_DEFINITIONS) if n == 3 else ["D4"])
+    # the public checks agree on the first failing graph of each pair
+    for (def_id, prop), dag in first_failure.items():
+        p1 = check_property1(dag, None, def_id)
+        if prop == "P1":
+            assert not p1.holds
+        else:
+            assert not all(check_property2a(dag, def_id, c).holds for c in p1.witness["set"])

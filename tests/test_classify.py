@@ -29,7 +29,13 @@ from confounders.classify import (
     dashed_observations,
     surrogate_confounder,
 )
-from confounders.errors import IncompleteReport, NotACovariate, OverlappingSets
+from confounders.errors import (
+    IncompleteReport,
+    InvalidConfig,
+    MissingModel,
+    NotACovariate,
+    OverlappingSets,
+)
 from confounders.fuzz import random_dag, random_model
 from confounders.graph import Dag
 from confounders.model import DiscreteModel
@@ -149,6 +155,87 @@ def test_witnesses_only_for_held_definitions():
     assert set(report.witnesses) >= {"D1", "D5", "D6"}
     assert report.witnesses["D2"] is None
     assert report.witnesses["D5"][0] == ()
+
+
+# -- reports on the definitions asked for ---------------------------------------------
+
+
+def ordered_subsets(ids):
+    """Every nonempty subset of `ids`, forwards and reversed."""
+    for bits in range(1, 1 << len(ids)):
+        chosen = tuple(d for i, d in enumerate(ids) if bits >> i & 1)
+        yield chosen
+        yield chosen[::-1]
+
+
+def both_ends_in(arrow, defs):
+    return all(end in defs for end in arrow.replace("=>", "->").split("->"))
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+def test_a_partial_report_is_the_full_report_restricted(with_model):
+    for name in ("Fig1", "Fig2", "Fig3", "Fig4", "Prop5"):
+        entry = get_entry(name)
+        model = entry.model if with_model else None
+        for variable in entry.dag.covariate_pool:
+            full = classify_variable(entry.dag, variable, model)
+            assert classify_variable(entry.dag, variable, model, defs=tuple(full.verdicts)) == full
+            for defs in ordered_subsets(tuple(full.verdicts)):
+                report = classify_variable(entry.dag, variable, model, defs=defs)
+                assert list(report.verdicts) == list(defs)
+                assert report.verdicts == {d: full.verdicts[d] for d in defs}
+                assert report.witnesses == {
+                    k: w for k, w in full.witnesses.items() if k.split("_")[0] in defs
+                }
+                assert report.d1_numeric == (full.d1_numeric if "D1" in defs else None)
+                both = {"D4", "D5"} <= set(defs)
+                assert report.surrogate == (full.surrogate if both else None)
+                assert report.lattice_ok and full.lattice_ok
+                assert report.dashed_observations == tuple(
+                    a for a in full.dashed_observations if both_ends_in(a, defs)
+                )
+
+
+def test_a_verdict_table_breaks_only_arrows_with_both_ends_in_it():
+    assert classify_module._broken_arrows({"D5": True, "D6": False}, None) == ("D5=>D6",)
+    assert classify_module._broken_arrows({"D5": True, "D1": False}, None) == ("D5=>D1",)
+    # model-layer arrows read numeric D1 when it is given
+    assert classify_module._broken_arrows({"D5": True, "D1": False}, True) == ()
+    assert classify_module._broken_arrows({"D4": True, "D1": False}, True) == ("D4=>D1",)
+    assert classify_module._dashed_arrows({"D2": True, "D1": False, "D6": False}) == ("D2->D1", "D2->D6")
+
+
+def test_a_d1_d2_model_report_runs_no_catalog_and_no_model_scan(monkeypatch):
+    calls = []
+    for name in ("classify_d3", "classify_d4", "classify_d5", "classify_d6",
+                 "minimal_sufficient_sets"):
+        real = getattr(classify_module, name)
+
+        def wrapper(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(classify_module, name, wrapper)
+    rng = random.Random(3)
+    models = [get_entry(n).model for n in ("Fig1", "Fig2", "Fig3", "Fig4", "Prop5")]
+    models += [random_model(rng, random_dag(rng, 7, 0.35)) for _ in range(20)]
+    for model in models:
+        for variable in model.dag.covariate_pool:
+            report = classify_variable(model.dag, variable, model, defs=("D1", "D2"))
+            assert set(report.verdicts) == {"D1", "D2"} and report.d1_numeric is not None
+    assert calls == []
+    classify_variable(SINGLE.dag, "C", SINGLE.model)
+    assert {"classify_d5", "classify_d6", "minimal_sufficient_sets"} <= set(calls)
+
+
+def test_definition_lists_are_checked():
+    with pytest.raises(InvalidConfig, match="names no definition id"):
+        classify_variable(SINGLE.dag, "C", defs=())
+    with pytest.raises(InvalidConfig, match="unknown definition ids"):
+        classify_variable(SINGLE.dag, "C", SINGLE.model, defs=("D1", "D9"))
+    with pytest.raises(MissingModel):
+        classify_variable(SINGLE.dag, "C", defs=("D1", "D5"))
+    assert classify_variable(SINGLE.dag, "C", defs=["D2"]).verdicts == {"D2": True}
 
 
 # -- one D1 lane vector per covariate -------------------------------------------------
@@ -306,6 +393,15 @@ def test_check_implications_requires_complete_report():
     broken = replace(report, verdicts={"D1": True})
     with pytest.raises(IncompleteReport):
         check_implications(broken, has_model=False)
+
+
+def test_check_implications_refuses_a_partial_report():
+    report = classify_variable(SURROGATE.dag, "C2", SURROGATE.model, defs=("D1", "D2", "D5"))
+    for has_model in (False, True):
+        with pytest.raises(IncompleteReport):
+            check_implications(report, has_model)
+        with pytest.raises(IncompleteReport):
+            dashed_observations(report, has_model)
 
 
 def test_dashed_observations_reported_not_failed():

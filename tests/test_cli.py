@@ -1,11 +1,15 @@
 """Command-line interface, driven in-process through main(argv)."""
 import json
+import random
+import time
 from importlib.resources import files
 
 import pytest
 
 import confounders.adjust
 from confounders.cli import main
+from confounders.fuzz import random_dag, random_model
+from test_path_search import write_graph
 
 FIXTURES = files("confounders").joinpath("fixtures")
 
@@ -92,8 +96,9 @@ def test_classify_json_filters_witnesses(capsys):
     doc = json.loads(out)
     c2 = next(v for v in doc["variables"] if v["variable"] == "C2")
     assert set(c2["verdicts"]) == {"D1", "D5"}
-    assert all(k.split("_")[0] in {"D1", "D5"} for k in c2["witnesses"])
-    assert c2["surrogate"] is True
+    assert set(c2["witnesses"]) == {"D1", "D1_numeric", "D5"}
+    # surrogate reads D4, which was not asked for
+    assert c2["surrogate"] is None
     assert doc["cf_unconfounded_empty"] is False
 
 
@@ -110,7 +115,42 @@ def test_classify_lists_the_catalog_once(capsys, monkeypatch):
         capsys, "classify", fx("fig4.graph"), "--model", fx("fig4.json"), "--defs", "D1"
     )
     assert code == 0 and len(out.splitlines()) == 3
+    assert len(calls) == 0  # D1 reads no catalog
+    code, out, _ = run(
+        capsys, "classify", fx("fig4.graph"), "--model", fx("fig4.json"), "--defs", "D3,D4"
+    )
+    assert code == 0 and len(out.splitlines()) == 3
     assert len(calls) == 1
+
+
+def write_model(path, model):
+    cpts = {
+        node: {
+            "parents": list(cpt.parent_order),
+            "table": {",".join(map(str, key)): [str(p) for p in row] for key, row in cpt.table.items()},
+        }
+        for node, cpt in model.cpts.items()
+    }
+    states = {node: list(space) for node, space in model.state_spaces.items()}
+    path.write_text(json.dumps({"states": states, "cpts": cpts}))
+    return str(path)
+
+
+def test_classify_defs_skips_the_model_scans_it_does_not_print(capsys, tmp_path):
+    # a 16-node model with a 13-member pool, whose D5 scan alone takes
+    # tens of seconds of CPU: `--defs D1,D2` must not run it
+    rng = random.Random(9)
+    model = random_model(rng, random_dag(rng, 16, 0.25))
+    assert len(model.dag.covariate_pool) == 13
+    graph = write_graph(tmp_path / "v12.graph", model.dag)
+    doc = write_model(tmp_path / "v12.json", model)
+    start = time.process_time()
+    code, out, _ = run(capsys, "classify", graph, "--model", doc, "--defs", "D1,D2")
+    assert time.process_time() - start < 5
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 14 and rows[-1] == "cf-unconfounded given {}: no"
+    assert all(" | D2 " in row and "D3" not in row and "surrogate" not in row for row in rows[:-1])
 
 
 def test_classify_unknown_definition(capsys):

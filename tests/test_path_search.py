@@ -253,3 +253,6 @@ def test_cap_exits_3_from_cli(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(graph_module, "MAX_PATH_EXPANSIONS", 3)
     assert main(["classify", graph, "--variable", "C0", "--defs", "D2"]) == 3
     assert "cap of 3" in capsys.readouterr().err
+    # D1 builds no path, and a run that does not ask for D2 runs no D2 search
+    assert main(["classify", graph, "--variable", "C0", "--defs", "D1"]) == 0
+    assert capsys.readouterr().out == "C0: D1 yes (context {})\n"
