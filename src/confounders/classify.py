@@ -14,9 +14,11 @@ The six readings of "C is a confounder for the effect of A on Y":
 
 D1-D4 need only the graph; D5/D6 need a DiscreteModel. Existential
 quantifiers range over subsets of the covariate pool minus C, visited in
-canonical order, so witnesses are reproducible. Each verdict is decided
-apart from its witness (`_verdicts`), and a witness is built only for a
-verdict that holds.
+canonical order, so witnesses are reproducible. One table (`_TABLE`)
+states each definition once: whether the model or the Dag decides it, its
+verdict with no witness built, its witness built only for a verdict that
+holds, and the witness text `confounders classify` prints. The id lists
+and every reader of a verdict or witness read it.
 
 The model scans visit only the contexts the graph leaves open. A model
 factorizes over its Dag, so d-separation implies exact independence (the
@@ -38,6 +40,7 @@ observations.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .adjust import (
@@ -58,9 +61,60 @@ from .errors import (
 from .formats import format_effect, format_set
 from .graph import _bits, _lane_pattern, _lane_sets, _skeleton, _sliced_dsep
 
-DEFINITIONS = ("D1", "D2", "D3", "D4", "D5", "D6")
-GRAPH_DEFINITIONS = ("D1", "D2", "D3", "D4")
-MODEL_DEFINITIONS = ("D5", "D6")
+
+@dataclass(frozen=True)
+class _Definition:
+    """One candidate definition. `holds(dag, model, c)` is its verdict, with
+    no witness built; `evaluate(dag, model, c)` is (verdict, witness), the
+    witness built only for a verdict that holds (None for D3, which has
+    none); `text(witness, exact)` is what `confounders classify` prints
+    after the verdict. Each looks the module's functions up when called,
+    so a wrapper set on the module sees every call."""
+
+    on_model: bool
+    holds: Callable
+    evaluate: Callable | None
+    text: Callable | None
+
+
+def _context_text(context, exact):
+    return f" (context {format_set(context)})"
+
+
+def _bias_text(witness, exact):
+    context, (with_c, without) = witness
+    bias = f"{format_effect(without, exact)} -> {format_effect(with_c, exact)}"
+    return f" (context {format_set(context)}; |bias| {bias})"
+
+
+# D3 and D4 read the Dag's minimal-set catalog; the D4, D5 and D6 scans
+# meet their witness with the verdict
+_TABLE = {
+    "D1": _Definition(
+        False, lambda dag, _, c: _d1_holds(dag, c), lambda dag, _, c: classify_d1_graphical(dag, c),
+        _context_text,
+    ),
+    "D2": _Definition(
+        False, lambda dag, _, c: _d2_holds(dag, c), lambda dag, _, c: classify_d2(dag, c),
+        lambda path, exact: f" (path {path})",
+    ),
+    "D3": _Definition(False, lambda dag, _, c: classify_d3(dag, c), None, None),
+    "D4": _Definition(
+        False, lambda dag, _, c: classify_d4(dag, c)[0], lambda dag, _, c: classify_d4(dag, c),
+        lambda members, exact: f" (minimal set {format_set(members)})",
+    ),
+    "D5": _Definition(
+        True, lambda _, model, c: classify_d5(model, c)[0], lambda _, model, c: classify_d5(model, c),
+        _bias_text,
+    ),
+    "D6": _Definition(
+        True, lambda _, model, c: classify_d6(model, c)[0], lambda _, model, c: classify_d6(model, c),
+        _context_text,
+    ),
+}
+DEFINITIONS = tuple(_TABLE)
+GRAPH_DEFINITIONS = tuple(d for d in DEFINITIONS if not _TABLE[d].on_model)
+MODEL_DEFINITIONS = tuple(d for d in DEFINITIONS if _TABLE[d].on_model)
 
 SOLID_GRAPH_EDGES = (("D3", "D4"), ("D4", "D2"), ("D4", "D1"), ("D3", "D2"), ("D3", "D1"))
 SOLID_MODEL_EDGES = (("D5", "D6"), ("D6", "D1"), ("D5", "D1"))
@@ -377,7 +431,7 @@ def _dashed_arrows(verdicts):
 
 
 def _require_complete(report, has_model):
-    for def_id in DEFINITIONS if has_model else GRAPH_DEFINITIONS:
+    for def_id in _definitions(None, has_model):
         if def_id not in report.verdicts:
             raise IncompleteReport(f"report for {report.variable!r} lacks {def_id}")
 
@@ -404,7 +458,8 @@ def dashed_observations(report, has_model):
 
 def _definitions(defs=None, has_model=True):
     """The definition ids a report evaluates: the sequence `defs`, checked,
-    in the order given, or by default every definition the inputs decide."""
+    in the order given, or by default every definition the inputs decide.
+    The one check of a definition id, and of its need for a model."""
     if defs is None:
         return DEFINITIONS if has_model else GRAPH_DEFINITIONS
     if not defs:
@@ -412,58 +467,10 @@ def _definitions(defs=None, has_model=True):
     unknown = [d for d in defs if d not in DEFINITIONS]
     if unknown:
         raise InvalidConfig(f"unknown definition ids {unknown!r}")
-    if not has_model and any(d in MODEL_DEFINITIONS for d in defs):
-        raise MissingModel("D5/D6 verdicts need --model")
+    needing = [d for d in defs if _TABLE[d].on_model]
+    if needing and not has_model:
+        raise MissingModel(f"{needing[0]} needs --model")
     return defs
-
-
-def _verdicts(dag, model=None):
-    """Definition id -> verdict(variable), for each definition the inputs
-    decide, with no witness built: the one place that knows how each is
-    decided. D3 and D4 read the Dag's minimal-set catalog; the D4, D5 and
-    D6 scans meet their witness with the verdict."""
-    table = {
-        "D1": lambda c: _d1_holds(dag, c),
-        "D2": lambda c: _d2_holds(dag, c),
-        "D3": lambda c: classify_d3(dag, c),
-        "D4": lambda c: classify_d4(dag, c)[0],
-    }
-    if model is not None:
-        table.update(D5=lambda c: classify_d5(model, c)[0], D6=lambda c: classify_d6(model, c)[0])
-    return table
-
-
-def _evaluators(dag, model=None):
-    """Definition id -> evaluator(variable) returning (verdict, witness),
-    the witness built only for a verdict that holds. D3 has none."""
-    return {
-        "D1": lambda c: classify_d1_graphical(dag, c),
-        "D2": lambda c: classify_d2(dag, c),
-        "D3": lambda c: (classify_d3(dag, c), None),
-        "D4": lambda c: classify_d4(dag, c),
-        "D5": lambda c: classify_d5(model, c),
-        "D6": lambda c: classify_d6(model, c),
-    }
-
-
-def _witness_text(def_id, witness, exact=False):
-    """The text `confounders classify` prints after a held verdict; empty
-    without a witness."""
-    if witness is None:
-        return ""
-    if def_id in ("D1", "D6"):
-        return f" (context {format_set(witness)})"
-    if def_id == "D2":
-        return f" (path {witness})"
-    if def_id == "D4":
-        return f" (minimal set {format_set(witness)})"
-    if def_id == "D5":
-        context, (with_c, without) = witness
-        return (
-            f" (context {format_set(context)}; |bias| "
-            f"{format_effect(without, exact)} -> {format_effect(with_c, exact)})"
-        )
-    return ""
 
 
 def classify_variable(dag, variable, model=None, defs=None):
@@ -474,10 +481,13 @@ def classify_variable(dag, variable, model=None, defs=None):
     dashed arrows whose two ends were evaluated."""
     if model is not None and model.dag is not dag:
         dag = model.dag
-    evaluate = _evaluators(dag, model)
-    results = {def_id: evaluate[def_id](variable) for def_id in _definitions(defs, model is not None)}
-    verdicts = {def_id: verdict for def_id, (verdict, _) in results.items()}
-    witnesses = {def_id: witness for def_id, (_, witness) in results.items() if def_id != "D3"}
+    verdicts, witnesses = {}, {}
+    for def_id in _definitions(defs, model is not None):
+        definition = _TABLE[def_id]
+        if definition.evaluate is None:
+            verdicts[def_id] = definition.holds(dag, model, variable)
+        else:
+            verdicts[def_id], witnesses[def_id] = definition.evaluate(dag, model, variable)
     d1_numeric = surrogate = None
     if model is not None:
         if "D1" in verdicts:

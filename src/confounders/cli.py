@@ -22,13 +22,7 @@ import sys
 from fractions import Fraction
 
 from .adjust import _sufficient, minimal_sufficient_sets
-from .classify import (
-    DEFINITIONS,
-    MODEL_DEFINITIONS,
-    _definitions,
-    _witness_text,
-    classify_variable,
-)
+from .classify import DEFINITIONS, _TABLE, _definitions, classify_variable
 from .errors import (
     ConfounderError,
     InvalidConfig,
@@ -124,7 +118,8 @@ def cmd_classify(args):
     for r in reports:
         cells = []
         for def_id, verdict in r.verdicts.items():
-            wit = _witness_text(def_id, r.witnesses.get(def_id), args.exact)
+            witness = r.witnesses.get(def_id)
+            wit = "" if witness is None else _TABLE[def_id].text(witness, args.exact)
             cells.append(f"{def_id} {'yes' if verdict else 'no'}{wit}")
         extras = []
         if r.surrogate is not None:
@@ -147,8 +142,6 @@ def cmd_classify(args):
 def cmd_properties(args):
     dag, model = _load_inputs(args)
     def_id = args.definition
-    if def_id in MODEL_DEFINITIONS and model is None:
-        raise MissingModel(f"{def_id} needs --model")
     p1 = check_property1(dag, model, def_id)
     positives = p1.witness["set"]
     rows = [(p1, None)]

@@ -42,9 +42,10 @@ from .adjust import (
 from .classify import (
     DASHED_EDGES,
     SOLID_MODEL_EDGES,
+    _TABLE,
     _broken_arrows,
     _dashed_arrows,
-    _verdicts,
+    _definitions,
     classify_d1_numeric,
 )
 from .errors import InvalidConfig
@@ -191,8 +192,8 @@ def _run_trial(index, dag, model, failures, counters):
         fail(f"union of minimal sets {catalog.union} is not sufficient")
 
     has_model = model is not None
-    holds = _verdicts(dag, model)
-    verdicts = {c: {def_id: verdict(c) for def_id, verdict in holds.items()} for c in pool}
+    defs = _definitions(None, has_model)
+    verdicts = {c: {d: _TABLE[d].holds(dag, model, c) for d in defs} for c in pool}
     numeric_failures = []
     for c in pool:
         d1_numeric = classify_d1_numeric(model, c)[0] if has_model else None

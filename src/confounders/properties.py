@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adjust import _open_backdoor_witness, _sufficiency_vector, _sufficient
-from .classify import DEFINITIONS, MODEL_DEFINITIONS, _context_sets, _verdicts, classify_d5
-from .errors import InvalidConfig, MissingModel
+from .classify import _TABLE, _context_sets, _definitions, classify_d5
+from .errors import InvalidConfig
 from .graph import _lane_pattern, _lane_sets
 
 
@@ -39,21 +39,14 @@ class PropertyVerdict:
     witness: dict
 
 
-def _require_definition(def_id):
-    if def_id not in DEFINITIONS:
-        raise InvalidConfig(f"unknown definition id {def_id!r}; expected one of {DEFINITIONS}")
-
-
 def positive_covariates(dag, def_id, model=None):
     """All pool members the given definition marks positive. D5/D6 need a
     model; D1 is read graphically here."""
-    _require_definition(def_id)
-    if def_id in MODEL_DEFINITIONS and model is None:
-        raise MissingModel(f"{def_id} classification needs a discrete model")
+    _definitions((def_id,), model is not None)
     if model is not None:
         dag = model.dag
-    holds = _verdicts(dag, model)[def_id]
-    return tuple(c for c in dag.covariate_pool if holds(c))
+    holds = _TABLE[def_id].holds
+    return tuple(c for c in dag.covariate_pool if holds(dag, model, c))
 
 
 def check_property1(dag, model, def_id):
@@ -64,7 +57,6 @@ def check_property1(dag, model, def_id):
     independent of exposure given that set. The witness's "set" is that
     set, as `positive_covariates` lists it, whatever the verdict.
     """
-    _require_definition(def_id)
     if model is not None:
         dag = model.dag
     positives = positive_covariates(dag, def_id, model=model)
@@ -79,11 +71,14 @@ def check_property1(dag, model, def_id):
 
 
 def _check_positive(dag, def_id, variable, model=None):
-    if def_id in MODEL_DEFINITIONS and model is None:
+    """Check the definition id, then that C is positive, unless the
+    definition needs a model and none is given: the caller vouches then."""
+    definition = _TABLE[_definitions((def_id,))[0]]
+    if definition.on_model and model is None:
         return
     if model is not None:
         dag = model.dag
-    if variable not in dag.covariate_pool or not _verdicts(dag, model)[def_id](variable):
+    if variable not in dag.covariate_pool or not definition.holds(dag, model, variable):
         raise InvalidConfig(
             f"{variable!r} is not {def_id}-positive; property 2 applies to positives only"
         )
@@ -112,7 +107,6 @@ def check_property2a(dag, def_id, variable):
     graph definitions; for D5/D6 (model definitions) the caller vouches,
     since this check takes no model.
     """
-    _require_definition(def_id)
     _check_positive(dag, def_id, variable)
     return _property2a(dag, def_id, variable)
 
@@ -134,7 +128,6 @@ def check_property2b(model, def_id, variable):
 
     Precondition: C is def_id-positive (verified; D1 read graphically).
     """
-    _require_definition(def_id)
     _check_positive(model.dag, def_id, variable, model=model)
     return _property2b(model, def_id, variable)
 

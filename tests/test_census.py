@@ -1,5 +1,6 @@
-"""A census of every small DAG: the fuzzer's hard checks and the paper's
-headline result, on all graphs where random fuzz only samples.
+"""A census of every small DAG: the fuzzer's hard checks, the paper's
+headline result and the conditional confounder against its subset scan, on
+all graphs where random fuzz only samples.
 
 `every_dag(n)` lists each edge set over V0 < ... < V(n-1) with every
 exposure-outcome pair a directed path joins, so every DAG on n nodes
@@ -12,9 +13,11 @@ from functools import lru_cache
 import pytest
 
 from confounders.adjust import _sufficient
-from confounders.classify import GRAPH_DEFINITIONS, _verdicts
+from confounders.classify import _TABLE, GRAPH_DEFINITIONS, conditional_confounder
 from confounders.fuzz import _COUNTER_KEYS, _run_trial
 from confounders.properties import _distinguishing_lanes, check_property1, check_property2a
+from helpers_oracle import all_subsets, scan_conditional
+from test_sliced import others, sufficient_scan
 from test_verdicts import every_dag
 
 
@@ -39,9 +42,9 @@ def census(n):
             if count > before[key]:
                 first_event.setdefault(key, dag)
         pool = dag.covariate_pool
-        holds = _verdicts(dag)
         for def_id in GRAPH_DEFINITIONS:
-            positives = [i for i, c in enumerate(pool) if holds[def_id](c)]
+            holds = _TABLE[def_id].holds
+            positives = [i for i, c in enumerate(pool) if holds(dag, None, c)]
             failed = {
                 "P1": not _sufficient(dag, [pool[i] for i in positives]),
                 "P2A": any(not _distinguishing_lanes(dag, i) for i in positives),
@@ -94,3 +97,19 @@ def test_only_d4_satisfies_property_1_and_2a_on_every_small_dag(n):
             assert not p1.holds
         else:
             assert not all(check_property2a(dag, def_id, c).holds for c in p1.witness["set"])
+
+
+@pytest.mark.parametrize("n, calls, held", [(2, 0, 0), (3, 7, 1), (4, 370, 64), (5, 24273, 5016)])
+def test_conditional_confounder_matches_its_scan_on_every_small_dag(n, calls, held):
+    # every covariate C and every conditioning set L of the other covariates
+    answers = []
+    for dag in every_dag(n):
+        sufficient = sufficient_scan(dag)
+        for variable in dag.covariate_pool:
+            rest = others(dag, variable)
+            for conditioning in all_subsets(rest):
+                free = [c for c in rest if c not in conditioning]
+                answer = conditional_confounder(dag, variable, conditioning)
+                assert answer == scan_conditional(variable, free, conditioning, sufficient)
+                answers.append(answer[0])
+    assert (len(answers), sum(answers)) == (calls, held)

@@ -176,7 +176,7 @@ def test_classify_repeated_definition_prints_once(capsys):
 
 def test_classify_model_defs_require_model(capsys):
     code, _, err = run(capsys, "classify", fx("fig1.graph"), "--defs", "D5")
-    assert code == 4 and "need --model" in err
+    assert code == 4 and "D5 needs --model" in err
 
 
 def test_classify_non_covariate(capsys):

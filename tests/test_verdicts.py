@@ -1,13 +1,14 @@
 """Verdicts decided apart from their witnesses.
 
-`classify._verdicts` decides each definition with no witness built: D1 from
-the probe mask and the lane vector, D2 by `_d2_holds`, D3 and D4 from the
-minimal-set catalog. Its table must equal the verdicts of
-`classify_variable`, and D1, D2 and D4 must have a witness exactly when
-they hold, by the searches that list the witnesses: the D1 contexts, the
-first backdoor path through C, and the catalog's sets. The fuzzer reads the
-table alone and draws its DAGs without the constructor's checks; both are
-checked here, along with what they no longer run.
+The `holds` of each `classify._TABLE` record decides its definition with no
+witness built: D1 from the probe mask and the lane vector, D2 by
+`_d2_holds`, D3 and D4 from the minimal-set catalog. These verdicts must
+equal those of `classify_variable`, and D1, D2 and D4 must have a witness
+exactly when they hold, by the searches that list the witnesses: the D1
+contexts, the first backdoor path through C, and the catalog's sets. The
+fuzzer reads the verdicts alone and draws its DAGs without the
+constructor's checks; both are checked here, along with what they no
+longer run.
 """
 import random
 from itertools import combinations
@@ -22,8 +23,9 @@ import confounders.properties as properties_module
 from confounders.adjust import _first_backdoor_path, minimal_sufficient_sets
 from confounders.classify import (
     ConfounderReport,
+    _TABLE,
     _d1_contexts,
-    _verdicts,
+    _definitions,
     classify_variable,
 )
 from confounders.fuzz import FuzzConfig, fuzz, random_dag, random_model
@@ -33,11 +35,11 @@ from test_sliced import dags
 
 
 def check_verdicts(dag, model=None):
-    holds = _verdicts(dag, model)
+    defs = _definitions(None, model is not None)
     catalog = minimal_sufficient_sets(dag)
     for variable in dag.covariate_pool:
         report = classify_variable(dag, variable, model)
-        table = {def_id: verdict(variable) for def_id, verdict in holds.items()}
+        table = {def_id: _TABLE[def_id].holds(dag, model, variable) for def_id in defs}
         assert table == report.verdicts
         assert (report.witnesses["D1"] is not None) == table["D1"]
         assert report.witnesses["D1"] == next(_d1_contexts(dag, variable), None)
