@@ -17,8 +17,8 @@ confined to identified joints: for the exposure A, the joint of
 (Y_a, A, W) with W the nondescendants of A is the joint of the
 single-world intervention graph of do(A=a) (Richardson & Robins, 2013).
 That graph is an ordinary model (`_swig`), so each counterfactual
-question is an ordinary query of it: Y_a ⟂ A | S is `_ci`, E(Y_a) is
-`cond_expectation`, and the average causal effect is E(Y_1) - E(Y_0).
+question is a query of it: Y_a ⟂ A | S reads its table (below), E(Y_a)
+is `cond_expectation`, and the average causal effect is E(Y_1) - E(Y_0).
 Intervened and single-world models are derived from a checked model
 (`_derived`): same state spaces and key layout, CPTs and integer rows
 reused, nothing checked twice. The fuzzer's draws are valid by
@@ -32,13 +32,21 @@ product of one entry per node. Tables are keyed by one packed int per
 assignment, a bit field per node (see `__init__`), so restricting a key
 to a node set is `key & mask`, and CPT rows are keyed by the packed key of
 their parent states. One loop sums a table by a mask (`_sum_by`);
-probabilities and risk differences read the marginal table of their node
-set (`_margin`, one per mask, so one per set of nodes whatever order it is
-asked in), and one exact test (`_independent`) serves `ci_test` and every
-counterfactual independence. A standardized risk difference is one
-integer pass over the margin of (X, A, Y) and one `Fraction`. Each
-covariate set's risk difference and its |bias| are computed once per
-model and kept, a positivity violation included.
+probabilities read the marginal table of their node set (`_margin`, one
+per mask, so one per set of nodes whatever order it is asked in), and one
+exact test (`_independent`) serves `ci_test` and numeric D1.
+
+Risk differences and counterfactual tests ask about many covariate sets
+of one model, so each model sums its joint once more, into one table:
+the observed model's `_rd_cells` holds [w0, s0, w1, s1] per cell of the
+covariate pool (arm weights and outcome-weighted sums), and a
+single-world model's `_arm_cells` holds the weights at A=0 and A=1 per
+cell of (Y, W), keyed by all of W since `independent_given` takes any
+subset of it. A
+standardized risk difference is then one integer pass over the first
+and one `Fraction`, and a test of Y_a ⟂ A | S one pass over the second.
+Each covariate set's risk difference and its |bias| are computed once
+per model and kept, a positivity violation included.
 
 The public methods check their arguments and then call unchecked helpers
 (`_ci`, `_rd_of`, `_abs_bias`, `_cf_joint`, `_cf_unconfounded`); the
@@ -239,6 +247,8 @@ class DiscreteModel:
         ]
         self._joint = None
         self._margins = {}
+        self._rd_table = None
+        self._arm_table = None
         self._rd = {}
         self._abs_biases = {}
         self._cf_cache = {}
@@ -517,28 +527,49 @@ class DiscreteModel:
             for row in rows.values()
         )
 
+    def _rd_cells(self):
+        """{packed key over the covariate pool: [w0, s0, w1, s1]}, summed
+        once per model from the joint: per pool cell and arm a, the weight
+        w_a and s_a = sum over y of y' w(cell, a, y), y' the outcome's state
+        times d (see `_rd_outcome`). Every risk difference reads it; the
+        exposure must be binary."""
+        if self._rd_table is None:
+            a, y, fields = self.dag.exposure, self.dag.outcome, self._fields
+            slots = self._rd_outcome[2]
+            pmask, aymask = self._mask(self.dag.covariate_pool), fields[a] | fields[y]
+            table = {}
+            for key, p in _sum_by(self._joint_items(), pmask | aymask).items():
+                i, v = slots[key & aymask]
+                t = table.get(key & pmask)
+                if t is None:
+                    t = table[key & pmask] = [0, 0, 0, 0]
+                t[i] += p
+                t[i + 1] += p * v
+            self._rd_table = table
+        return self._rd_table
+
     def _standardized_rd(self, covariates):
         """standardized_rd of a sorted pool tuple, uncached, in one pass
-        over the margin of (X, A, Y).
+        over `_rd_cells`, which sums its cells into strata x.
 
-        The pass collects, per stratum x and arm a, the weight w_a and
-        s_a = sum over y of y' w(x, a, y), y' the outcome's state times d
-        (see `_rd_outcome`). A stratum adds
-        (w0 + w1) (s1 w0 - s0 w1) / (w0 w1); over L, the LCM of the strata's
-        w0 w1, the numerators are integers, and the sum is one Fraction over
-        L d and the joint's denominator. A failed check is reported at its
-        first stratum in the order of the covariates' state products."""
-        a, y, fields = self.dag.exposure, self.dag.outcome, self._fields
-        numeric, d, slots = self._rd_outcome
-        xmask, aymask = self._mask(covariates), fields[a] | fields[y]
+        A stratum adds (w0 + w1) (s1 w0 - s0 w1) / (w0 w1); over L, the LCM
+        of the strata's w0 w1, the numerators are integers, and the sum is
+        one Fraction over L d and the joint's denominator. A failed check
+        is reported at its first stratum in the order of the covariates'
+        state products."""
+        a, fields = self.dag.exposure, self._fields
+        numeric, d, _ = self._rd_outcome
+        xmask = self._mask(covariates)
         strata = {}
-        for key, p in self._margin(covariates + (a, y)).items():
-            i, v = slots[key & aymask]
+        for key, (w0, s0, w1, s1) in self._rd_cells().items():
             t = strata.get(key & xmask)
             if t is None:
-                t = strata[key & xmask] = [0, 0, 0, 0]
-            t[i] += p
-            t[i + 1] += p * v
+                strata[key & xmask] = [w0, s0, w1, s1]
+            else:
+                t[0] += w0
+                t[1] += s0
+                t[2] += w1
+                t[3] += s1
         if not numeric or not all(t[0] and t[2] for t in strata.values()):
             # strata keys compare field by field as their state indices do
             failed = strata if not numeric else [x for x, t in strata.items() if not (t[0] and t[2])]
@@ -607,9 +638,12 @@ class DiscreteModel:
         observed A keeps its own CPT and has no children, and each child of
         A reads the fixed value a in its place, keeping the rows where A's
         field holds a, with that field cut from their keys. A node below the
-        split is its counterfactual under A=a; W lies above it, unchanged."""
+        split is its counterfactual under A=a; W lies above it, unchanged.
+        The model keeps the mask of W's fields (`_w_mask`) for its table
+        (`_arm_cells`): in its own Dag the exposure has no children, so
+        every other node is a nondescendant, mediators included."""
         exposure = self.dag.exposure
-        _, dag = self._single_world
+        w_nodes, dag = self._single_world
         cut, code = self._fields[exposure], self._codes[exposure][a]
         cpts, rows = {}, {}
         for node in dag.nodes:
@@ -620,7 +654,9 @@ class DiscreteModel:
                 cpt = Cpt(node, cpt.parent_order[:i] + cpt.parent_order[i + 1:], table)
                 node_rows = {k ^ code: row for k, row in node_rows.items() if k & cut == code}
             cpts[node], rows[node] = cpt, (scale, node_rows)
-        return self._derived(dag, cpts, rows)
+        model = self._derived(dag, cpts, rows)
+        model._w_mask = self._mask(w_nodes)
+        return model
 
     def cf_unconfounded(self, covariates=()):
         """True iff Y_a ⟂ A | covariates inside cf_joint, for both arms."""
@@ -630,8 +666,49 @@ class DiscreteModel:
 
     def _cf_unconfounded(self, covariates):
         """cf_unconfounded of pool names, unchecked; the exposure is binary."""
-        y, a = (self.dag.outcome,), (self.dag.exposure,)
-        return all(self._cf_joint(arm).model._ci(y, a, covariates) for arm in (0, 1))
+        return all(self._cf_joint(arm).model._arm_independent(covariates) for arm in (0, 1))
+
+    def _arm_cells(self):
+        """{packed key over the fields of Y and W: [weight at A=0, weight
+        at A=1]} of a single-world model (`_swig` sets W's mask), summed
+        once per model from the joint. Every counterfactual test and the
+        view `CounterfactualJoint.table` read it."""
+        if self._arm_table is None:
+            field, one = self._fields[self.dag.exposure], self._codes[self.dag.exposure][1]
+            mask = self._w_mask | self._fields[self.dag.outcome]
+            table = {}
+            for key, p in _sum_by(self._joint_items(), mask | field).items():
+                t = table.get(key & mask)
+                if t is None:
+                    t = table[key & mask] = [0, 0]
+                t[(key & field) == one] += p
+            self._arm_table = table
+        return self._arm_table
+
+    def _arm_independent(self, covariates):
+        """Exact test of Y ⟂ A | covariates (names in W) in a single-world
+        model, in one pass over `_arm_cells`. The exposure is binary, so
+        P(y, a, s) P(s) = P(y, s) P(a, s) at both arms is one equality per
+        cell (y, s): w1 W0(s) = w0 W1(s), with w_a the weight of (y, a, s)
+        and W_a(s) that of (a, s). No (w0, w1) is zero, and the
+        equalities hold iff the (w0, w1) of each s are all parallel, so
+        each is tested against the first one of its s."""
+        smask = self._mask(covariates)
+        ysmask = smask | self._fields[self.dag.outcome]
+        cells = {}
+        for key, (w0, w1) in self._arm_cells().items():
+            t = cells.get(key & ysmask)
+            if t is None:
+                cells[key & ysmask] = [w0, w1]
+            else:
+                t[0] += w0
+                t[1] += w1
+        first = {}
+        for key, (w0, w1) in cells.items():
+            f0, f1 = first.setdefault(key & smask, (w0, w1))
+            if w1 * f0 != w0 * f1:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -646,14 +723,19 @@ class CounterfactualJoint:
 
     @cached_property
     def table(self):
-        """{(y, a_observed, w_states): P}, decoded from the model's margin."""
+        """{(y, a_observed, w_states): P > 0}, decoded from the model's
+        table (`DiscreteModel._arm_cells`)."""
         m = self.model
-        names = (m.dag.outcome, m.dag.exposure, *self.w_nodes)
-        decoders = [(m._fields[n], {c: s for s, c in m._codes[n].items()}) for n in names]
+        decoders = [
+            (m._fields[n], {c: s for s, c in m._codes[n].items()})
+            for n in (m.dag.outcome, *self.w_nodes)
+        ]
         out = {}
-        for k, p in m._margin(names).items():
-            y, a_obs, *w = [states[k & mask] for mask, states in decoders]
-            out[(y, a_obs, tuple(w))] = Fraction(p, m._den)
+        for k, weights in m._arm_cells().items():
+            y, *w = [states[k & mask] for mask, states in decoders]
+            for a_obs, p in zip((0, 1), weights):
+                if p:
+                    out[(y, a_obs, tuple(w))] = Fraction(p, m._den)
         return out
 
     def total(self):
@@ -675,5 +757,4 @@ class CounterfactualJoint:
         for name in covariates:
             if name not in self.w_nodes:
                 raise UnknownNode(f"{name!r} is not among the joint's covariates")
-        m = self.model
-        return m._ci((m.dag.outcome,), (m.dag.exposure,), covariates)
+        return self.model._arm_independent(covariates)

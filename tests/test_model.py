@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from confounders.errors import (
     BadProbability,
+    ConfounderError,
     IncompleteAssignment,
     ModelError,
     NonBinaryExposure,
@@ -619,7 +620,7 @@ def outcome_of(call):
     """(value, None) or (None, (exception class, message)) of one call."""
     try:
         return call(), None
-    except ModelError as exc:
+    except ConfounderError as exc:
         return None, (type(exc), str(exc))
 
 
@@ -981,6 +982,100 @@ def test_d1_numeric_scan_meets_every_case():
     assert kinds == {(True, True, True), (False, False, True), (False, True, False), (True, True, False)}
 
 
+# -- counterfactual tests -------------------------------------------------------------------
+
+
+def declared_pre_draw(rng, n_nodes):
+    """A raw_model draw with a covariate besides the outcome, and a
+    declared pre-exposure set that leaves out one such covariate and may
+    name descendants of the exposure."""
+    while True:
+        names, edges, exposure, outcome, spaces, cpts = raw_model(rng, n_nodes)
+        down = naive_descendants(edges, exposure) | {exposure, outcome}
+        covariates = [v for v in names if v not in down]
+        if covariates:
+            break
+    left_out = rng.choice(covariates)
+    pre = {v for v in names if v != left_out and rng.random() < 0.6}
+    return names, edges, exposure, outcome, spaces, cpts, pre
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 6))
+def test_a_declared_pre_exposure_set_matches_the_flat_joint(seed, n_nodes):
+    # the pool is narrower than W, but counterfactual tests take any
+    # subset of W, members outside the pool included
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts, pre = declared_pre_draw(rng, n_nodes)
+    dag = Dag(names, edges, exposure, outcome, declared_pre=pre)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    joint = naive_joint(names, spaces, cpts)
+    arms = [naive_cf_joint(names, edges, spaces, cpts, exposure, outcome, a) for a in (0, 1)]
+    w_nodes, pool = arms[0][0], dag.covariate_pool
+    assert set(pool) < set(w_nodes) - {outcome}
+
+    for subset in all_subsets(pool):
+        want = naive_standardized_rd(names, spaces, joint, exposure, outcome, subset)
+        if want is None:
+            message = naive_positivity_message(names, spaces, joint, exposure, subset)
+            assert rd_outcome(model, subset) == (None, (PositivityViolation, message))
+        else:
+            assert rd_outcome(model, subset) == (want, None)
+        want = all(naive_cf_independent(*arm, subset) for arm in arms)
+        assert outcome_of(lambda: model.cf_unconfounded(subset)) == (want, None)
+    for name in sorted(set(w_nodes) - set(pool)):
+        rejected = (None, (NonCovariateInSet, f"{name!r} is not in the covariate pool"))
+        assert rd_outcome(model, (name,)) == rejected
+        assert outcome_of(lambda: model.cf_unconfounded((name,))) == rejected
+
+    outside = [s for s in all_subsets(w_nodes) if not set(s) <= set(pool)]
+    for arm, (_, table) in zip((0, 1), arms):
+        cf = model.cf_joint(arm)
+        for subset in outside:
+            assert cf.independent_given(subset) == naive_cf_independent(w_nodes, table, subset)
+        for name in sorted(set(names) - set(w_nodes)):
+            unknown = (None, (UnknownNode, f"{name!r} is not among the joint's covariates"))
+            assert outcome_of(lambda: cf.independent_given((name,))) == unknown
+
+
+def cf_test_case(seed, n_nodes, draw):
+    """Compare, on both arms of one drawn model and every subset S of W,
+    the table test of Y_a ⟂ A | S with the per-set test of the arm's
+    model; returns the kinds of case it met: the exposure's states and
+    each answer."""
+    rng = random.Random(seed)
+    names, edges, exposure, outcome, spaces, cpts = draw(rng, n_nodes)
+    dag = Dag(names, edges, exposure, outcome)
+    model = DiscreteModel(dag, spaces, {v: Cpt(v, *cpts[v]) for v in names})
+    kinds = set()
+    for arm in (0, 1):
+        cf = model.cf_joint(arm)
+        for subset in all_subsets(cf.w_nodes):
+            want = cf.model._ci((outcome,), (exposure,), subset)
+            assert cf.independent_given(subset) == want
+            kinds.add((spaces[exposure], want))
+    for subset in all_subsets(dag.covariate_pool):
+        want = all(model.cf_joint(arm).independent_given(subset) for arm in (0, 1))
+        assert model.cf_unconfounded(subset) == want
+    return kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from((layout_model, unfaithful_model)))
+def test_the_counterfactual_table_test_matches_the_per_set_test(seed, n_nodes, draw):
+    # zero entries, 3-5-state nodes and both exposure orders
+    # (layout_model), and exact independences the graph does not show
+    # (unfaithful_model)
+    cf_test_case(seed, n_nodes, draw)
+
+
+def test_the_counterfactual_table_test_meets_every_case():
+    kinds = set()
+    for seed in range(40):
+        kinds |= cf_test_case(seed, 3 + seed % 3, (layout_model, unfaithful_model)[seed % 2])
+    assert kinds == {(states, want) for states in ((0, 1), (1, 0)) for want in (False, True)}
+
+
 # -- the extension loop ------------------------------------------------------------------
 
 
@@ -1063,7 +1158,8 @@ def one_model_trial():
     four-member pool and graphical D1 contexts for every member), then ask its model again: every covariate's report,
     and every subset's risk difference with its members in reverse order.
     The trial's scans ask each set once; the second round must be answered
-    from what the first one kept."""
+    from what the first one kept. Last, the probability of one pool cell
+    is asked with its nodes in two orders."""
     rng = random.Random(5)
     dag = random_dag(rng, 6, 0.35)
     model = random_model(rng, dag)
@@ -1074,6 +1170,8 @@ def one_model_trial():
         classify_variable(dag, variable, model)
     for subset in all_subsets(dag.covariate_pool):
         model.standardized_rd(subset[::-1])
+    cell = {n: model.state_spaces[n][0] for n in dag.covariate_pool}
+    assert model.probability(cell) == model.probability(dict(reversed(cell.items())))
 
 
 def test_each_risk_difference_is_computed_once_per_set(monkeypatch):
@@ -1122,8 +1220,13 @@ def test_each_abs_bias_is_taken_once_per_set(monkeypatch):
 
 
 def test_each_node_set_is_summed_once_per_model(monkeypatch):
+    # margins serve probabilities and numeric D1; risk differences and
+    # counterfactual tests read one table per model, built once: the
+    # observed model's `_rd_cells` and each arm's `_arm_cells`
     summed, orders, models = Counter(), {}, []
+    built = Counter()
     margin = DiscreteModel._margin
+    tables = {"_rd_cells": "_rd_table", "_arm_cells": "_arm_table"}
 
     def counted(self, names):
         before = len(self._margins)
@@ -1134,10 +1237,25 @@ def test_each_node_set_is_summed_once_per_model(monkeypatch):
         models.append(self)
         return out
 
+    def counted_table(method, slot):
+        build = getattr(DiscreteModel, method)
+
+        def table(self):
+            built[id(self), method] += getattr(self, slot) is None
+            models.append(self)
+            return build(self)
+
+        return table
+
     monkeypatch.setattr(DiscreteModel, "_margin", counted)
+    for method, slot in tables.items():
+        monkeypatch.setattr(DiscreteModel, method, counted_table(method, slot))
     one_model_trial()
     assert set(summed.values()) == {1}
     assert any(len(seen) > 1 for seen in orders.values())  # asked in two orders
+    # one observed model and its two arms, each table built once
+    assert Counter(method for _, method in built) == {"_rd_cells": 1, "_arm_cells": 2}
+    assert set(built.values()) == {1}
 
 
 def scanned_sets(contexts, variable, witness_context):
