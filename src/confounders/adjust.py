@@ -14,14 +14,14 @@ one query per subset. Give each of the 2**k subsets of a k-member pool one
 bit ("lane") of an int: lane l holds pool member i when bit i of l is set,
 the members taken in sorted order. One sliced pass (`graph._sliced_dsep`)
 decides the separation in every lane at once, and its answer is a lane
-vector. Each Dag keeps its catalog of minimal sets: the minimal lanes, the
-sufficient lanes from which no single member can be dropped
-(`_minimal_lanes`), of one pass over the pool members that are ancestors
-of the exposure or the outcome, where every minimal set lies. A Dag also
-keeps its pool's sufficiency vector (`_sufficiency_vector`), one pass over
-the whole pool, where lane l is set when the subset l is sufficient: the
-distinguishing contexts of property 2A and the fuzzer's per-subset verdicts
-read it. D1 and the conditional confounder run passes of their own.
+vector. `_minimal_sets` lists the minimal sets given a fixed set L: the
+sufficient lanes from which no member can be dropped (`_minimal_lanes`),
+of one pass over the pool members that are ancestors of A, Y or L, where
+every minimal set lies and which the size cap counts. Each Dag keeps the
+catalog (L empty); the conditional confounder asks for its own L. A Dag
+also keeps its sufficiency vector (`_sufficiency_vector`), one pass over
+the whole pool, lane l set when the subset l is sufficient, for property
+2A and the fuzzer. D1 runs passes of its own.
 
 A lane vector is turned back into sets in canonical order: by size, then
 lexicographically by the sorted name tuple (`graph._lane_sets`); this is
@@ -37,14 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeLimit
-from .graph import (
-    Path,
-    _first_path,
-    _lane_pattern,
-    _lane_sets,
-    _sliced_dsep,
-    enumerate_paths,
-)
+from .graph import Path, _first_path, _lane_pattern, _lane_sets, _sliced_dsep, enumerate_paths
 
 MAX_POOL = 24
 
@@ -120,16 +113,8 @@ def _first_backdoor_path(dag, noncollider_ok, collider_ok, through=0):
     passes through must be in `noncollider_ok`, one where both edges point
     in must be in `collider_ok`. None when no backdoor path qualifies.
     """
-    a = dag._index[dag.exposure]
-    return _first_path(
-        dag,
-        a,
-        dag._index[dag.outcome],
-        dag._pmask[a],
-        noncollider_ok,
-        collider_ok,
-        through,
-    )
+    a, y = dag._index[dag.exposure], dag._index[dag.outcome]
+    return _first_path(dag, a, y, dag._pmask[a], noncollider_ok, collider_ok, through)
 
 
 def _open_backdoor_witness(dag, covariates):
@@ -213,28 +198,37 @@ def is_sufficient(dag, covariates):
     return AdjustmentVerdict(covariates, False, False, _open_backdoor_witness(dag, covariates))
 
 
-def minimal_sufficient_sets(dag):
-    """Enumerate every minimally sufficient adjustment set.
+def _minimal_sets(dag, fixed=()):
+    """The sets Z of pool members outside the fixed set L (`fixed`, sorted
+    pool names) such that Z plus L is sufficient and no strict subset of Z
+    plus L is, in canonical order: the minimal separators of van der Zander,
+    Liśkiewicz & Textor (2019). With L = () they are the minimal sets.
 
-    The minimal lanes of one sliced pass over R, the pool members that are
-    ancestors of the exposure or the outcome, in canonical order, listed
-    once per Dag. Every minimal set Z lies in R. By the lemma of
-    `_minimal_lanes`, each member of Z is an ancestor of {A, Y} or of
-    another member. Take a member outside An({A, Y}) that is last in
-    topological order: it is no ancestor of {A, Y}, nor of another member,
-    which would be outside An({A, Y}) too and later in the order. (The
-    lemma's ancestors are those of the backdoor graph, which are ancestors
-    in the Dag too.) Minimality only looks at subsets, so the minimal lanes
-    over R are the minimal sets over the pool. The size cap is on the
-    whole pool. An insufficiency everywhere yields an empty catalog; a
-    sufficient empty set yields the one-entry catalog (()).
+    The minimal lanes of one pass with L conditioned in every lane, over
+    R(L): the pool members outside L in An({A, Y} ∪ L). The size cap is on
+    R(L), which holds every minimal Z. By the lemma of `_minimal_lanes`,
+    each member of Z is an ancestor of {A, Y} ∪ L or of another member.
+    Take a member outside An({A, Y} ∪ L) that is last in topological order:
+    it is no ancestor of {A, Y} ∪ L, nor of another member, which would be
+    outside too and later in the order; so none is outside. (The lemma's
+    ancestors are those of the backdoor graph, ancestors in the Dag too.)
     """
-    pool = _require_enumerable(dag.covariate_pool, "minimal_sufficient_sets")
+    index, a, y = dag._index, dag.exposure, dag.outcome
+    given = dag._mask(fixed)
+    hull = dag._kernel.closure_up(1 << index[a] | 1 << index[y] | given) & ~given
+    members = tuple(name for name in dag.covariate_pool if hull >> index[name] & 1)
+    ends, outside = (f"{a}, {y} or L", "outside L ") if fixed else (f"{a} or {y}", "")
+    what = f"the minimal-set search over R (the pool members {outside}that are ancestors of {ends})"
+    _require_enumerable(members, what)
+    sufficient = _sufficient_lanes(dag, members, fixed)
+    return _lane_sets(_minimal_lanes(sufficient, len(members)), members)
+
+
+def minimal_sufficient_sets(dag):
+    """Every minimally sufficient adjustment set (`_minimal_sets` given no
+    L), listed once per Dag: none when no set is sufficient, (()) when the
+    empty set is."""
     if dag._catalog is None:
-        index = dag._index
-        hull = dag._kernel.closure_up(1 << index[dag.exposure] | 1 << index[dag.outcome])
-        members = tuple(name for name in pool if hull >> index[name] & 1)
-        sufficient = _sufficient_lanes(dag, members)
-        minimal = tuple(_lane_sets(_minimal_lanes(sufficient, len(members)), members))
+        minimal = tuple(_minimal_sets(dag))
         dag._catalog = MinimalSetCatalog(minimal, tuple(sorted(set().union(*minimal))))
     return dag._catalog

@@ -12,7 +12,9 @@ The six readings of "C is a confounder for the effect of A on Y":
   D5  adding C to some context X strictly shrinks |bias|.
   D6  adding C to some context X changes the adjusted risk difference.
 
-D1-D4 need only the graph; D5/D6 need a DiscreteModel. Existential
+D1-D4 need only the graph; D5/D6 need a DiscreteModel. D3, D4 and the
+conditional confounder read the minimal sets of `adjust._minimal_sets`,
+given no set L and given L. Existential
 quantifiers range over subsets of the covariate pool minus C, visited in
 canonical order, so witnesses are reproducible. One table (`_TABLE`)
 states each definition once: whether the model or the Dag decides it, its
@@ -45,9 +47,8 @@ from dataclasses import dataclass
 
 from .adjust import (
     _first_backdoor_path,
-    _minimal_lanes,
+    _minimal_sets,
     _require_enumerable,
-    _sufficient_lanes,
     minimal_sufficient_sets,
     subsets_canonical,
 )
@@ -59,7 +60,7 @@ from .errors import (
     OverlappingSets,
 )
 from .formats import format_effect, format_set
-from .graph import _bits, _lane_pattern, _lane_sets, _skeleton, _sliced_dsep
+from .graph import _bits, _lane_sets, _skeleton, _sliced_dsep
 
 
 @dataclass(frozen=True)
@@ -387,28 +388,18 @@ def conditional_confounder(dag, variable, conditioning=()):
     top of the fixed set L, with nothing in (X, C) removable.
 
     True iff for some X: (X, L, C) is sufficient and no proper subset T of
-    (X, C) makes (T, L) sufficient. With L = () this is exactly D4. Read
-    off one sliced pass over the pool minus L, with L conditioned in every
-    lane: the minimal lanes that contain C.
+    (X, C) makes (T, L) sufficient. With L = () this is exactly D4. The
+    witness is read off the first minimal set given L that holds C
+    (`adjust._minimal_sets`).
     """
-    pool = set(_require_covariate(dag, variable))
-    conditioning = tuple(sorted(set(conditioning)))
-    for name in conditioning:
-        if name not in pool:
-            raise NotACovariate(f"{name!r} is not in the covariate pool")
+    _require_covariate(dag, variable)
+    conditioning = dag._require_pool(conditioning)
     if variable in conditioning:
         raise OverlappingSets(f"{variable!r} appears in the conditioning set")
-    others = _require_enumerable(
-        sorted(pool - {variable} - set(conditioning)), "conditional_confounder"
-    )
-    members = sorted(others + [variable])
-    k = len(members)
-    minimal = _minimal_lanes(_sufficient_lanes(dag, members, conditioning), k)
-    with_c = minimal & _lane_pattern(k, members.index(variable))
-    full = next(_lane_sets(with_c, members), None)
-    if full is None:
-        return False, None
-    return True, tuple(name for name in full if name != variable)
+    for members in _minimal_sets(dag, conditioning):
+        if variable in members:
+            return True, tuple(name for name in members if name != variable)
+    return False, None
 
 
 def _arrows(edges, table, sep):

@@ -22,8 +22,8 @@ Model file, JSON:
       }
     }
 
-Probability entries are strings, "p/q" or a finite decimal (ints also
-accepted); bare JSON floats are rejected so nothing is ever rounded.
+Probability entries are strings, "p/q" or a finite decimal, no exponent
+(ints also accepted); bare JSON floats are rejected so nothing is rounded.
 Each table row lists one probability per state, in state order. Row keys
 join the parent states with commas, in the cpt's declared parent order;
 root nodes use the single key "".
@@ -131,7 +131,7 @@ def parse_model(text, dag):
     else:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("model file must hold a JSON object")

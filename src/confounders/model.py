@@ -128,7 +128,8 @@ def _kept(table, covariates, compute):
 
 def as_fraction(value, where="probability"):
     """Coerce to Fraction; ints and 'p/q'/finite-decimal strings allowed,
-    floats rejected (they rarely mean what their decimal print shows)."""
+    floats rejected (they rarely mean what their decimal print shows), and
+    so is exponent notation."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -141,10 +142,20 @@ def as_fraction(value, where="probability"):
         )
     if isinstance(value, str):
         try:
+            if "e" in value.lower():  # Fraction would expand an exponent of any size
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadProbability(f"{where}: cannot parse {value!r} as a rational") from exc
     raise BadProbability(f"{where}: unsupported type {type(value).__name__}")
+
+
+def _text(value):
+    """str(value), or a stand-in when it has more digits than str() writes."""
+    try:
+        return str(value)
+    except ValueError:
+        return "a number too long to print"
 
 
 @dataclass(frozen=True)
@@ -298,11 +309,13 @@ class DiscreteModel:
             # LCM of its denominators
             for p in vector:
                 if not 0 <= p.numerator <= p.denominator:
-                    raise BadProbability(f"cpt for {node!r} row {key!r}: entry {p} out of [0,1]")
+                    raise BadProbability(
+                        f"cpt for {node!r} row {key!r}: entry {_text(p)} out of [0,1]"
+                    )
             scale = lcm(*[p.denominator for p in vector])
             if sum([p.numerator * (scale // p.denominator) for p in vector]) != scale:
                 raise BadProbability(
-                    f"cpt for {node!r} row {key!r}: entries sum to {sum(vector)}, not 1"
+                    f"cpt for {node!r} row {key!r}: entries sum to {_text(sum(vector))}, not 1"
                 )
             fixed[key] = vector
         missing = expected_keys - set(fixed)

@@ -1,6 +1,7 @@
 """Backdoor sufficiency and minimal adjustment sets, cross-checked against a
 brute-force oracle that enumerates and blocks paths from scratch."""
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import confounders.adjust as adjust_module
 from confounders.adjust import (
+    MAX_POOL,
     AdjustmentVerdict,
     MinimalSetCatalog,
     backdoor_paths,
@@ -15,6 +17,7 @@ from confounders.adjust import (
     minimal_sufficient_sets,
     subsets_canonical,
 )
+from confounders.classify import classify_d3, classify_d4
 from confounders.errors import NonCovariateInSet, SizeLimit
 from confounders.graph import Dag
 from confounders.fuzz import random_dag
@@ -94,8 +97,39 @@ def test_pool_size_cap():
         (f"C{i}", "Y") for i in range(n)
     ) + (("A", "Y"),)
     dag = Dag(names, edges, "A", "Y")
-    with pytest.raises(SizeLimit):
+    # every fork is a parent of A, so R, where the catalog's pass runs, has 30
+    with pytest.raises(SizeLimit, match=r"over R \(the pool members that are ancestors "
+                       r"of A or Y\) enumerates the subsets of 30 covariates"):
         minimal_sufficient_sets(dag)
+
+
+def draws_past_the_pool_cap():
+    """The sparse random DAGs, 40 per size, whose pool is over the cap:
+    10, 32 and 38 of them."""
+    out = []
+    for n, p in ((32, 0.1), (40, 0.08), (48, 0.06)):
+        rng = random.Random(4)
+        draws = [random_dag(rng, n, p) for _ in range(40)]
+        out += [dag for dag in draws if len(dag.covariate_pool) > MAX_POOL]
+    return out
+
+
+def test_the_catalog_answers_where_the_pool_is_over_the_cap():
+    # the cap is on R, the pool members that are ancestors of A or Y, and R
+    # fits it on every one of these draws
+    dags = draws_past_the_pool_cap()
+    assert len(dags) == 80
+    start = time.process_time()
+    for dag in dags:
+        catalog = minimal_sufficient_sets(dag)
+        assert catalog.sets
+        for s in catalog.sets:
+            assert is_sufficient(dag, s).minimal
+        assert is_sufficient(dag, catalog.union).sufficient
+        for c in dag.covariate_pool:
+            assert classify_d3(dag, c) == catalog.member_of_all(c)
+            assert classify_d4(dag, c)[0] == (c in catalog.union)
+    assert time.process_time() - start < 5
 
 
 def test_sufficiency_matches_textbook_criterion():

@@ -1,6 +1,7 @@
 """A census of every small DAG: the fuzzer's hard checks, the paper's
 headline result and the conditional confounder against its subset scan, on
-all graphs where random fuzz only samples.
+all graphs where random fuzz only samples; the conditional confounder also
+on every declared pre-exposure pool of them.
 
 `every_dag(n)` lists each edge set over V0 < ... < V(n-1) with every
 exposure-outcome pair a directed path joins, so every DAG on n nodes
@@ -15,6 +16,7 @@ import pytest
 from confounders.adjust import _sufficient
 from confounders.classify import _TABLE, GRAPH_DEFINITIONS, conditional_confounder
 from confounders.fuzz import _COUNTER_KEYS, _run_trial
+from confounders.graph import Dag
 from confounders.properties import _distinguishing_lanes, check_property1, check_property2a
 from helpers_oracle import all_subsets, scan_conditional
 from test_sliced import others, sufficient_scan
@@ -99,11 +101,22 @@ def test_only_d4_satisfies_property_1_and_2a_on_every_small_dag(n):
             assert not all(check_property2a(dag, def_id, c).holds for c in p1.witness["set"])
 
 
-@pytest.mark.parametrize("n, calls, held", [(2, 0, 0), (3, 7, 1), (4, 370, 64), (5, 24273, 5016)])
-def test_conditional_confounder_matches_its_scan_on_every_small_dag(n, calls, held):
-    # every covariate C and every conditioning set L of the other covariates
-    answers = []
+def declared_pools(n):
+    """Every DAG on n nodes once per proper subset of its eligible
+    covariates, declared as its pre-exposure pool."""
     for dag in every_dag(n):
+        eligible = dag.covariate_pool
+        for keep in all_subsets(eligible)[:-1]:
+            yield Dag(dag.nodes, dag.edges, dag.exposure, dag.outcome, declared_pre=keep)
+
+
+def conditional_answers(dags):
+    """The number of graphs, of conditional confounder calls and of calls
+    that hold, over every covariate C and every conditioning set L of the
+    other covariates; each call must agree with the subset scan."""
+    graphs = calls = held = 0
+    for dag in dags:
+        graphs += 1
         sufficient = sufficient_scan(dag)
         for variable in dag.covariate_pool:
             rest = others(dag, variable)
@@ -111,5 +124,19 @@ def test_conditional_confounder_matches_its_scan_on_every_small_dag(n, calls, he
                 free = [c for c in rest if c not in conditioning]
                 answer = conditional_confounder(dag, variable, conditioning)
                 assert answer == scan_conditional(variable, free, conditioning, sufficient)
-                answers.append(answer[0])
-    assert (len(answers), sum(answers)) == (calls, held)
+                calls += 1
+                held += answer[0]
+    return graphs, calls, held
+
+
+@pytest.mark.parametrize("n, calls, held", [(2, 0, 0), (3, 7, 1), (4, 370, 64), (5, 24273, 5016)])
+def test_conditional_confounder_matches_its_scan_on_every_small_dag(n, calls, held):
+    assert conditional_answers(every_dag(n))[1:] == (calls, held)
+
+
+@pytest.mark.parametrize(
+    "n, graphs, calls, held",
+    [(2, 0, 0, 0), (3, 7, 0, 0), (4, 300, 140, 24), (5, 16213, 22320, 4280)],
+)
+def test_conditional_confounder_matches_its_scan_on_declared_pools(n, graphs, calls, held):
+    assert conditional_answers(declared_pools(n)) == (graphs, calls, held)

@@ -33,6 +33,7 @@ from confounders.errors import (
     IncompleteReport,
     InvalidConfig,
     MissingModel,
+    NonCovariateInSet,
     NotACovariate,
     OverlappingSets,
 )
@@ -501,5 +502,5 @@ def test_conditional_rejects_overlap_and_non_covariates():
         conditional_confounder(TWO_ROUTES.dag, "C1", ("C1",))
     with pytest.raises(NotACovariate):
         conditional_confounder(TWO_ROUTES.dag, "A", ("C1",))
-    with pytest.raises(NotACovariate):
+    with pytest.raises(NonCovariateInSet, match="'Y' is not in the covariate pool"):
         conditional_confounder(TWO_ROUTES.dag, "C1", ("Y",))

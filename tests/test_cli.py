@@ -441,6 +441,43 @@ def test_node_count_over_the_kernel_limit_exits_3(capsys, tmp_path):
     assert err == "error: 65 nodes exceeds the 64-node kernel limit\n"
 
 
+CONFOUNDED = "node C pre\nnode A exposure\nnode Y outcome\nedge C A\nedge C Y\nedge A Y\n"
+
+
+@pytest.mark.parametrize(
+    "c_row",
+    [
+        '["1e5000", "0"]',
+        '["1e-5000", "1"]',
+        '["1e10000000", "0"]',
+        "[1" + "0" * 5000 + ", 0]",  # a bare JSON int past str()'s digit limit
+        f'["1/{3 ** 6000}", "1/{2 ** 9000}"]',  # a row sum past that limit
+    ],
+    ids=["exponent", "negative-exponent", "huge-exponent", "long-int", "long-row-sum"],
+)
+def test_huge_numbers_in_a_model_exit_2_in_bounded_time(capsys, tmp_path, c_row):
+    graph = tmp_path / "g.graph"
+    graph.write_text(CONFOUNDED)
+    doc = {
+        "states": {"C": [0, 1], "A": [0, 1], "Y": [0, 1]},
+        "cpts": {
+            "C": {"parents": [], "table": {"": "ROW"}},
+            "A": {"parents": ["C"], "table": {"0": ["3/4", "1/4"], "1": ["1/4", "3/4"]}},
+            "Y": {
+                "parents": ["A", "C"],
+                "table": {k: ["1/2", "1/2"] for k in ("0,0", "0,1", "1,0", "1,1")},
+            },
+        },
+    }
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc).replace('"ROW"', c_row))
+    start = time.process_time()
+    code, out, err = run(capsys, "classify", str(graph), "--model", str(model))
+    assert time.process_time() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_positivity_violation_exits_5(capsys, tmp_path):
     graph = tmp_path / "pos.graph"
     graph.write_text(
