@@ -3,10 +3,11 @@
 Nodes are integers 0..n-1 (n <= 64); node sets are uint64 masks. Parent and
 child masks live in fixed 64-entry arrays, and entries past n stay 0.
 `closure_up` and `closure_down` close a mask under ancestors or descendants.
-`reachable` and `dsep` run `reach`, the same two-phase d-connection ball
-game as the pure kernel's `_reachable`, in the same rounds: each moves the
-whole frontier of up-states and of down-states, one mask each, so no stack
-is kept. `dsep` stops at the first round that reaches its target.
+`reachable` and `dsep` run `reach`, the same Bayes-Ball as the pure
+kernel's `_reachable`, with the same optional `opened` mask on `reachable`,
+in the same rounds: each moves the whole frontier of up-states and of
+down-states, one mask each, so no stack is kept. `dsep` stops at the first
+round that reaches its target.
 
 Every argument is a mask. A parent mask or a query mask with a bit at or
 past n, negative ones included, raises ValueError, as in the pure kernel.
@@ -54,17 +55,21 @@ closure(const u64 *adj, u64 mask)
     return out;
 }
 
-/* nodes d-connected to the source set given z (sources included), or, once
-   a round reaches a node of stop, the part found so far */
+/* nodes d-connected to the source set given z (sources included), a
+   collider also passing when it is an ancestor of opened; or, once a round
+   reaches a node of stop, the part found so far. A ball coming down into a
+   node of z or of opened bounces back up, so a collider with such a
+   descendant is passed by running down to it and climbing back. */
 static u64
-reach(const BitDag *d, u64 src, u64 z, u64 stop)
+reach(const BitDag *d, u64 src, u64 z, u64 opened, u64 stop)
 {
-    u64 anz = closure(d->p, z);
+    u64 bounce = z | opened;
     u64 up = src, down = 0, up_new = src, down_new = 0;
     while ((up_new | down_new) && !((up | down) & stop)) {
         u64 step_up = 0, step_down = 0;
-        /* up through an unconditioned node, or down into an ancestor of z */
-        for (u64 m = (up_new & ~z) | (down_new & anz); m; m &= m - 1)
+        /* up through an unconditioned node, or down into a node of z or of
+           opened */
+        for (u64 m = (up_new & ~z) | (down_new & bounce); m; m &= m - 1)
             step_up |= d->p[lowest(m)];
         /* either way through an unconditioned node */
         for (u64 m = (up_new | down_new) & ~z; m; m &= m - 1)
@@ -103,12 +108,16 @@ as_query(const BitDag *d, PyObject *obj, u64 *out)
 }
 
 static int
-arity(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+arity(const char *name, Py_ssize_t nargs, Py_ssize_t least, Py_ssize_t most)
 {
-    if (nargs == want)
+    if (least <= nargs && nargs <= most)
         return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
-                 name, want, nargs);
+    if (least == most)
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
+                     name, least, nargs);
+    else
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd arguments (%zd given)",
+                     name, least, most, nargs);
     return -1;
 }
 
@@ -178,12 +187,12 @@ BitDag_closure_down(PyObject *self, PyObject *arg)
 static PyObject *
 BitDag_reachable(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    u64 src, z;
+    u64 src, z, opened = 0;
     BitDag *d = (BitDag *)self;
-    if (arity("reachable", nargs, 2) < 0 || as_query(d, args[0], &src) < 0
-        || as_query(d, args[1], &z) < 0)
+    if (arity("reachable", nargs, 2, 3) < 0 || as_query(d, args[0], &src) < 0
+        || as_query(d, args[1], &z) < 0 || (nargs == 3 && as_query(d, args[2], &opened) < 0))
         return NULL;
-    return PyLong_FromUnsignedLongLong(reach(d, src, z, 0));
+    return PyLong_FromUnsignedLongLong(reach(d, src, z, opened, 0));
 }
 
 static PyObject *
@@ -191,10 +200,10 @@ BitDag_dsep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 a, b, z;
     BitDag *d = (BitDag *)self;
-    if (arity("dsep", nargs, 3) < 0 || as_query(d, args[0], &a) < 0
+    if (arity("dsep", nargs, 3, 3) < 0 || as_query(d, args[0], &a) < 0
         || as_query(d, args[1], &b) < 0 || as_query(d, args[2], &z) < 0)
         return NULL;
-    return PyBool_FromLong(!(reach(d, a, z, b & ~z) & b));
+    return PyBool_FromLong(!(reach(d, a, z, 0, b & ~z) & b));
 }
 
 static PyObject *
@@ -207,7 +216,8 @@ static PyMethodDef BitDag_methods[] = {
     {"closure_up", BitDag_closure_up, METH_O, "mask plus all its ancestors."},
     {"closure_down", BitDag_closure_down, METH_O, "mask plus all its descendants."},
     {"reachable", (PyCFunction)(void (*)(void))BitDag_reachable, METH_FASTCALL,
-     "Nodes d-connected to the source set given z (sources included)."},
+     "Nodes d-connected to the source set given z (sources included), with a\n"
+     "collider also passing when it is an ancestor of `opened`."},
     {"dsep", (PyCFunction)(void (*)(void))BitDag_dsep, METH_FASTCALL,
      "True iff every path between masks a and b is blocked by z."},
     {NULL, NULL, 0, NULL},

@@ -4,12 +4,14 @@ Nodes are integers 0..n-1 (n <= 64); node sets are uint64-style bitmasks.
 The kernel answers four queries, all on masks: `closure_up` and
 `closure_down` close a set under ancestors or descendants, `reachable`
 returns the nodes d-connected to a source set, and `dsep` asks whether that
-set misses a target. `reachable` runs the two-phase d-connection ball game:
-phase one closes the conditioning set under ancestors, phase two moves
-whole frontiers of (node, direction) states, one mask per direction, a
-round at a time, so a path is followed exactly when d-separation says it is
-open. `dsep` stops at the first round that reaches its target. A query mask
-with a bit at or past n is refused with ValueError.
+set misses a target. `reachable` runs Shachter's Bayes-Ball: it moves whole
+frontiers of (node, direction) states, one mask per direction, a round at a
+time, and a ball that comes down into a conditioned node bounces back up,
+so a collider with a conditioned descendant is opened by the ball running
+down to that descendant and climbing back, with no ancestor set built. A
+node is reached exactly when d-separation says a path to it is open. `dsep`
+stops at the first round that reaches its target. A query mask with a bit
+at or past n is refused with ValueError.
 
 The compiled kernel in _fast.c has the same four queries, the same rounds
 and the same error messages; the package picks it at import time when it is
@@ -55,11 +57,14 @@ class BitDag:
             raise ValueError(_OUTSIDE)
         return _closure(self._children, mask)
 
-    def reachable(self, src, z):
-        """Nodes d-connected to the source set given z (sources included)."""
-        if (src | z) >> self.n:
+    def reachable(self, src, z, opened=0):
+        """Nodes d-connected to the source set given z (sources included),
+        with a collider also passing when it is an ancestor of `opened`:
+        d-connection given z plus a new leaf child of each node of
+        `opened`."""
+        if (src | z | opened) >> self.n:
             raise ValueError(_OUTSIDE)
-        return _reachable(self._parents, self._children, src, z, 0)
+        return _reachable(self._parents, self._children, src, z, 0, opened)
 
     def dsep(self, a, b, z):
         """True iff every path between masks a and b is blocked by z."""
@@ -68,22 +73,26 @@ class BitDag:
         return not (_reachable(self._parents, self._children, a, z, b & ~z) & b)
 
 
-def _reachable(parents, children, src, z, stop):
+def _reachable(parents, children, src, z, stop, opened=0):
     """Nodes d-connected to the source set given z (sources included), or,
     once a round reaches a node of `stop`, the part found so far.
 
     A ball is on a node going up (it came from a child, or starts there) or
     going down (it came from a parent). Each round moves the whole frontier
     of both: a ball on an unconditioned node goes on down to its children;
-    one going up through an unconditioned node, or down into an ancestor of
-    z (a collider z opens), goes on up to its parents.
+    one going up through an unconditioned node, or down into a node of z or
+    of `opened`, goes on up to its parents. A collider that is an ancestor
+    of z is thus passed the long way round: down to a conditioned
+    descendant, along a directed path of unconditioned nodes, and back up.
+    A node of `opened` = W turns the ball as its new conditioned leaf child
+    would, and blocks nothing.
     """
-    anz = _closure(parents, z)
+    bounce = z | opened
     up = up_new = src
     down = down_new = 0
     while (up_new | down_new) and not (up | down) & stop:
         step_up = step_down = 0
-        m = (up_new & ~z) | (down_new & anz)
+        m = (up_new & ~z) | (down_new & bounce)
         while m:
             low = m & -m
             step_up |= parents[low.bit_length() - 1]

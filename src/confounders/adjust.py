@@ -198,6 +198,17 @@ def is_sufficient(dag, covariates):
     return AdjustmentVerdict(covariates, False, False, _open_backdoor_witness(dag, covariates))
 
 
+def _relevant(dag, fixed=()):
+    """R(L): the pool members outside the fixed set L (`fixed`, pool
+    names) in An({A, Y} ∪ L), in pool order. Every minimal set given L lies
+    in it (`_minimal_sets`)."""
+    index = dag._index
+    given = dag._mask(fixed)
+    ends = 1 << index[dag.exposure] | 1 << index[dag.outcome]
+    hull = dag._kernel.closure_up(ends | given) & ~given
+    return tuple(name for name in dag.covariate_pool if hull >> index[name] & 1)
+
+
 def _minimal_sets(dag, fixed=()):
     """The sets Z of pool members outside the fixed set L (`fixed`, sorted
     pool names) such that Z plus L is sufficient and no strict subset of Z
@@ -213,10 +224,8 @@ def _minimal_sets(dag, fixed=()):
     outside too and later in the order; so none is outside. (The lemma's
     ancestors are those of the backdoor graph, ancestors in the Dag too.)
     """
-    index, a, y = dag._index, dag.exposure, dag.outcome
-    given = dag._mask(fixed)
-    hull = dag._kernel.closure_up(1 << index[a] | 1 << index[y] | given) & ~given
-    members = tuple(name for name in dag.covariate_pool if hull >> index[name] & 1)
+    a, y = dag.exposure, dag.outcome
+    members = _relevant(dag, fixed)
     ends, outside = (f"{a}, {y} or L", "outside L ") if fixed else (f"{a} or {y}", "")
     what = f"the minimal-set search over R (the pool members {outside}that are ancestors of {ends})"
     _require_enumerable(members, what)

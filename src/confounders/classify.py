@@ -12,9 +12,12 @@ The six readings of "C is a confounder for the effect of A on Y":
   D5  adding C to some context X strictly shrinks |bias|.
   D6  adding C to some context X changes the adjusted risk difference.
 
-D1-D4 need only the graph; D5/D6 need a DiscreteModel. D3, D4 and the
-conditional confounder read the minimal sets of `adjust._minimal_sets`,
-given no set L and given L. Existential
+D1-D4 need only the graph; D5/D6 need a DiscreteModel. Graphical D1 is
+decided by scalar kernel queries where they suffice: a probe of the empty
+context and a connectability filter, each one mask per Dag, then the
+one-member contexts; the sliced passes run only past those
+(`_d1_contexts`). D3, D4 and the conditional confounder read the minimal
+sets of `adjust._minimal_sets`, given no set L and given L. Existential
 quantifiers range over subsets of the covariate pool minus C, visited in
 canonical order, so witnesses are reproducible. One table (`_TABLE`)
 states each definition once: whether the model or the Dag decides it, its
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 from .adjust import (
     _first_backdoor_path,
     _minimal_sets,
+    _relevant,
     _require_enumerable,
     minimal_sufficient_sets,
     subsets_canonical,
@@ -162,46 +166,109 @@ def _context_sets(dag, variable):
     return _require_enumerable(others, f"the context search for {variable!r}")
 
 
-def _d1_lanes(dag, variable, others):
-    """C's D1 lane vector over the contexts drawn from `others`, in two
-    parts, the second made only when asked for. First lane 0, the empty
-    context: C's bit in the probe mask of the nodes d-connected to A, and to
-    Y given A (two kernel queries, kept on the Dag as `_d1_probe`). Then the
-    rest, from two sliced passes from C, given X and given X plus A, kept
-    on the Dag per covariate (`_d1`) for the model scans to share."""
-    c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
+def _probe_mask(dag):
+    """The covariates whose empty context is a D1 context: the nodes
+    d-connected to A, and to Y given A. d-separation is symmetric, so two
+    kernel queries from A and Y answer every covariate; the mask is kept on
+    the Dag (`_d1_probe`)."""
     if dag._d1_probe is None:
-        kernel = dag._kernel
-        dag._d1_probe = kernel.reachable(1 << a, 0) & kernel.reachable(1 << y, 1 << a)
-    yield dag._d1_probe >> c & 1
-    if not others:
-        return
+        kernel, a, y = dag._kernel, 1 << dag._index[dag.exposure], 1 << dag._index[dag.outcome]
+        dag._d1_probe = kernel.reachable(a, 0) & kernel.reachable(y, a)
+    return dag._d1_probe
+
+
+def _connectable_mask(dag):
+    """The covariates the connectability filter leaves open: a covariate
+    outside this mask has no D1 context.
+
+    T is *connectable* from C given F when the ball game reaches T with a
+    non-collider blocking only in F and a collider passing iff it lies in
+    An(F ∪ P), P the pool: the kernel's `reachable` from T given F with
+    `opened` = P. The mask holds the covariates connectable to A given
+    F = ∅ and to Y given F = {A}; the game is run from A and from Y, two
+    kernel queries per Dag, and the mask is kept on the Dag (`_d1_filter`).
+
+    Soundness. Let X ⊆ R, R the pool minus C, be a D1 context of C, and
+    (T, F) be (A, ∅) or (Y, {A}); neither C nor T is in F. X d-connects C
+    and T given F ∪ X, so some path between them has no non-collider in
+    F ∪ X, hence none in F, and every collider in An(F ∪ X) ⊆ An(F ∪ P).
+    The game follows every path whose non-colliders lie outside F and
+    whose colliders lie in An(F ∪ P), and both conditions read the same
+    from either end of the path, so the game from T reaches C. So a
+    covariate outside the mask has no D1 context.
+
+    Opening An(F ∪ P) leaves open the same covariates as opening An(F ∪ R)
+    for each C would. The two sets differ only at ancestors of C. Let v be
+    the last collider outside An(F ∪ R) on a walk of the game from C to T.
+    The walk can instead climb from C to v along a directed path and go on
+    from v as a non-collider: the nodes of that path are ancestors of C,
+    so none is A (C is no descendant of A), and none blocks.
+    """
+    if dag._d1_filter is None:
+        kernel, a, y = dag._kernel, 1 << dag._index[dag.exposure], 1 << dag._index[dag.outcome]
+        pool = dag._mask(dag.covariate_pool)
+        dag._d1_filter = kernel.reachable(a, 0, pool) & kernel.reachable(y, a, pool)
+    return dag._d1_filter
+
+
+def _d1_lanes(dag, variable, others):
+    """C's D1 lane vector over the contexts drawn from `others`, from two
+    sliced passes from C, given X and given X plus A, kept on the Dag per
+    covariate (`_d1`) for later reads to share. The passes enumerate the
+    subsets of `others`, so the size cap counts them."""
+    _require_enumerable(others, f"the context search for {variable!r}")
+    c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
+    members = [dag._index[name] for name in others]
+    full = (1 << (1 << len(others))) - 1
+    connected = full & ~_sliced_dsep(dag, c, 1 << a, 0, members)
+    if connected:
+        connected &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
     if dag._d1 is None:
         dag._d1 = {}
-    connected = dag._d1.get(variable)
-    if connected is None:
-        members = [dag._index[name] for name in others]
-        full = (1 << (1 << len(others))) - 1
-        connected = full & ~_sliced_dsep(dag, c, 1 << a, 0, members)
-        if connected:
-            connected &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
-        dag._d1[variable] = connected
-    yield connected & ~1  # lane 0 was the probe's
+    dag._d1[variable] = connected
+    return connected
 
 
 def _d1_holds(dag, variable):
-    """The graphical D1 verdict, with no context listed."""
-    return any(_d1_lanes(dag, variable, _context_sets(dag, variable)))
+    """The graphical D1 verdict: whether C has a first D1 context, where
+    `_d1_contexts` stops."""
+    return next(_d1_contexts(dag, variable), None) is not None
 
 
 def _d1_contexts(dag, variable):
     """The graphical D1 contexts of C, in canonical order: each X in which
-    C is d-connected to A given X and to Y given (A, X)."""
-    others = _context_sets(dag, variable)
-    lanes = _d1_lanes(dag, variable, others)
-    if next(lanes):
+    C is d-connected to A given X and to Y given (A, X).
+
+    Four steps, each run only when a reader asks past the ones before:
+    the probe (`_probe_mask`), which answers the empty context; the
+    connectability filter (`_connectable_mask`), which ends a covariate
+    that has no context; the one-member contexts {x}, x in the pool minus
+    C in sorted order, two kernel queries each; and the larger contexts,
+    read off C's lane vector (`_d1_lanes`). A vector already kept on the
+    Dag answers every context of one member or more.
+    """
+    pool = _require_covariate(dag, variable)
+    c = dag._index[variable]
+    if _probe_mask(dag) >> c & 1:
         yield ()
-    yield from _lane_sets(next(lanes, 0), others)
+    elif not _connectable_mask(dag) >> c & 1:
+        return
+    others = [name for name in pool if name != variable]
+    vector = None if dag._d1 is None else dag._d1.get(variable)
+    smallest = 1
+    if vector is None:
+        kernel, source = dag._kernel, 1 << c
+        a, y = 1 << dag._index[dag.exposure], 1 << dag._index[dag.outcome]
+        for name in others:
+            x = 1 << dag._index[name]
+            if not kernel.dsep(source, a, x) and not kernel.dsep(source, y, a | x):
+                yield (name,)
+        if len(others) < 2:
+            return
+        vector, smallest = _d1_lanes(dag, variable, others), 2
+    for context in _lane_sets(vector & ~1, others):  # lane 0 was the probe's
+        if len(context) >= smallest:
+            yield context
 
 
 def _model_contexts(model, variable):
@@ -218,8 +285,8 @@ def _model_contexts(model, variable):
 def classify_d1_graphical(dag, variable):
     """(verdict, witness X): C d-connected to A given X and to Y given
     (A, X), for the canonically first context X that works."""
-    held = _d1_holds(dag, variable)
-    return held, next(_d1_contexts(dag, variable)) if held else None
+    witness = next(_d1_contexts(dag, variable), None)
+    return witness is not None, witness
 
 
 def classify_d1_numeric(model, variable):
@@ -390,12 +457,15 @@ def conditional_confounder(dag, variable, conditioning=()):
     True iff for some X: (X, L, C) is sufficient and no proper subset T of
     (X, C) makes (T, L) sufficient. With L = () this is exactly D4. The
     witness is read off the first minimal set given L that holds C
-    (`adjust._minimal_sets`).
+    (`adjust._minimal_sets`). Those sets lie in R(L) (`adjust._relevant`),
+    so a C outside it is answered "no" with no set listed.
     """
     _require_covariate(dag, variable)
     conditioning = dag._require_pool(conditioning)
     if variable in conditioning:
         raise OverlappingSets(f"{variable!r} appears in the conditioning set")
+    if variable not in _relevant(dag, conditioning):
+        return False, None
     for members in _minimal_sets(dag, conditioning):
         if variable in members:
             return True, tuple(name for name in members if name != variable)

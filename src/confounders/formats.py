@@ -216,9 +216,36 @@ def format_3dec(value):
     return f"{sign}{scaled // 1000}.{scaled % 1000:03d}"
 
 
+# Python refuses str() of an int past its digit limit (4300 by default, and
+# never under 640), so an exact number is written in 600-digit pieces
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def _int_text(n):
+    """str(n) for an int of any length."""
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    return sign + str(n) + "".join(reversed(pieces))
+
+
+def _fraction_text(value):
+    """str(Fraction(value)), 'p/q' or 'p', for parts of any length."""
+    value = Fraction(value)
+    numerator = _int_text(value.numerator)
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{_int_text(value.denominator)}"
+
+
 def format_effect(value, exact=False):
     """Display form for an effect or bias: exact rational or 3 decimals."""
-    return str(Fraction(value)) if exact else format_3dec(value)
+    return _fraction_text(value) if exact else format_3dec(value)
 
 
 def format_set(names):
@@ -233,7 +260,7 @@ def json_ready(obj):
     dicts, tuples/sets sorted lists where order is not meaningful.
     """
     if isinstance(obj, Fraction):
-        return str(obj)
+        return _fraction_text(obj)
     if isinstance(obj, Path):
         return str(obj)
     if is_dataclass(obj) and not isinstance(obj, type):

@@ -293,7 +293,7 @@ class Dag(Graph):
 
     __slots__ = (
         "exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency", "_catalog",
-        "_d1_probe", "_d1",
+        "_d1_probe", "_d1_filter", "_d1",
     )
 
     def __init__(self, nodes, edges, exposure, outcome, declared_pre=None):
@@ -316,8 +316,9 @@ class Dag(Graph):
         self._pool = None
         self._sufficiency = None  # adjust._sufficiency_vector
         self._catalog = None  # adjust.minimal_sufficient_sets
-        self._d1_probe = None  # classify._d1_contexts: empty-context mask, made on first use
-        self._d1 = None  # classify._d1_contexts: {covariate: lane vector}, made on first use
+        self._d1_probe = None  # classify._probe_mask, made on first use
+        self._d1_filter = None  # classify._connectable_mask, made on first use
+        self._d1 = None  # classify._d1_lanes: {covariate: lane vector}, made on first use
 
     @property
     def covariate_pool(self):
@@ -384,12 +385,33 @@ def _disjoint(parts):
         )
 
 
+# the argument types `d_separated` reads straight into masks: each can be
+# read twice, should an error need naming
+_REREADABLE = frozenset({frozenset, set, tuple, list})
+
+
 def d_separated(graph, set_a, set_b, given=()):
     """True iff `given` blocks every path between set_a and set_b.
 
     The three sets must be pairwise disjoint. Decided by the reachability
-    kernel; symmetric in set_a and set_b.
+    kernel; symmetric in set_a and set_b. Lists, tuples and sets of node
+    names go straight to masks; other arguments, and any that holds an
+    unknown or shared name, take the frozenset route, which raises the
+    error and names the node.
     """
+    index, masks = graph._index, []
+    try:
+        for part in (set_a, set_b, given):
+            if type(part) not in _REREADABLE:
+                break
+            m = 0
+            for name in part:
+                m |= 1 << index[name]
+            masks.append(m)
+    except (KeyError, TypeError):
+        pass
+    if len(masks) == 3 and not (masks[0] & masks[1] or (masks[0] | masks[1]) & masks[2]):
+        return graph._kernel.dsep(*masks)
     set_a, set_b, given = frozenset(set_a), frozenset(set_b), frozenset(given)
     _disjoint((set_a, set_b, given))
     return graph._kernel.dsep(graph._mask(set_a), graph._mask(set_b), graph._mask(given))

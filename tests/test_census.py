@@ -1,7 +1,8 @@
 """A census of every small DAG: the fuzzer's hard checks, the paper's
-headline result and the conditional confounder against its subset scan, on
-all graphs where random fuzz only samples; the conditional confounder also
-on every declared pre-exposure pool of them.
+headline result, the D1 verdicts against the sliced passes and the
+conditional confounder against its subset scan, on all graphs where random
+fuzz only samples; the last two also on every declared pre-exposure pool
+of them.
 
 `every_dag(n)` lists each edge set over V0 < ... < V(n-1) with every
 exposure-outcome pair a directed path joins, so every DAG on n nodes
@@ -19,7 +20,7 @@ from confounders.fuzz import _COUNTER_KEYS, _run_trial
 from confounders.graph import Dag
 from confounders.properties import _distinguishing_lanes, check_property1, check_property2a
 from helpers_oracle import all_subsets, scan_conditional
-from test_sliced import others, sufficient_scan
+from test_sliced import check_d1_against_the_passes, others, sufficient_scan
 from test_verdicts import every_dag
 
 
@@ -108,6 +109,27 @@ def declared_pools(n):
         eligible = dag.covariate_pool
         for keep in all_subsets(eligible)[:-1]:
             yield Dag(dag.nodes, dag.edges, dag.exposure, dag.outcome, declared_pre=keep)
+
+
+def d1_answers(dags):
+    """The number of covariates and of coordinated negatives over the
+    graphs; each covariate's D1 verdict, witness and contexts must equal
+    the passes'."""
+    covariates = coordinated = 0
+    for dag in dags:
+        covariates += len(dag.covariate_pool)
+        coordinated += check_d1_against_the_passes(dag)
+    return covariates, coordinated
+
+
+# the negatives the connectability filter leaves open are few: 5 at 5 nodes
+@pytest.mark.parametrize(
+    "n, full, declared",
+    [(2, (0, 0), (0, 0)), (3, (7, 0), (0, 0)), (4, (230, 0), (140, 0)), (5, (9393, 5), (14880, 5))],
+)
+def test_d1_matches_the_passes_on_every_small_dag(n, full, declared):
+    assert d1_answers(every_dag(n)) == full
+    assert d1_answers(declared_pools(n)) == declared
 
 
 def conditional_answers(dags):

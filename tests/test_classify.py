@@ -15,6 +15,7 @@ from confounders.classify import (
     DASHED_EDGES,
     SOLID_GRAPH_EDGES,
     SOLID_MODEL_EDGES,
+    _connectable_mask,
     _d1_contexts,
     check_implications,
     classify_d1_graphical,
@@ -36,6 +37,7 @@ from confounders.errors import (
     NonCovariateInSet,
     NotACovariate,
     OverlappingSets,
+    SizeLimit,
 )
 from confounders.fuzz import random_dag, random_model
 from confounders.graph import Dag
@@ -257,12 +259,14 @@ def counted_passes(monkeypatch):
     return passes
 
 
-def test_a_model_report_runs_two_sliced_passes_per_covariate(monkeypatch):
+def test_a_model_report_runs_at_most_two_sliced_passes_per_covariate(monkeypatch):
     # graphical D1, numeric D1, D5 and D6 read one lane vector, kept on
     # the Dag per covariate: a second report on the same Dag runs no pass,
-    # and each report is the one a fresh Dag and model give
+    # and each report is the one a fresh Dag and model give. A covariate
+    # the connectability filter settles runs none.
     passes = counted_passes(monkeypatch)
     rng = random.Random(7)
+    settled = 0
     for _ in range(30):
         dag = random_dag(rng, 7, 0.4)
         model = random_model(rng, dag)
@@ -272,24 +276,56 @@ def test_a_model_report_runs_two_sliced_passes_per_covariate(monkeypatch):
             fresh = Dag(dag.nodes, dag.edges, dag.exposure, dag.outcome)
             fresh_model = DiscreteModel(fresh, model.state_spaces, model.cpts)
             assert classify_variable(fresh, variable, fresh_model) == report
-    assert set(passes.values()) == {1, 2}
+            c = dag._index[variable]
+            if not _connectable_mask(dag) >> c & 1:
+                assert not report.verdicts["D1"]
+                assert passes[id(dag), c] == passes[id(fresh), c] == 0
+                settled += 1
+    assert settled and passes and set(passes.values()) <= {1, 2}
 
 
-def test_a_graph_report_with_an_empty_context_hit_runs_no_sliced_pass(monkeypatch):
+# C's first D1 context is {M1, M2}: C -> M1 <- P -> M2 <- Q -> A opens only
+# when both colliders are conditioned on
+TWO_MEMBER = Dag(
+    ("C", "M1", "P", "M2", "Q", "A", "Y"),
+    (("C", "M1"), ("P", "M1"), ("P", "M2"), ("Q", "M2"), ("Q", "A"), ("C", "Y"), ("A", "Y")),
+    "A",
+    "Y",
+)
+# V2 passes the filter yet has no D1 context: V3 is a collider on every
+# V2-V1 connection and a non-collider on the V2-V4 one
+COORDINATED = Dag(
+    ("V0", "V1", "V2", "V3", "V4"),
+    (("V0", "V1"), ("V0", "V3"), ("V1", "V4"), ("V2", "V3"), ("V3", "V4")),
+    "V1",
+    "V4",
+)
+
+
+def test_a_graph_report_runs_sliced_passes_only_past_the_one_member_contexts(monkeypatch):
+    # the probe answers the empty context, the filter most negatives, and
+    # two kernel queries per member each one-member context: a graph report
+    # runs the passes only when its D1 witness has two or more members, or
+    # for a negative the filter leaves open
+    assert classify_d1_graphical(TWO_MEMBER, "C") == (True, ("M1", "M2"))
+    assert classify_d1_graphical(COORDINATED, "V2") == (False, None)
     passes = counted_passes(monkeypatch)
     rng = random.Random(8)
-    hits = misses = 0
-    for _ in range(30):
-        dag = random_dag(rng, 7, 0.4)
+    draws = [random_dag(rng, 7, 0.4) for _ in range(30)]
+    seen = Counter()
+    for dag in draws + [TWO_MEMBER, COORDINATED]:
+        dag = Dag(dag.nodes, dag.edges, dag.exposure, dag.outcome)
         for variable in dag.covariate_pool:
-            report = classify_variable(dag, variable)
-            ran = passes[id(dag), dag._index[variable]]
-            if report.witnesses["D1"] == ():
-                assert ran == 0
-                hits += 1
+            witness = classify_variable(dag, variable).witnesses["D1"]
+            c = dag._index[variable]
+            if witness is None:
+                kind = "coordinated" if _connectable_mask(dag) >> c & 1 else "settled"
             else:
-                misses += ran > 0
-    assert hits and misses
+                kind = min(len(witness), 2)
+            ran = passes[id(dag), c]
+            assert ran <= 2 and (ran > 0) == (kind in ("coordinated", 2))
+            seen[kind] += 1
+    assert set(seen) == {"settled", "coordinated", 0, 1, 2}
 
 
 # -- one D1 probe per Dag ---------------------------------------------------------------
@@ -314,9 +350,9 @@ def counted_kernel_calls(monkeypatch):
     calls = []
 
     class Counting(graph_module.BitDag):
-        def reachable(self, src, z):
-            calls.append(("reachable", self, (src, z)))
-            return super().reachable(src, z)
+        def reachable(self, src, z, *opened):
+            calls.append(("reachable", self, (src, z, *opened)))
+            return super().reachable(src, z, *opened)
 
         def dsep(self, a, b, z):
             calls.append(("dsep", self, (a, b, z)))
@@ -327,10 +363,12 @@ def counted_kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("with_model", [False, True])
-def test_classifying_a_pool_probes_each_dag_with_two_reachable_queries(monkeypatch, with_model):
+def test_classifying_a_pool_reads_the_probe_and_filter_masks_once_per_dag(monkeypatch, with_model):
+    # two reachable queries for the probe, and two more, with the pool
+    # opening colliders, for the filter once a covariate misses the probe
     calls = counted_kernel_calls(monkeypatch)
     rng = random.Random(3)
-    probed = 0
+    probed = filtered = 0
     for _ in range(20):
         dag = random_dag(rng, 7, 0.4)
         model = random_model(rng, dag) if with_model else None
@@ -343,7 +381,12 @@ def test_classifying_a_pool_probes_each_dag_with_two_reachable_queries(monkeypat
             assert reachable == []
             continue
         probed += 1
-        assert reachable == [(dag._kernel, (a, 0)), (dag._kernel, (y, a))]
+        expected = [(dag._kernel, (a, 0)), (dag._kernel, (y, a))]
+        if not all(dag._d1_probe >> dag._index[name] & 1 for name in dag.covariate_pool):
+            filtered += 1
+            pool = dag._mask(dag.covariate_pool)
+            expected += [(dag._kernel, (a, 0, pool)), (dag._kernel, (y, a, pool))]
+        assert reachable == expected
         scalar_probes = {
             probe
             for c in (1 << dag._index[name] for name in dag.covariate_pool)
@@ -353,7 +396,7 @@ def test_classifying_a_pool_probes_each_dag_with_two_reachable_queries(monkeypat
             args for query, kernel, args in calls
             if query == "dsep" and kernel is dag._kernel and args in scalar_probes
         ]
-    assert probed >= 10
+    assert probed >= 10 and filtered
 
 
 # -- implication lattice ------------------------------------------------------------
@@ -495,6 +538,20 @@ def test_conditional_holds_past_collider_block():
     assert conditional_confounder(dag, "C2", ("C3",)) == (True, ())
     # without that conditioning nothing needs adjustment
     assert conditional_confounder(dag, "C1") == (False, None)
+
+
+def test_conditional_answers_no_at_once_outside_r_of_l():
+    # 25 forks C_i -> A, C_i -> Y put 25 members in R, past the minimal-set
+    # search's cap; the leaf D under C0 lies outside R and is in no minimal
+    # set, so it is answered without that search
+    forks = [f"C{i:02d}" for i in range(25)]
+    edges = [(c, v) for c in forks for v in ("A", "Y")] + [("C00", "D"), ("A", "Y")]
+    dag = Dag(forks + ["D", "A", "Y"], edges, "A", "Y")
+    assert "D" in dag.covariate_pool
+    assert conditional_confounder(dag, "D") == (False, None)
+    assert conditional_confounder(dag, "D", ("C03",)) == (False, None)
+    with pytest.raises(SizeLimit):
+        conditional_confounder(dag, "C00")
 
 
 def test_conditional_rejects_overlap_and_non_covariates():

@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through main(argv)."""
 import json
 import random
+import re
 import time
 from importlib.resources import files
 
@@ -476,6 +477,38 @@ def test_huge_numbers_in_a_model_exit_2_in_bounded_time(capsys, tmp_path, c_row)
     assert time.process_time() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--exact"], ["--format", "json"]])
+def test_exact_effects_past_the_int_digit_limit_are_printed(capsys, tmp_path, flags):
+    # each entry is under Python's int-to-string limit, so the file loads;
+    # the effects derived from them have more than 4300 digits
+    third, half = 3**3000, 2**9000
+    doc = {
+        "states": {"C": [0, 1], "A": [0, 1], "Y": [0, 1]},
+        "cpts": {
+            "C": {"parents": [], "table": {"": [f"1/{third}", f"{third - 1}/{third}"]}},
+            "A": {
+                "parents": ["C"],
+                "table": {"0": ["3/4", "1/4"], "1": [f"1/{half}", f"{half - 1}/{half}"]},
+            },
+            "Y": {
+                "parents": ["A", "C"],
+                "table": {
+                    "0,0": ["1/2", "1/2"], "0,1": ["3/4", "1/4"],
+                    "1,0": ["1/4", "3/4"], "1,1": ["1/3", "2/3"],
+                },
+            },
+        },
+    }
+    graph, model = tmp_path / "g.graph", tmp_path / "m.json"
+    graph.write_text(CONFOUNDED)
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(graph), "--model", str(model), *flags)
+    assert code == 0 and err == ""
+    assert max(map(len, re.findall(r"[0-9]+", out))) > 4300
+    if "json" in flags:
+        json.loads(out)
 
 
 def test_positivity_violation_exits_5(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Graph and model file parsing, display formatting, JSON conversion."""
 import json
+import sys
 from fractions import Fraction
 from importlib.resources import files
 
@@ -232,6 +233,28 @@ def test_format_effect_modes():
     assert format_effect(F(2, 3)) == "0.666"
     assert format_effect(F(2, 3), exact=True) == "2/3"
     assert format_effect(F(-1, 21), exact=True) == "-1/21"
+
+
+def unlimited_str(value):
+    """str(value) with Python's int digit limit lifted, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [F(-(3**30000 + 7), 2**9000), F(10**600), F(10**600 - 1, 10**1200 + 1), F(-(10**4300)), F(0)],
+)
+def test_exact_text_past_the_int_digit_limit(value):
+    # str() refuses an int past the limit (4300 digits by default); exact
+    # text is written in pieces that stay under any limit Python accepts
+    assert json_ready(value) == format_effect(value, exact=True) == unlimited_str(value)
 
 
 def test_json_ready_conversions():

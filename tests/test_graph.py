@@ -27,6 +27,7 @@ from confounders.graph import (
     Dag,
     Graph,
     Path,
+    _disjoint,
     d_separated,
     enumerate_paths,
     is_blocked,
@@ -318,6 +319,47 @@ def test_dsep_overlapping_sets_rejected():
 def test_dsep_unknown_node():
     with pytest.raises(UnknownNode):
         d_separated(CHAIN, ("A",), ("Q",), ())
+
+
+def test_dsep_names_an_overlap_before_an_unknown_node():
+    for args in ((("A", "Q"), ("A",), ()), (("A",), ("C",), ("C", "Q")), ({"Q"}, ["B"], ("B",))):
+        with pytest.raises(OverlappingSets, match="more than one argument set"):
+            d_separated(CHAIN, *args)
+
+
+def frozenset_route(graph, set_a, set_b, given=()):
+    """d_separated as it read every argument before masks: three
+    frozensets, their overlap, then each set's mask."""
+    set_a, set_b, given = frozenset(set_a), frozenset(set_b), frozenset(given)
+    _disjoint((set_a, set_b, given))
+    return graph._kernel.dsep(graph._mask(set_a), graph._mask(set_b), graph._mask(given))
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+# the argument forms a caller can pass: collections d_separated reads as
+# masks, one-shot iterators, strings (sets of characters), dicts (sets of
+# keys) and a non-iterable
+ARGUMENT_KINDS = (tuple, list, set, frozenset, iter, "".join, dict.fromkeys, len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dsep_reads_every_argument_as_the_frozenset_route_does(data):
+    # answers and errors alike: class, message and which error comes first
+    graph = Graph(("A", "B", "C", "D"), (("A", "B"), ("C", "B"), ("B", "D")))
+    names = st.lists(st.sampled_from(["A", "B", "C", "D", "Q", "R"]), max_size=3)
+    args = [
+        (data.draw(st.sampled_from(ARGUMENT_KINDS)), data.draw(names))
+        for _ in range(data.draw(st.integers(2, 3)))
+    ]
+    fresh = [[kind(members) for kind, members in args] for _ in range(2)]
+    assert outcome(d_separated, graph, *fresh[0]) == outcome(frozenset_route, graph, *fresh[1])
 
 
 # every check that meets several bad names names the first in sorted order,

@@ -2,8 +2,9 @@
 and against a mask-free reference on random graphs.
 
 A kernel answers four queries, every argument a mask: `closure_up`,
-`closure_down`, `reachable` and `dsep`. Both backends must expose exactly
-these and `n`, and refuse the same masks with the same message.
+`closure_down`, `reachable` (with an optional collider-opening mask) and
+`dsep`. Both backends must expose exactly these and `n`, and refuse the
+same masks with the same message.
 
 The compiled backend is built here from the hand-written `_fast.c`, once
 per session, into a temporary directory, and loaded under its own name
@@ -193,11 +194,15 @@ OUTSIDE = "^query mask references node >= n$"
         lambda dag, m: dag.closure_down(m),
         lambda dag, m: dag.reachable(m, 0),
         lambda dag, m: dag.reachable(1, m),
+        lambda dag, m: dag.reachable(1, 0, m),
         lambda dag, m: dag.dsep(m, 1, 0),
         lambda dag, m: dag.dsep(1, m, 0),
         lambda dag, m: dag.dsep(1, 2, m),
     ],
-    ids=["closure_up", "closure_down", "reachable_src", "reachable_z", "dsep_a", "dsep_b", "dsep_z"],
+    ids=[
+        "closure_up", "closure_down", "reachable_src", "reachable_z", "reachable_opened",
+        "dsep_a", "dsep_b", "dsep_z",
+    ],
 )
 def test_query_mask_past_the_last_node_is_refused(kernel, query, mask):
     dag = kernel([0, 1, 2])  # 0 -> 1 -> 2
@@ -310,6 +315,27 @@ def test_dsep_of_sets_against_naive_oracle(kernel):
         assert dag.dsep(mask_of(a), mask_of(b), mask_of(z)) == want
 
 
+def test_opened_colliders_against_naive_oracle(kernel):
+    # `opened` = W passes a collider that is an ancestor of W, and blocks
+    # nothing: d-connection given z plus a new leaf child w' of each w in W
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        parents = random_parent_masks(rng, n, rng.choice((0.2, 0.35, 0.5)))
+        edges = edges_from_masks(parents)
+        dag = kernel(parents)
+        a, b = rng.sample(range(n), 2)
+        z = [i for i in range(n) if i not in (a, b) and rng.random() < 0.3]
+        opened = [i for i in range(n) if rng.random() < 0.3]
+        leaves = [(w, n + j) for j, w in enumerate(opened)]
+        want = naive_d_separated(edges + leaves, [a], [b], z + [leaf for _, leaf in leaves])
+        reached = dag.reachable(1 << a, mask_of(z), mask_of(opened))
+        assert (not reached >> b & 1) == want
+        # opening An(z) again changes nothing
+        assert dag.reachable(1 << a, mask_of(z), mask_of(z)) == dag.reachable(1 << a, mask_of(z))
+        assert dag.reachable(1 << a, mask_of(z), 0) == dag.reachable(1 << a, mask_of(z))
+
+
 def test_dsep_stops_where_reachable_meets_the_target(kernel):
     # dsep stops at the first round that reaches b & ~z; its answer must
     # still be that of the whole reachable set, whatever the sets share
@@ -346,6 +372,8 @@ def test_backend_parity_on_random_graphs(fast_build):
         a = rng.getrandbits(n)
         z = rng.getrandbits(n) & ~a
         assert pure.reachable(a, z) == fast.reachable(a, z)
+        opened = rng.getrandbits(n)
+        assert pure.reachable(a, z, opened) == fast.reachable(a, z, opened)
         for j in range(n):
             assert pure.dsep(a, 1 << j, z) == fast.dsep(a, 1 << j, z)
 
@@ -364,6 +392,7 @@ def test_compiled_kernel_does_not_leak(fast_build):
         dag.closure_up((1 << 11) | (r & 1))
         dag.closure_down(1)
         dag.reachable(1, r & 2)
+        dag.reachable(1, r & 2, r & 4)
         dag.dsep(1, (1 << 11) | (r & 1), 1 << 5)
         for call, *args in (
             (dag.closure_up, big),
@@ -372,6 +401,8 @@ def test_compiled_kernel_does_not_leak(fast_build):
             (dag.reachable, big, 0),
             (dag.reachable, 1, -big),
             (dag.reachable, 1),
+            (dag.reachable, 1, 0, big),
+            (dag.reachable, 1, 0, 0, 0),
             (dag.dsep, big << 30, 2, 0),
             (dag.dsep, 1, -big, 0),
             (dag.dsep, 1, 2, 1 << 12),

@@ -25,9 +25,16 @@ from confounders.adjust import (
     minimal_sufficient_sets,
     subsets_canonical,
 )
-from confounders.classify import classify_d1_graphical, classify_variable, conditional_confounder
+from confounders.classify import (
+    _connectable_mask,
+    _d1_contexts,
+    _d1_holds,
+    classify_d1_graphical,
+    classify_variable,
+    conditional_confounder,
+)
 from confounders.fuzz import random_dag
-from confounders.graph import Dag, d_separated
+from confounders.graph import Dag, _lane_sets, _sliced_dsep, d_separated
 from confounders.properties import distinguishing_context
 from helpers_oracle import (
     all_subsets,
@@ -77,6 +84,41 @@ def separated_scan(dag):
 
 def others(dag, variable):
     return [c for c in dag.covariate_pool if c != variable]
+
+
+def d1_by_passes(dag, variable):
+    """C's D1 contexts read off the two sliced passes over every context,
+    lane 0 included: the oracle of `classify._d1_contexts`."""
+    rest = others(dag, variable)
+    c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
+    members = [dag._index[name] for name in rest]
+    vector = (1 << (1 << len(rest))) - 1
+    vector &= ~_sliced_dsep(dag, c, 1 << a, 0, members)
+    vector &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
+    return list(_lane_sets(vector, rest))
+
+
+def check_d1_against_the_passes(dag):
+    """Check each covariate's D1 verdict, witness and contexts against the
+    passes, read before and after the Dag keeps a lane vector, and return
+    the number of coordinated negatives: covariates with no D1 context
+    that the connectability filter leaves open."""
+    twin = Dag(dag.nodes, dag.edges, dag.exposure, dag.outcome, dag.declared_pre)
+    coordinated = 0
+    for variable in dag.covariate_pool:
+        want = d1_by_passes(dag, variable)
+        assert _d1_holds(dag, variable) == bool(want)
+        assert classify_d1_graphical(twin, variable) == (bool(want), want[0] if want else None)
+        assert list(_d1_contexts(dag, variable)) == want
+        assert list(_d1_contexts(dag, variable)) == want
+        coordinated += bool(_connectable_mask(dag) >> dag._index[variable] & 1) and not want
+    return coordinated
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=dags(max_nodes=14))
+def test_d1_matches_the_passes(dag):
+    check_d1_against_the_passes(dag)
 
 
 def check_every_reader(dag, data):
