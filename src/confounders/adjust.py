@@ -2,12 +2,16 @@
 
 A covariate set S is sufficient when conditioning on it blocks every
 backdoor path from exposure to outcome; equivalently, when exposure and
-outcome are d-separated by S after deleting the exposure's outgoing edges.
-For one set the verdict is that second characterization, one kernel query
-(`_sufficient`). When a set is insufficient, its witness, the first open
-backdoor path, comes from a first-hit search (`_first_backdoor_path`) that
-stops at that path. `backdoor_paths` lists every backdoor path; it is the
-oracle the tests check the search against.
+outcome are d-separated by S after deleting the exposure's outgoing edges
+(the backdoor graph, `Dag.without_exposure_out_edges`). Every sufficiency
+question is asked of the Dag's own kernel instead, in a third form that
+needs no backdoor graph: the exposure's parents and the outcome are
+d-separated by S plus the exposure (the proof is in `_sufficient`). For one
+set the verdict is one kernel query (`_sufficient`). When a set is
+insufficient, its witness, the first open backdoor path, comes from a
+first-hit search (`_first_backdoor_path`) that stops at that path.
+`backdoor_paths` lists every backdoor path; it is the oracle the tests
+check the search against.
 
 Questions about every subset of a pool are answered by lanes instead of
 one query per subset. Give each of the 2**k subsets of a k-member pool one
@@ -21,7 +25,8 @@ every minimal set lies and which the size cap counts. Each Dag keeps the
 catalog (L empty); the conditional confounder asks for its own L. A Dag
 also keeps its sufficiency vector (`_sufficiency_vector`), one pass over
 the whole pool, lane l set when the subset l is sufficient, for property
-2A and the fuzzer. D1 runs passes of its own.
+2A and the fuzzer; its size cap counts the pool. D1 runs passes of its
+own.
 
 A lane vector is turned back into sets in canonical order: by size, then
 lexicographically by the sorted name tuple (`graph._lane_sets`); this is
@@ -97,12 +102,30 @@ def backdoor_paths(dag):
 
 
 def _sufficient(dag, covariates):
-    graph = dag.without_exposure_out_edges()
-    return graph._kernel.dsep(
-        1 << graph._index[dag.exposure],
-        1 << graph._index[dag.outcome],
-        graph._mask(covariates),
-    )
+    """Whether the set S (`covariates`) is sufficient: one kernel query on
+    the Dag, pa(A) and Y d-separated given S ∪ {A}.
+
+    S separates A and Y in the backdoor graph G' (the Dag G less A's
+    outgoing edges) iff it does so in this form on G. Compare the two
+    Bayes-Ball games, from A on G' given S and from pa(A) on G given
+    S ∪ {A}; d-separation holds iff the game's ball misses Y.
+    (a) A has no children in G', so the ball leaves A only going up into
+        a parent: the paths of G' from A are the balls started going up
+        at pa(A), the start of the second game. A parent in S stops its
+        ball in both.
+    (b) G and G' differ only in A's outgoing edges, which a ball crosses
+        only by passing down through A or by climbing into A from a
+        child. Conditioning on A stops both in the second game, as the
+        missing edges do in the first.
+    (c) A ball that comes down into A, conditioned, bounces up to a parent
+        of A, going up: a state the second game starts in, so the bounce
+        adds nothing.
+    Every other move is the same in both games, so the ball reaches the
+    same nodes other than A, and Y in one iff in the other. Y may be a
+    parent of A; it is then a source, reached in every game.
+    """
+    a = dag._index[dag.exposure]
+    return dag._kernel.dsep(dag._pmask[a], 1 << dag._index[dag.outcome], dag._mask(covariates) | 1 << a)
 
 
 def _first_backdoor_path(dag, noncollider_ok, collider_ok, through=0):
@@ -129,22 +152,25 @@ def _open_backdoor_witness(dag, covariates):
 
 def _sufficient_lanes(dag, members, fixed=()):
     """One sliced pass over the subsets of `members` (sorted pool names):
-    lane l is set iff `fixed` plus the members it selects is sufficient."""
-    graph = dag.without_exposure_out_edges()
+    lane l is set iff `fixed` plus the members it selects is sufficient:
+    pa(A) and Y d-separated given those plus A, as in `_sufficient`."""
+    a = dag._index[dag.exposure]
     return _sliced_dsep(
-        graph,
-        graph._index[dag.exposure],
-        1 << graph._index[dag.outcome],
-        graph._mask(fixed),
-        [graph._index[name] for name in members],
+        dag,
+        dag._pmask[a],
+        1 << dag._index[dag.outcome],
+        dag._mask(fixed) | 1 << a,
+        [dag._index[name] for name in members],
     )
 
 
 def _sufficiency_vector(dag):
     """The pool's sufficiency vector: one pass over the whole covariate
-    pool, computed once per Dag. Its callers cap the pool."""
+    pool, computed once per Dag. The size cap counts the pool, which it
+    enumerates."""
     if dag._sufficiency is None:
-        dag._sufficiency = _sufficient_lanes(dag, dag.covariate_pool)
+        pool = _require_enumerable(dag.covariate_pool, "the sufficiency vector of the covariate pool")
+        dag._sufficiency = _sufficient_lanes(dag, pool)
     return dag._sufficiency
 
 

@@ -220,9 +220,9 @@ def _d1_lanes(dag, variable, others):
     c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
     members = [dag._index[name] for name in others]
     full = (1 << (1 << len(others))) - 1
-    connected = full & ~_sliced_dsep(dag, c, 1 << a, 0, members)
+    connected = full & ~_sliced_dsep(dag, 1 << c, 1 << a, 0, members)
     if connected:
-        connected &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
+        connected &= ~_sliced_dsep(dag, 1 << c, 1 << y, 1 << a, members)
     if dag._d1 is None:
         dag._d1 = {}
     dag._d1[variable] = connected

@@ -292,7 +292,7 @@ class Dag(Graph):
     """
 
     __slots__ = (
-        "exposure", "outcome", "declared_pre", "_no_out", "_pool", "_sufficiency", "_catalog",
+        "exposure", "outcome", "declared_pre", "_pool", "_sufficiency", "_catalog",
         "_d1_probe", "_d1_filter", "_d1",
     )
 
@@ -312,7 +312,6 @@ class Dag(Graph):
         self.exposure = exposure
         self.outcome = outcome
         self.declared_pre = declared_pre
-        self._no_out = None
         self._pool = None
         self._sufficiency = None  # adjust._sufficiency_vector
         self._catalog = None  # adjust.minimal_sufficient_sets
@@ -342,14 +341,15 @@ class Dag(Graph):
         return out
 
     def without_exposure_out_edges(self):
-        """The Dag with the exposure's outgoing edges removed (cached).
+        """The Dag with the exposure's outgoing edges removed, the backdoor
+        graph, built on each call (not cached).
 
         Separation of exposure and outcome in this graph, given S, is the
-        backdoor sufficiency test for S.
+        backdoor sufficiency test for S. The package asks that question of
+        the Dag's own kernel (`adjust._sufficient`); this graph is the
+        oracle the tests check it against.
         """
-        if self._no_out is None:
-            self._no_out = self.without_edges_from(self.exposure)
-        return self._no_out
+        return self.without_edges_from(self.exposure)
 
     @classmethod
     def _trusted(cls, nodes, edges, exposure, outcome, declared_pre=None):
@@ -613,13 +613,15 @@ def _sliced_dsep(graph, source, target, fixed, members):
 
     Lane l conditions on `fixed` plus members[i] for each bit i set in l.
     Nodes are indices and sets are bitmasks; `members` lists node indices,
-    disjoint from `fixed`, `source` and `target`. Returns the lane vector:
-    bit l is set when every node of `target` is d-separated from `source`
-    in lane l. With k members the pass runs in blocks: a block spans the
-    2**w lanes of the low w = min(k, _LANE_BITS) members, and block b
-    conditions, like `fixed`, on the top members of the bits set in b and
-    fills lanes b * 2**w onward. So no pass holds a mask wider than
-    2**_LANE_BITS bits.
+    disjoint from `fixed` and `target`. Returns the lane vector: bit l is
+    set when every node of `target` is d-separated from every node of
+    `source` in lane l. A source node may be a member or lie in `fixed`:
+    it sends no ball in the lanes that condition on it, as the kernel's
+    `dsep` does for a source in z. With k members the pass runs in blocks:
+    a block spans the 2**w lanes of the low w = min(k, _LANE_BITS) members,
+    and block b conditions, like `fixed`, on the top members of the bits
+    set in b and fills lanes b * 2**w onward. So no pass holds a mask wider
+    than 2**_LANE_BITS bits.
 
     This is Shachter's Bayes-Ball with one lane mask per node and
     direction in place of one bit: a ball moves on in exactly the lanes
@@ -648,8 +650,10 @@ def _sliced_dsep(graph, source, target, fixed, members):
         # lanes that reached a node but have not yet been passed on
         up_new = [0] * n
         down_new = [0] * n
-        up[source] = up_new[source] = full
-        stack = [(source, True)]
+        stack = []
+        for s in _bits(source):
+            up[s] = up_new[s] = full
+            stack.append((s, True))
         while stack:
             i, going_up = stack.pop()
             blocked = full if given >> i & 1 else low_given[i]

@@ -642,7 +642,10 @@ class DiscreteModel:
         dag, exposure = self.dag, self.dag.exposure
         w_set = dag.nondescendants(exposure)
         keep = w_set | dag.ancestors(dag.outcome) | {exposure, dag.outcome}
-        swig = dag.without_exposure_out_edges().subgraph(keep)
+        swig = dag._derived(
+            tuple(n for n in dag.nodes if n in keep),
+            tuple((u, v) for u, v in dag.edges if u != exposure and u in keep and v in keep),
+        )
         return tuple(n for n in dag.nodes if n in w_set), swig
 
     def _swig(self, a):

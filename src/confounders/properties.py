@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adjust import _open_backdoor_witness, _sufficiency_vector, _sufficient
-from .classify import _TABLE, _context_sets, _definitions, classify_d5
+from .classify import _TABLE, _definitions, _require_covariate, classify_d5
 from .errors import InvalidConfig
 from .graph import _lane_pattern, _lane_sets
 
@@ -95,7 +95,7 @@ def _distinguishing_lanes(dag, i):
 def distinguishing_context(dag, variable):
     """First context X (canonical order) where (X, C) is sufficient but X
     alone is not; None when no context distinguishes C."""
-    _context_sets(dag, variable)  # the covariate check and the size cap
+    _require_covariate(dag, variable)  # `_sufficiency_vector` caps the pool
     pool = dag.covariate_pool
     return next(_lane_sets(_distinguishing_lanes(dag, pool.index(variable)), pool), None)
 

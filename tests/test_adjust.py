@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import confounders.adjust as adjust_module
@@ -17,10 +17,11 @@ from confounders.adjust import (
     minimal_sufficient_sets,
     subsets_canonical,
 )
-from confounders.classify import classify_d3, classify_d4
+from confounders.classify import GRAPH_DEFINITIONS, classify_d3, classify_d4, classify_variable
 from confounders.errors import NonCovariateInSet, SizeLimit
-from confounders.graph import Dag
+from confounders.graph import Dag, Graph
 from confounders.fuzz import random_dag
+from confounders.properties import check_property1, distinguishing_context
 from helpers_oracle import naive_backdoor_sufficient, naive_descendants, naive_minimal_sets
 
 FORK = Dag(("C1", "A", "Y"), (("C1", "A"), ("C1", "Y"), ("A", "Y")), "A", "Y")
@@ -132,16 +133,6 @@ def test_the_catalog_answers_where_the_pool_is_over_the_cap():
     assert time.process_time() - start < 5
 
 
-def test_sufficiency_matches_textbook_criterion():
-    rng = random.Random(17)
-    for _ in range(80):
-        dag = random_dag(rng, rng.randint(3, 7), 0.4)
-        pool = dag.covariate_pool
-        subset = tuple(v for v in pool if rng.random() < 0.5)
-        want = naive_backdoor_sufficient(dag.edges, dag.exposure, dag.outcome, subset)
-        assert is_sufficient(dag, subset).sufficient == want
-
-
 def test_minimal_sets_match_brute_force():
     rng = random.Random(23)
     for _ in range(60):
@@ -165,6 +156,66 @@ def small_dags(draw, max_nodes=8):
     exposure, outcome = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
     pre = draw(st.none() | st.sets(st.sampled_from(names)))
     return Dag(names, [e for e, k in zip(pairs, keep) if k], exposure, outcome, pre)
+
+
+# Y -> P -> A <- C -> P: Y is an ancestor of A, and both parents of A are
+# in the pool; {P} blocks A <- P <- Y but opens A <- C -> P <- Y
+Y_ABOVE_A = Dag(("Y", "C", "P", "A"), (("Y", "P"), ("C", "P"), ("C", "A"), ("P", "A")), "A", "Y")
+# Y -> A: a backdoor path no set blocks
+Y_INTO_A = Dag(("Y", "C", "A"), (("Y", "A"), ("C", "A"), ("C", "Y")), "A", "Y")
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=small_dags(max_nodes=7), picks=st.lists(st.booleans(), min_size=7, max_size=7))
+@example(dag=Y_ABOVE_A, picks=[False] * 7)
+@example(dag=Y_ABOVE_A, picks=[True] + [False] * 6)
+@example(dag=Y_INTO_A, picks=[False] * 7)
+def test_sufficiency_matches_textbook_criterion(dag, picks):
+    # every pool subset, parents of A among them, with the exposure and
+    # outcome any pair: the scalar verdict, is_sufficient and one pass given
+    # a fixed set L drawn from the pool, against the path-blocking oracle
+    pool = dag.covariate_pool
+    want = {
+        s: naive_backdoor_sufficient(dag.edges, dag.exposure, dag.outcome, s)
+        for s in subsets_canonical(pool)
+    }
+    for s, sufficient in want.items():
+        assert adjust_module._sufficient(dag, s) == sufficient
+        assert is_sufficient(dag, s).sufficient == sufficient
+    fixed = tuple(c for c, pick in zip(pool, picks) if pick)
+    members = [c for c in pool if c not in fixed]
+    lanes = adjust_module._sufficient_lanes(dag, members, fixed)
+    for lane in range(1 << len(members)):
+        s = tuple(sorted(fixed + tuple(c for i, c in enumerate(members) if lane >> i & 1)))
+        assert bool(lanes >> lane & 1) == want[s]
+
+
+def test_a_fresh_dag_answers_every_graph_question_with_no_graph_built(monkeypatch):
+    # sufficiency is asked of the Dag's own kernel: no backdoor graph, or
+    # any other graph, is built after the Dag
+    rng = random.Random(41)
+    dags = [random_dag(rng, rng.randint(3, 8), 0.4) for _ in range(40)] + [Y_ABOVE_A, Y_INTO_A]
+    builds = []
+    build = Graph._build
+
+    def counted(self, *args):
+        builds.append(type(self))
+        build(self, *args)
+
+    for drawn in dags:
+        dag = Dag(drawn.nodes, drawn.edges, drawn.exposure, drawn.outcome, drawn.declared_pre)
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "_build", counted)
+            pool = dag.covariate_pool
+            for s in (pool, pool[:1], ()):
+                is_sufficient(dag, s)
+            minimal_sufficient_sets(dag)
+            for variable in pool:
+                classify_variable(dag, variable)
+                distinguishing_context(dag, variable)
+            for def_id in GRAPH_DEFINITIONS:
+                check_property1(dag, None, def_id)
+        assert builds == []
 
 
 def hull_members(dag):

@@ -1357,13 +1357,10 @@ def test_counterfactual_joints_build_no_graph_and_no_intervened_model(monkeypatc
     # each arm is a single-world model derived from the model itself: one
     # Dag, the single-world graph, is built for both arms (no graph per arm
     # or per query), no model is intervened on, and each arm's joint is
-    # built once. The model is parsed afresh, with no joint built yet; the
-    # backdoor graph the single-world graph is cut from is built first, as
-    # the graph queries of a classify run build it anyway.
+    # built once. The model is parsed afresh, with no joint built yet.
     fixtures = files("confounders").joinpath("fixtures")
     dag = parse_graph(fixtures.joinpath(f"{stem}.graph").read_text(encoding="utf-8"))
     model = parse_model(fixtures.joinpath(f"{stem}.json").read_text(encoding="utf-8"), dag)
-    dag.without_exposure_out_edges()
     graphs, intervened, built = [], [], Counter()
     graph_build, intervene, joint_items = Graph._build, DiscreteModel.intervene, DiscreteModel._joint_items
 

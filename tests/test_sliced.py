@@ -20,7 +20,6 @@ from confounders.adjust import (
     MAX_POOL,
     _is_minimal,
     _sufficiency_vector,
-    _sufficient,
     is_sufficient,
     minimal_sufficient_sets,
     subsets_canonical,
@@ -33,6 +32,7 @@ from confounders.classify import (
     classify_variable,
     conditional_confounder,
 )
+from confounders.errors import SizeLimit
 from confounders.fuzz import random_dag
 from confounders.graph import Dag, _lane_sets, _sliced_dsep, d_separated
 from confounders.properties import distinguishing_context
@@ -75,7 +75,11 @@ def dags(draw, min_nodes=2, max_nodes=16, min_pool=0, max_pool=12):
 
 
 def sufficient_scan(dag):
-    return lambda names: _sufficient(dag, names)
+    """The single-set test of the subset scans: the exposure and the
+    outcome d-separated in the backdoor graph, not `_sufficient`, which
+    asks the Dag's own kernel."""
+    back = dag.without_exposure_out_edges()
+    return lambda names: d_separated(back, {dag.exposure}, {dag.outcome}, names)
 
 
 def separated_scan(dag):
@@ -93,8 +97,8 @@ def d1_by_passes(dag, variable):
     c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
     members = [dag._index[name] for name in rest]
     vector = (1 << (1 << len(rest))) - 1
-    vector &= ~_sliced_dsep(dag, c, 1 << a, 0, members)
-    vector &= ~_sliced_dsep(dag, c, 1 << y, 1 << a, members)
+    vector &= ~_sliced_dsep(dag, 1 << c, 1 << a, 0, members)
+    vector &= ~_sliced_dsep(dag, 1 << c, 1 << y, 1 << a, members)
     return list(_lane_sets(vector, rest))
 
 
@@ -121,7 +125,30 @@ def test_d1_matches_the_passes(dag):
     check_d1_against_the_passes(dag)
 
 
+def check_multi_node_source(dag, data):
+    """A pass from a source mask of 1-3 nodes, which may be members or in
+    `fixed`, against one query per lane: the source nodes outside the
+    lane's conditioning set Z, d-separated from the target given Z."""
+    nodes = range(len(dag.nodes))
+    target = data.draw(st.sampled_from(nodes))
+    rest = [i for i in nodes if i != target]
+    if not rest:
+        return
+    source = data.draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3, unique=True))
+    members = data.draw(st.lists(st.sampled_from(rest), max_size=6, unique=True))
+    free = [i for i in rest if i not in members]
+    fixed = data.draw(st.lists(st.sampled_from(free), max_size=2, unique=True)) if free else []
+    vector = _sliced_dsep(dag, dag._mask(dag.nodes[i] for i in source), 1 << target,
+                          dag._mask(dag.nodes[i] for i in fixed), members)
+    for lane in range(1 << len(members)):
+        given = {dag.nodes[i] for i in fixed}
+        given |= {dag.nodes[m] for j, m in enumerate(members) if lane >> j & 1}
+        ends = {dag.nodes[i] for i in source} - given
+        assert vector >> lane & 1 == d_separated(dag, ends, {dag.nodes[target]}, given)
+
+
 def check_every_reader(dag, data):
+    check_multi_node_source(dag, data)
     pool = dag.covariate_pool
     sufficient = sufficient_scan(dag)
     catalog = minimal_sufficient_sets(dag)
@@ -180,7 +207,8 @@ def test_fuzz_pool_loop_reads_the_scanned_verdicts(dag):
     lanes = _sufficiency_vector(dag)
     lane_of = {c: 1 << i for i, c in enumerate(pool)}
     got = [(s, bool(lanes >> sum(lane_of[c] for c in s) & 1)) for s in subsets_canonical(pool)]
-    assert got == [(s, _sufficient(dag, s)) for s in all_subsets(pool)]
+    sufficient = sufficient_scan(dag)
+    assert got == [(s, sufficient(s)) for s in all_subsets(pool)]
 
 
 @pytest.mark.parametrize("pool_size", [0, 1, 12])
@@ -261,6 +289,17 @@ def test_no_pass_holds_a_mask_wider_than_a_block(monkeypatch):
     assert widths and max(widths) <= graph_module._LANE_BITS
     # one pass, whose vector holds the whole set's lane only
     assert vectors == [1 << ((1 << MAX_POOL) - 1)]
+
+
+def test_the_sufficiency_vector_is_capped_on_the_pool():
+    # 25 forks: the pool minus C fits the cap, the pool does not, and the
+    # vector enumerates the pool; the refusal comes before any pass
+    dag, names = forks(MAX_POOL + 1)
+    start = time.process_time()
+    with pytest.raises(SizeLimit, match="sufficiency vector .* 25 covariates"):
+        distinguishing_context(dag, names[0])
+    assert time.process_time() - start < 0.05
+    assert dag._sufficiency is None
 
 
 def one_confounder(size, confounder):
