@@ -1,12 +1,16 @@
-/* Compiled reachability kernel: the four queries of _pure.BitDag.
+/* Compiled reachability kernel: the five queries of _pure.BitDag.
 
 Nodes are integers 0..n-1 (n <= 64); node sets are uint64 masks. Parent and
 child masks live in fixed 64-entry arrays, and entries past n stay 0.
 `closure_up` and `closure_down` close a mask under ancestors or descendants.
-`reachable` and `dsep` run `reach`, the same Bayes-Ball as the pure
-kernel's `_reachable`, with the same optional `opened` mask on `reachable`,
-in the same rounds: each moves the whole frontier of up-states and of
-down-states, one mask each, so no stack is kept. `dsep` stops at the first
+`reachable`, `landing` and `dsep` run `reach`, the same Bayes-Ball as the
+pure kernel's `_reachable`, with the same optional `opened` mask on
+`reachable`, in the same rounds: each moves the whole frontier of up-states
+and of down-states, one mask each, so no stack is kept. `reach` returns
+every node the ball arrives at, and each query masks it: `reachable` keeps
+the nodes outside z, `landing` those inside it (the proof that these are
+the nodes of z d-connected to the source given the rest of z is in the
+pure kernel's `landing`), and `dsep` its target. `dsep` stops at the first
 round that reaches its target.
 
 Every argument is a mask. A parent mask or a query mask with a bit at or
@@ -55,11 +59,12 @@ closure(const u64 *adj, u64 mask)
     return out;
 }
 
-/* nodes d-connected to the source set given z (sources included), a
-   collider also passing when it is an ancestor of opened; or, once a round
-   reaches a node of stop, the part found so far. A ball coming down into a
-   node of z or of opened bounces back up, so a collider with such a
-   descendant is passed by running down to it and climbing back. */
+/* every node the ball from the source set given z arrives at (sources
+   included), a collider also passing when it is an ancestor of opened; or,
+   once a round reaches a node of stop, the part found so far. Those outside
+   z are d-connected to the sources. A ball coming down into a node of z or
+   of opened bounces back up, so a collider with such a descendant is passed
+   by running down to it and climbing back. */
 static u64
 reach(const BitDag *d, u64 src, u64 z, u64 opened, u64 stop)
 {
@@ -79,7 +84,7 @@ reach(const BitDag *d, u64 src, u64 z, u64 opened, u64 stop)
         up |= up_new;
         down |= down_new;
     }
-    return (up | down) & ~z;
+    return up | down;
 }
 
 /* Argument conversion: 0 on success, -1 with an exception set. */
@@ -192,18 +197,30 @@ BitDag_reachable(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (arity("reachable", nargs, 2, 3) < 0 || as_query(d, args[0], &src) < 0
         || as_query(d, args[1], &z) < 0 || (nargs == 3 && as_query(d, args[2], &opened) < 0))
         return NULL;
-    return PyLong_FromUnsignedLongLong(reach(d, src, z, opened, 0));
+    return PyLong_FromUnsignedLongLong(reach(d, src, z, opened, 0) & ~z);
+}
+
+static PyObject *
+BitDag_landing(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 src, z;
+    BitDag *d = (BitDag *)self;
+    if (arity("landing", nargs, 2, 2) < 0 || as_query(d, args[0], &src) < 0
+        || as_query(d, args[1], &z) < 0)
+        return NULL;
+    return PyLong_FromUnsignedLongLong(reach(d, src, z, 0, 0) & z);
 }
 
 static PyObject *
 BitDag_dsep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    u64 a, b, z;
+    u64 a, b, z, stop;
     BitDag *d = (BitDag *)self;
     if (arity("dsep", nargs, 3, 3) < 0 || as_query(d, args[0], &a) < 0
         || as_query(d, args[1], &b) < 0 || as_query(d, args[2], &z) < 0)
         return NULL;
-    return PyBool_FromLong(!(reach(d, a, z, 0, b & ~z) & b));
+    stop = b & ~z;
+    return PyBool_FromLong(!(reach(d, a, z, 0, stop) & stop));
 }
 
 static PyObject *
@@ -218,6 +235,9 @@ static PyMethodDef BitDag_methods[] = {
     {"reachable", (PyCFunction)(void (*)(void))BitDag_reachable, METH_FASTCALL,
      "Nodes d-connected to the source set given z (sources included), with a\n"
      "collider also passing when it is an ancestor of `opened`."},
+    {"landing", (PyCFunction)(void (*)(void))BitDag_landing, METH_FASTCALL,
+     "The nodes of z that the ball from the source set given z arrives\n"
+     "at. A source inside z is returned, and sends no ball."},
     {"dsep", (PyCFunction)(void (*)(void))BitDag_dsep, METH_FASTCALL,
      "True iff every path between masks a and b is blocked by z."},
     {NULL, NULL, 0, NULL},
@@ -243,7 +263,7 @@ static PyTypeObject BitDagType = {
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "confounders._kernels._fast",
-    .m_doc = "Compiled reachability kernel: the four queries of _pure.BitDag.",
+    .m_doc = "Compiled reachability kernel: the five queries of _pure.BitDag.",
     .m_size = -1,
 };
 

@@ -17,6 +17,16 @@ set then provably stays sufficient) or numeric (exact CI tests; forward
 selection can drop a needed covariate when the CPTs hide a dependence, so
 numeric forward traces carry a caveat for every exact-independence hit
 that disagrees with the graph).
+
+Backward and forward selection read each scan's verdicts from
+`IndependenceOracle._scan`, one member at a time. A graphical scan answers
+them all from one Bayes-Ball from the outcome: a backward scan conditions
+on every member and reads the members the ball lands on (the kernel's
+`landing`), a forward scan conditions on none of its candidates and reads
+the ones it reaches (`reachable`). Dropping a member the ball did not land
+on leaves the ball as it was, so a whole backward run sends one ball. A
+numeric scan runs one exact CI test per verdict read, so it stops at the
+scan's first independence, as the traces do.
 """
 from __future__ import annotations
 
@@ -36,6 +46,9 @@ class IndependenceOracle:
 
     kind: str
     source: object
+    # the graphical oracle's last landing ball from each source mask,
+    # {src: (z, landed)}, which `_scan` reuses where it is the same ball
+    _balls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("graphical", "numeric"):
@@ -59,6 +72,48 @@ class IndependenceOracle:
         if self.kind == "graphical":
             return d_separated(self.source, set_a, set_b, given)
         return self.source.ci_test(set_a, set_b, given)
+
+    def _scan(self, target, members, given):
+        """For each V of `members` in order, read lazily: is `target`
+        independent of V given `given` minus V? The selection procedures
+        pass names of the Dag that they have checked.
+
+        The members lie all inside `given` (a backward scan drops each in
+        turn) or all outside it (a forward scan tries each on top of it),
+        and the first member tells which. The graphical oracle reads them
+        off one ball from `target` given `given`: a member inside `given`
+        is d-connected to the target given the rest iff the ball lands on
+        it (`BitDag.landing`), one outside iff the ball reaches it. The
+        numeric oracle asks `independent` for each verdict as it is read.
+
+        Taking out of z a node that the ball given z never arrives at
+        changes no move of the ball, since each move depends only on
+        whether the node it passes is in z. So where `given` is the z of
+        the last landing ball from `target` minus nodes that ball did not
+        land on, it is the same ball, and its landing set is the last one
+        cut to `given`. A backward scan drops just such a node before the
+        next scan, so one ball serves a whole backward run.
+        """
+        if self.kind == "numeric":
+            for variable in members:
+                yield self.independent({target}, {variable}, set(given) - {variable})
+            return
+        index, kernel = self.source._index, self.source._kernel
+        z = 0
+        for name in given:
+            z |= 1 << index[name]
+        src = 1 << index[target]
+        if z >> index[members[0]] & 1:
+            last = self._balls.get(src)
+            if last is not None and not z & ~last[0] and not last[0] & ~z & last[1]:
+                hit = last[1] & z
+            else:
+                hit = kernel.landing(src, z)
+            self._balls[src] = (z, hit)
+        else:
+            hit = kernel.reachable(src, z)
+        for variable in members:
+            yield not (hit >> index[variable] & 1)
 
 
 @dataclass(frozen=True)
@@ -119,10 +174,10 @@ def backward_select(oracle, start):
     changed = True
     while changed:
         changed = False
-        for variable in list(current):
-            rest = [v for v in current if v != variable]
-            given = [a] + rest
-            verdict = oracle.independent({y}, {variable}, set(given))
+        scanned = [a] + current
+        verdicts = oracle._scan(y, tuple(current), scanned)
+        for i, (variable, verdict) in enumerate(zip(current, verdicts), 1):
+            given = scanned[:i] + scanned[i + 1:]
             steps.append((variable, _query_text(y, variable, given), verdict))
             if verdict:
                 _note_unfaithful(oracle, caveats, y, variable, given)
@@ -148,11 +203,9 @@ def forward_select(oracle, candidates):
     changed = True
     while changed:
         changed = False
-        for variable in candidates:
-            if variable in current:
-                continue
-            given = [a] + current
-            verdict = oracle.independent({y}, {variable}, set(given))
+        given = [a] + current
+        untried = tuple(v for v in candidates if v not in current)
+        for variable, verdict in zip(untried, oracle._scan(y, untried, given)):
             steps.append((variable, _query_text(y, variable, given), verdict))
             if verdict:
                 _note_unfaithful(oracle, caveats, y, variable, given)

@@ -1,8 +1,9 @@
 """A census of every small DAG: the fuzzer's hard checks, the paper's
-headline result, the D1 verdicts against the sliced passes and the
-conditional confounder against its subset scan, on all graphs where random
-fuzz only samples; the last two also on every declared pre-exposure pool
-of them.
+headline result, the D1 verdicts against the sliced passes, the
+conditional confounder against its subset scan and the graphical selection
+traces against their replay, on all graphs where random fuzz only samples;
+the D1 and conditional checks also on every declared pre-exposure pool of
+them.
 
 `every_dag(n)` lists each edge set over V0 < ... < V(n-1) with every
 exposure-outcome pair a directed path joins, so every DAG on n nodes
@@ -20,6 +21,7 @@ from confounders.fuzz import _COUNTER_KEYS, _run_trial
 from confounders.graph import Dag
 from confounders.properties import _distinguishing_lanes, check_property1, check_property2a
 from helpers_oracle import all_subsets, scan_conditional
+from test_selection import check_against_replay
 from test_sliced import check_d1_against_the_passes, others, sufficient_scan
 from test_verdicts import every_dag
 
@@ -162,3 +164,17 @@ def test_conditional_confounder_matches_its_scan_on_every_small_dag(n, calls, he
 )
 def test_conditional_confounder_matches_its_scan_on_declared_pools(n, graphs, calls, held):
     assert conditional_answers(declared_pools(n)) == (graphs, calls, held)
+
+
+@pytest.mark.parametrize(
+    "n, starts, steps", [(2, 1, 0), (3, 20, 14), (4, 523, 766), (5, 22526, 51731)]
+)
+def test_selection_traces_match_their_replay_on_every_small_dag(n, starts, steps):
+    # backward from every subset of the pool, and forward over it, each
+    # trace equal to the one that asks d_separated once per step
+    counted = [
+        check_against_replay(dag, start)
+        for dag in every_dag(n)
+        for start in all_subsets(dag.covariate_pool)
+    ]
+    assert (len(counted), sum(counted)) == (starts, steps)

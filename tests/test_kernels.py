@@ -1,10 +1,10 @@
 """Bitmask reachability kernels: both backends, checked against each other
 and against a mask-free reference on random graphs.
 
-A kernel answers four queries, every argument a mask: `closure_up`,
-`closure_down`, `reachable` (with an optional collider-opening mask) and
-`dsep`. Both backends must expose exactly these and `n`, and refuse the
-same masks with the same message.
+A kernel answers five queries, every argument a mask: `closure_up`,
+`closure_down`, `reachable` (with an optional collider-opening mask),
+`landing` and `dsep`. Both backends must expose exactly these and `n`, and
+refuse the same masks with the same message.
 
 The compiled backend is built here from the hand-written `_fast.c`, once
 per session, into a temporary directory, and loaded under its own name
@@ -147,7 +147,7 @@ def test_compiled_backend_names_its_package_module(fast_build):
     assert module.BitDag.dsep.__qualname__ == "BitDag.dsep"
 
 
-KERNEL_API = {"n", "closure_up", "closure_down", "reachable", "dsep"}
+KERNEL_API = {"n", "closure_up", "closure_down", "reachable", "landing", "dsep"}
 
 
 def test_backends_expose_the_same_queries(kernel):
@@ -171,6 +171,9 @@ def test_chain_masks(kernel):
     assert dag.closure_up(0) == 0 and dag.closure_down(0) == 0
     assert dag.reachable(0b001, 0) == 0b111
     assert dag.reachable(0b001, 0b010) == 0b001
+    assert dag.landing(0b001, 0b010) == 0b010
+    assert dag.landing(0b001, 0b110) == 0b010  # 2 is cut off behind 1
+    assert dag.landing(0b001, 0b101) == 0b001  # a source inside z sends no ball
 
 
 def test_more_than_64_nodes_are_refused(kernel):
@@ -195,13 +198,15 @@ OUTSIDE = "^query mask references node >= n$"
         lambda dag, m: dag.reachable(m, 0),
         lambda dag, m: dag.reachable(1, m),
         lambda dag, m: dag.reachable(1, 0, m),
+        lambda dag, m: dag.landing(m, 0),
+        lambda dag, m: dag.landing(1, m),
         lambda dag, m: dag.dsep(m, 1, 0),
         lambda dag, m: dag.dsep(1, m, 0),
         lambda dag, m: dag.dsep(1, 2, m),
     ],
     ids=[
         "closure_up", "closure_down", "reachable_src", "reachable_z", "reachable_opened",
-        "dsep_a", "dsep_b", "dsep_z",
+        "landing_src", "landing_z", "dsep_a", "dsep_b", "dsep_z",
     ],
 )
 def test_query_mask_past_the_last_node_is_refused(kernel, query, mask):
@@ -217,12 +222,15 @@ def test_query_masks_at_full_width(kernel):
     full = 2**64 - 1
     assert dag.closure_up(full) == full and dag.closure_down(full) == full
     assert dag.reachable(1, 0) == 1 and dag.reachable(full, 0) == full
+    assert dag.landing(1, full ^ 1) == 0 and dag.landing(full, full) == full
     assert dag.dsep(1, full ^ 1, 0) and dag.dsep(1 << 63, full >> 1, 0)
     for mask in (1 << 64, -1):
         with pytest.raises(ValueError, match=OUTSIDE):
             dag.closure_up(mask)
         with pytest.raises(ValueError, match=OUTSIDE):
             dag.reachable(mask, 0)
+        with pytest.raises(ValueError, match=OUTSIDE):
+            dag.landing(1, mask)
         with pytest.raises(ValueError, match=OUTSIDE):
             dag.dsep(1, 2, mask)
 
@@ -336,6 +344,29 @@ def test_opened_colliders_against_naive_oracle(kernel):
         assert dag.reachable(1 << a, mask_of(z), 0) == dag.reachable(1 << a, mask_of(z))
 
 
+def test_landing_against_naive_oracle(kernel):
+    # a node v of z is landed on iff it is d-connected to the source given
+    # z minus v; the rest of the ball is `reachable`, and a source inside z
+    # is landed on
+    rng = random.Random(29)
+    landed = 0
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        parents = random_parent_masks(rng, n, rng.choice((0.15, 0.3, 0.5)))
+        edges = edges_from_masks(parents)
+        dag = kernel(parents)
+        s = rng.randrange(n)
+        z = [i for i in range(n) if i != s and rng.random() < rng.choice((0.3, 0.6))]
+        got = dag.landing(1 << s, mask_of(z))
+        assert got & ~mask_of(z) == 0
+        for v in z:
+            want = not naive_d_separated(edges, [s], [v], [u for u in z if u != v])
+            assert bool(got >> v & 1) == want
+            landed += want
+        assert dag.landing(1 << s, mask_of(z) | 1 << s) >> s & 1
+    assert landed > 100
+
+
 def test_dsep_stops_where_reachable_meets_the_target(kernel):
     # dsep stops at the first round that reaches b & ~z; its answer must
     # still be that of the whole reachable set, whatever the sets share
@@ -374,6 +405,8 @@ def test_backend_parity_on_random_graphs(fast_build):
         assert pure.reachable(a, z) == fast.reachable(a, z)
         opened = rng.getrandbits(n)
         assert pure.reachable(a, z, opened) == fast.reachable(a, z, opened)
+        assert pure.landing(a, z) == fast.landing(a, z)
+        assert pure.landing(a, z | a) == fast.landing(a, z | a)
         for j in range(n):
             assert pure.dsep(a, 1 << j, z) == fast.dsep(a, 1 << j, z)
 
@@ -393,6 +426,7 @@ def test_compiled_kernel_does_not_leak(fast_build):
         dag.closure_down(1)
         dag.reachable(1, r & 2)
         dag.reachable(1, r & 2, r & 4)
+        dag.landing(1, (1 << 11) | (r & 2))
         dag.dsep(1, (1 << 11) | (r & 1), 1 << 5)
         for call, *args in (
             (dag.closure_up, big),
@@ -403,6 +437,10 @@ def test_compiled_kernel_does_not_leak(fast_build):
             (dag.reachable, 1),
             (dag.reachable, 1, 0, big),
             (dag.reachable, 1, 0, 0, 0),
+            (dag.landing, big, 2),
+            (dag.landing, 1, -big),
+            (dag.landing, 1),
+            (dag.landing, 1, 2, 0),
             (dag.dsep, big << 30, 2, 0),
             (dag.dsep, 1, -big, 0),
             (dag.dsep, 1, 2, 1 << 12),

@@ -1,6 +1,7 @@
 """The README's examples run as written: its command lines on its own example
 files, its Library snippet with the values its comments give, and the kernel
-benchmark it documents."""
+benchmark and the A/B harness it documents."""
+import json
 import os
 import re
 import shlex
@@ -81,3 +82,40 @@ def test_the_kernel_benchmark_runs():
         assert lines[1].startswith("compiled ") and lines[2].startswith("speedup ")
     else:
         assert lines[1].startswith("compiled backend not built")
+
+
+def run_ab(base, change):
+    return subprocess.run(
+        [sys.executable, "benchmarks/ab.py", str(base), str(change),
+         "--workload", "graph-fuzz", "--rounds", "2", "--ops", "10"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_ab_harness_runs_the_repo_against_itself():
+    done = run_ab(ROOT, ROOT)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-2].startswith("answers identical on both sides in every round")
+    report = json.loads(lines[-1])
+    assert report["answers_identical"] and report["ops"] == 10 and report["rounds"] == 2
+    assert set(report["rows"]) == {"trial", "all", "tail"}
+    assert report["rows"]["trial"]["ops"] == 10
+
+
+def test_the_ab_harness_fails_when_the_answers_differ(tmp_path):
+    # a second tree whose workload reports one more trial than it ran
+    other = tmp_path / "other"
+    skip = shutil.ignore_patterns("__pycache__", "*.so")
+    shutil.copytree(ROOT / "src", other / "src", ignore=skip)
+    shutil.copytree(ROOT / "perfbench", other / "perfbench", ignore=skip)
+    with open(other / "perfbench" / "workloads.py", "a") as f:
+        f.write(
+            "\n_normalize = FuzzWorkload.normalize\n"
+            "FuzzWorkload.normalize = lambda self, spec, report: "
+            "{**_normalize(self, spec, report), 'trials': 2}\n"
+        )
+    done = run_ab(ROOT, other)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-2].startswith("answers differ")
+    assert not json.loads(done.stdout.splitlines()[-1])["answers_identical"]
