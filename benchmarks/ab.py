@@ -17,8 +17,9 @@ change then base, and so on. Each op is timed in CPU seconds of its worker
 The report gives, for each side, the CPU of each op kind and of the whole
 stream (median over rounds), and the workload's tail percentile of single
 op times (p98 on `query-session`), with the change/base ratio paired by
-round (median and quartiles) and the number of rounds the change was
-lower. The last stdout line is the same report as JSON. The run exits 1
+round (median and quartiles, and a distribution-free 95% interval of the
+median from the order statistics of the per-round ratios) and the number
+of rounds the change was lower. The last stdout line is the same report as JSON. The run exits 1
 when any round's answers (the normalized answers `perfbench/run.py` hashes) differ
 between the two sides or between rounds, and 0 otherwise.
 """
@@ -128,6 +129,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def median_interval(values, level=0.95):
+    """A distribution-free interval of the median: order statistics
+    (x_(k), x_(n+1-k)) of the sorted values, with the largest k that
+    leaves at most (1 - level) / 2 of Binomial(n, 1/2) below k on each
+    side, so the interval covers the median with probability at least
+    `level` whatever the distribution. (None, None) for fewer than 6
+    values, too few for a 95% interval."""
+    xs, n = sorted(values), len(values)
+    k, below = 0, 0.0
+    while k < n:
+        below += math.comb(n, k) / 2**n  # P(fewer than k + 1 values lie below the median)
+        if below > (1 - level) / 2:
+            break
+        k += 1
+    return (xs[k - 1], xs[n - k]) if k else (None, None)
+
+
 def summarize(rounds, counts, tail_pct):
     """Per op kind, the whole stream and the tail: the op count, each
     side's median over rounds (ms) and the round-paired change/base
@@ -147,6 +165,7 @@ def summarize(rounds, counts, tail_pct):
         b, c = series(base, name), series(change, name)
         ratios = [y / x for x, y in zip(b, c) if x > 0]
         q1, med, q3 = quartiles(ratios) if ratios else (None, None, None)
+        low, high = median_interval(ratios)
         rows[name] = {
             "ops": sum(counts.values()) if name in ("all", "tail") else counts[name],
             "base_ms": statistics.median(b),
@@ -154,6 +173,8 @@ def summarize(rounds, counts, tail_pct):
             "ratio": med,
             "ratio_q1": q1,
             "ratio_q3": q3,
+            "ratio_ci95_low": low,
+            "ratio_ci95_high": high,
             "change_lower": sum(y < x for x, y in zip(b, c)),
         }
     return rows
@@ -197,13 +218,15 @@ def main(argv=None):
         print(f"{side:7} {getattr(args, side)}  backend {info[side]['backend']}")
     print(f"workload {args.workload}, seed {args.seed}, {sum(counts.values())} ops a round, "
           f"{args.rounds} rounds in ABBA order, CPU ms (median over rounds)")
-    print(f"{'':12} {'ops':>6} {'base':>10} {'change':>10} {'ratio':>7} {'quartiles':>13} {'lower':>7}")
+    print(f"{'':12} {'ops':>6} {'base':>10} {'change':>10} {'ratio':>7} {'quartiles':>13} {'95% interval':>13} "
+          f"{'lower':>7}")
     for name, row in rows.items():
         label = f"p{tail_pct:g} op" if name == "tail" else name
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
         spread = "-" if row["ratio"] is None else f"{row['ratio_q1']:.3f}-{row['ratio_q3']:.3f}"
+        ci = "-" if row["ratio_ci95_low"] is None else f"{row['ratio_ci95_low']:.3f}-{row['ratio_ci95_high']:.3f}"
         print(f"{label:12} {row['ops']:6} {row['base_ms']:10.3f} {row['change_ms']:10.3f} {ratio:>7} {spread:>13} "
-              f"{row['change_lower']:>3}/{args.rounds}")
+              f"{ci:>13} {row['change_lower']:>3}/{args.rounds}")
     if identical:
         print(f"answers identical on both sides in every round ({hashes['base'][0]})")
     else:

@@ -128,16 +128,18 @@ def _sufficient(dag, covariates):
     return dag._kernel.dsep(dag._pmask[a], 1 << dag._index[dag.outcome], dag._mask(covariates) | 1 << a)
 
 
-def _first_backdoor_path(dag, noncollider_ok, collider_ok, through=0):
+def _first_backdoor_path(dag, noncollider_ok, collider_ok, through=0, cut=None, completes=None):
     """The first backdoor path, in the order of `backdoor_paths`, whose
     interior nodes are admissible and which visits every node of `through`.
 
     Masks over the Dag's node indices: an interior node where the path
     passes through must be in `noncollider_ok`, one where both edges point
     in must be in `collider_ok`. None when no backdoor path qualifies.
+    `cut` and `completes` test a prefix that has not visited `through`, as
+    `graph._first_path` states.
     """
     a, y = dag._index[dag.exposure], dag._index[dag.outcome]
-    return _first_path(dag, a, y, dag._pmask[a], noncollider_ok, collider_ok, through)
+    return _first_path(dag, a, y, dag._pmask[a], noncollider_ok, collider_ok, through, cut, completes)
 
 
 def _open_backdoor_witness(dag, covariates):

@@ -310,70 +310,82 @@ def classify_d1_numeric(model, variable):
 
 def _d2_holds(dag, variable):
     """Whether C is a non-collider on some backdoor path: the D2 verdict,
-    in polynomial time and with no path built.
-
-    Cut such a path A <- ... C ... Y at C. That gives two paths from C that
-    share only C: one ends at A, entering it from a parent of A; the other
-    ends at Y; neither passes through A or Y; and as C is no collider, at
-    most one leaves C to a parent of C. Two such paths, joined at C, are in
-    turn a backdoor path with C a non-collider. Make them paths of a
-    network: arcs both ways along every edge between nodes other than A, Y
-    and C; arcs into A from A's parents, into Y from its neighbours, and
-    none out of either; arcs from C to its children and to one virtual
-    node g, and from g to C's parents. The pair is then two C-{A, Y} paths
-    of the network that share only C, for g lets at most one of them leave
-    C upward. By the fan form of Menger's theorem, such paths exist iff no
-    set of fewer than two nodes other than C meets every C-{A, Y} path. The
-    empty set does not iff an end is reachable. An end alone does not iff
-    both are, as neither end lies on a path to the other. Any other single
-    node that meets every path lies on the one path P traced below, so each
-    node of P is tested with one reachability search.
-    """
+    in polynomial time and with no path built. It is `_d2_completes` at the
+    root of the witness search: a path from A whose step after A is a
+    parent of A, with nothing removed."""
     _require_covariate(dag, variable)
-    c, a, y = (dag._index[name] for name in (variable, dag.exposure, dag.outcome))
+    a = dag._index[dag.exposure]
+    return _d2_completes(dag, dag._index[variable], a, dag._pmask[a], 0)
+
+
+def _d2_completes(dag, c, v, step, removed):
+    """Whether some simple path from node v to Y, over nodes outside the
+    mask `removed` and with its second node in the mask `step`, passes C
+    with C a non-collider. v, C and Y are distinct nodes outside `removed`.
+
+    Cut such a path v ... C ... Y at C. That gives two paths from C that
+    share only C: one ends at v, entering it from a node of `step`; the
+    other ends at Y; neither passes through v or Y; and as C is no
+    collider, at most one leaves C to a parent of C. Two such paths, joined
+    at C, are in turn such a path. Make them paths of a network on the
+    nodes outside `removed`: arcs both ways along every edge between nodes
+    other than v, Y and C; arcs into v from the nodes of `step`, into Y
+    from its neighbours, and none out of either; arcs from C to its
+    children and to one virtual node g, and from g to C's parents. The pair
+    is then two C-{v, Y} paths of the network that share only C, for g lets
+    at most one of them leave C upward. By the fan form of Menger's
+    theorem, such paths exist iff no set of fewer than two nodes other than
+    C meets every C-{v, Y} path. The empty set does not iff an end is
+    reachable. An end alone does not iff both are, as neither end lies on a
+    path to the other. Any other single node that meets every path lies on
+    the one path P traced below, so each node of P is tested with one
+    reachability search.
+    """
+    y = dag._index[dag.outcome]
     parents, children = dag._pmask, dag._cmask
     adjacency = _skeleton(dag)
-    ends = (1 << a) | (1 << y)
-    exits = parents[a] | adjacency[y]  # the nodes with an arc into an end
-    inner = ~(ends | 1 << c)
-    first = children[c] | parents[c]  # C's first step, through g or not
+    ends = (1 << v) | (1 << y)
+    into = (1 << y) | (step >> c & 1) << v  # the ends C has an arc to, should it be adjacent
+    exits = step | adjacency[y]  # the nodes with an arc into an end
+    inner = ~(ends | 1 << c | removed)
+    first = (children[c] | parents[c]) & ~removed  # C's first step, through g or not
 
-    def cut_off(start, removed):
+    def cut_off(start, cut):
         # no end is reachable from C when its first step is `start` and the
-        # nodes of `removed` are taken out
-        if start & ends:
+        # nodes of `cut` are taken out too
+        if start & into:
             return False
-        allowed = inner & ~removed
+        allowed = inner & ~cut
         seen = frontier = start & allowed
         while frontier:
             if frontier & exits:
                 return False
-            step = 0
+            grown = 0
             for u in _bits(frontier):
-                step |= adjacency[u]
-            frontier = step & allowed & ~seen
+                grown |= adjacency[u]
+            frontier = grown & allowed & ~seen
             seen |= frontier
         return True
 
     # one search from C in rounds, until it has reached both ends
-    to_a, to_y = first >> a & 1, first >> y & 1
+    to_v, to_y = (first & into) >> v & 1, first >> y & 1
     rounds = []
     seen = frontier = first & inner
-    while frontier and not (to_a and to_y):
+    while frontier and not (to_v and to_y):
         rounds.append(frontier)
-        to_a = to_a or frontier & parents[a]
+        to_v = to_v or frontier & step
         to_y = to_y or frontier & adjacency[y]
-        step = 0
+        grown = 0
         for u in _bits(frontier):
-            step |= adjacency[u]
-        frontier = step & inner & ~seen
+            grown |= adjacency[u]
+        frontier = grown & inner & ~seen
         seen |= frontier
-    if not (to_a and to_y):
+    if not (to_v and to_y):
         return False
-    if first & ends & children[c]:
+    if first & into & children[c]:
         return True  # P is one arc, with no node inside
-    if first & ends:
-        return not cut_off(children[c], 0)  # P is C, g, Y
+    if first & into:
+        return not cut_off(children[c], 0)  # P is C, g and an end
     # P, traced back from the first round with an arc into an end
     k = next(i for i, r in enumerate(rounds) if r & exits)
     path = [_bits(rounds[k] & exits)[0]]
@@ -381,23 +393,58 @@ def _d2_holds(dag, variable):
         path.append(_bits(r & adjacency[path[-1]])[0])
     if parents[c] >> path[-1] & 1 and cut_off(children[c], 0):
         return False  # g is on P and cuts
-    return not any(cut_off(first, 1 << v) for v in path)
+    return not any(cut_off(first, 1 << u) for u in path)
 
 
 def classify_d2(dag, variable):
     """(verdict, witness path): C appears as a non-collider on some
     backdoor path; the witness is the first such path.
 
-    The verdict is `_d2_holds`; the path search runs only when it holds.
+    The verdict is `_d2_holds`; the path search (`_d2_witness`) runs only
+    when it holds.
     """
     if not _d2_holds(dag, variable):
         return False, None
-    # any node may pass along the path; C must, and not as a collider
-    c = 1 << dag._index[variable]
-    path = _first_backdoor_path(dag, -1, ~c, through=c)
+    path = _d2_witness(dag, dag._index[variable])
     if path is None:
         raise AssertionError(f"D2 holds for {variable!r} but no backdoor path shows it")
     return True, path
+
+
+def _d2_witness(dag, c):
+    """The first backdoor path with node c a non-collider on it, or None.
+
+    Any node may pass along the path; C must, and not as a collider. Until
+    the search has put C on its prefix, it drops a prefix at once when C
+    has no entry and exit left that would make it a non-collider (the
+    C-exit test, `cut`), and past its plain expansions it asks
+    `_d2_completes` of each candidate, with the candidate as the end v.
+    The C-exit test is sound: a completion enters C from a neighbour e
+    (the candidate itself, or a node off the prefix other than Y) and
+    leaves it for a neighbour x off the prefix, e and x distinct, and C is
+    a non-collider there iff e or x is a child of C.
+    """
+    neighbours, below = _skeleton(dag)[c], dag._cmask[c]
+    not_y = ~(1 << dag._index[dag.outcome])
+
+    def cut(nxt, inside):
+        # keep the prefix when an entry e and an exit x, e != x, have e or
+        # x among C's children: two distinct nodes in the masks' union
+        exits = neighbours & ~inside
+        entries = (exits | neighbours & 1 << nxt) & not_y
+        if exits:
+            pair = entries & below
+            if pair and (pair | exits) & ((pair | exits) - 1):
+                return False
+            pair = exits & below
+            if pair and entries and (pair | entries) & ((pair | entries) - 1):
+                return False
+        return True
+
+    def completes(nxt, step, inside):
+        return _d2_completes(dag, c, nxt, step, inside & ~(1 << nxt))
+
+    return _first_backdoor_path(dag, -1, ~(1 << c), 1 << c, cut, completes)
 
 
 def classify_d3(dag, variable):

@@ -15,8 +15,11 @@ computed on first use. Literal path enumeration
 cross-checks the kernel against it on random graphs, and the registry uses
 it to list paths. A single path that explains a verdict comes from
 `_first_path`, a depth-first search in the same lexicographic order that
-stops at the first admissible path instead of listing them all; its
-name-ordered neighbour table is built on a graph's first search. A question
+stops at the first admissible path instead of listing them all. It reads
+its candidates in name order off each step mask, with no neighbour table,
+and after a few plain expansions keeps only candidates from which an
+exact test (a ball for open paths, the caller's own test for D2) finds a
+completion, so it never backtracks far and needs no expansion cap. A question
 asked of every subset of a set of nodes, such as "which conditioning sets
 separate these two nodes?", is one `_sliced_dsep` pass that answers all the
 subsets at once, one bit ("lane") of an int per subset; `_lane_sets` reads
@@ -53,7 +56,6 @@ from .errors import (
 _BAD_NAME = re.compile(r"[\s,]")
 
 MAX_NODES = 64
-MAX_PATH_EXPANSIONS = 1_000_000  # nodes one `_first_path` search may expand
 _LANE_BITS = 16  # a `_sliced_dsep` pass holds lane masks of at most 2**16 bits
 
 
@@ -97,7 +99,7 @@ class Path:
 class Graph:
     """Immutable DAG. Construction validates names, edges, and acyclicity."""
 
-    __slots__ = ("nodes", "edges", "_index", "_pmask", "_cmask", "_kernel", "_topo", "_adjacency", "_search")
+    __slots__ = ("nodes", "edges", "_index", "_pmask", "_cmask", "_kernel", "_topo", "_adjacency")
 
     def __init__(self, nodes, edges):
         nodes = tuple(nodes)
@@ -146,7 +148,6 @@ class Graph:
         self._kernel = BitDag(pmask)
         self._topo = None
         self._adjacency = None  # _skeleton, made on first use
-        self._search = None  # _search_tables, made on the first path search
 
     def _toposort(self):
         n = len(self.nodes)
@@ -455,23 +456,6 @@ def enumerate_paths(graph, source, target):
     return tuple(out)
 
 
-def _reaches(adjacency, start, allowed, needed):
-    """True iff every node of mask `needed` is reachable from `start` over
-    the skeleton, stepping only onto nodes of mask `allowed`."""
-    seen = frontier = 1 << start
-    while needed & ~seen:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= adjacency[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & allowed & ~seen
-        if not frontier:
-            return False
-        seen |= frontier
-    return True
-
-
 def _skeleton(graph):
     """Each node's skeleton mask, built on first use and kept on the graph."""
     if graph._adjacency is None:
@@ -479,88 +463,176 @@ def _skeleton(graph):
     return graph._adjacency
 
 
-def _search_tables(graph):
-    """(adjacency, neighbors) of a graph, for `_first_path`: the skeleton
-    masks, and each node's neighbors in name order, built on the first
-    search and kept on the graph (`_search`)."""
-    if graph._search is None:
-        n, adjacency = len(graph.nodes), _skeleton(graph)
-        by_name = sorted(range(n), key=graph.nodes.__getitem__)
-        neighbors = tuple(tuple(j for j in by_name if adjacency[i] >> j & 1) for i in range(n))
-        graph._search = (adjacency, neighbors)
-    return graph._search
+PLAIN_EXPANSIONS = 16  # prefixes a `_first_path` search extends before it tests each candidate
 
 
-def _first_path(graph, source, target, first_step, noncollider_ok, collider_ok, through=0):
+def _first_path(
+    graph, source, target, first_step, noncollider_ok, collider_ok, through=0, cut=None, completes=None
+):
     """The lexicographically first simple path from source to target whose
     second node is in `first_step`, whose interior nodes are each admissible
     (in `noncollider_ok` where the path passes through, in `collider_ok`
     where both its edges point in) and which visits every node of `through`.
     None when no such path exists.
 
-    Nodes are indices and sets are bitmasks. Neighbors are expanded in name
-    order, as in `enumerate_paths`, so the result is the first admissible
-    entry of that listing. Two cuts drop a prefix early, and both keep the
-    order: an interior node is checked as soon as the step after it fixes
-    whether it is a collider, and a prefix is dropped when the target, or a
-    node of `through` it has not visited, is unreachable over the skeleton
-    minus the prefix. A prefix can only be completed by a simple path from
-    its last node over nodes outside it, so neither cut drops a prefix that
-    has an admissible completion.
+    Nodes are indices and sets are bitmasks. A depth-first search extends a
+    prefix by each candidate next node in name order, as `enumerate_paths`
+    expands neighbours, so the result is the first admissible entry of that
+    listing. A candidate is the node `nxt` a prefix can step to: off the
+    prefix and in the *step* of its last node, the neighbours that node may
+    move to as it was entered (to parents and children when it was entered
+    along an arrow into it and may be a collider and a non-collider; to
+    every neighbour when entered against an arrow and it may pass). Every
+    cut below drops only a prefix with no admissible completion, so the
+    order is kept:
+    - a candidate whose own step is empty, bar the target;
+    - while `through` is not visited, a candidate for which `cut(nxt,
+      inside)` holds, `inside` the prefix with nxt appended: a cheap test
+      the caller vouches is sound;
+    - once the search has extended PLAIN_EXPANSIONS prefixes, every
+      candidate with no completion: an exact test, `completes(nxt, step,
+      inside)` while `through` is not visited (the caller's; for D2,
+      `classify._d2_completes`, with its Menger proof), and otherwise a ball
+      from nxt (`_ball_reaches`, with the proof below).
+    Past the threshold every prefix the search extends can be completed,
+    so one of its candidates passes the test and the search never
+    backtracks from it: it backtracks only through the PLAIN_EXPANSIONS
+    prefixes extended before, and from the first prefix it extends past
+    the threshold it walks straight to the target, testing at most one
+    step's candidates a level. No search runs unbounded, and none is
+    capped.
 
-    Raises SizeLimit once it has expanded more than MAX_PATH_EXPANSIONS
-    nodes.
+    The ball is exact when every ancestor of an admissible collider off the
+    prefix is an admissible collider too: the open-backdoor witness, where
+    colliders are the ancestors of S, and the D2 witness once C is on the
+    prefix, where every other node is admissible. A completion is an
+    admissible path from nxt, off the prefix, whose second node is in
+    nxt's step; the ball follows every such path, so it finds each one.
+    Conversely, the ball's moves trace a walk from nxt to the target, off
+    the prefix, that starts in nxt's step and whose every visit to a node x
+    is admissible: as a non-collider x is in `noncollider_ok`, as a collider
+    in `collider_ok`. Cut the walk at a node x it visits twice, from the
+    edge it first enters x by to the edge it last leaves x by. If x passes
+    there, one of those two edges leaves x, and the visit of x it belongs to
+    had x pass too, so x is in `noncollider_ok`. If x is a collider there,
+    either it was one at one of the two visits, or the walk left x along an
+    arrow out of x at its first visit and came back into x: between them it
+    turned at a collider, the first below x, so x is an ancestor of an
+    admissible collider and admissible as one itself. Each cut keeps the
+    walk admissible and off the prefix, and the walk never returns to nxt
+    (on the prefix), so the cuts end in a completion.
     """
     parents, children = graph._pmask, graph._cmask
-    adjacency, neighbors = _search_tables(graph)
-    goal = (1 << target) | through
-    path = [source]
-    expanded = 0
-
-    def extend(current, on_path):
-        nonlocal expanded
-        if current == source:
-            step = first_step
-        elif parents[current] >> path[-2] & 1:
-            # entered along an arrow into `current`: it is a collider
-            # exactly when the next step is to one of its parents
-            step = (parents[current] if collider_ok >> current & 1 else 0) | (
-                children[current] if noncollider_ok >> current & 1 else 0
-            )
-        else:
-            step = adjacency[current] if noncollider_ok >> current & 1 else 0
-        step &= ~on_path
-        for nxt in neighbors[current]:
-            bit = 1 << nxt
-            if not step & bit:
-                continue
+    adjacency = _skeleton(graph)
+    nodes = graph.nodes
+    # candidates wait as masks over places in name order: a node's place is
+    # its index when index order is name order, and its rank otherwise
+    if list(nodes) == sorted(nodes):
+        rank = order = None
+    else:
+        order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        rank = [0] * len(nodes)
+        for place, i in enumerate(order):
+            rank[i] = place
+    plain = PLAIN_EXPANSIONS
+    path, inside = [source], 1 << source
+    waiting = [_ranked(first_step & ~inside, rank)]
+    while waiting:
+        current = path[-1]
+        left = waiting[-1]
+        while left:
+            low = left & -left
+            left ^= low
+            nxt = low.bit_length() - 1 if order is None else order[low.bit_length() - 1]
             if nxt == target:
-                if through & ~on_path:
+                if through & ~inside:
                     continue
                 path.append(nxt)
-                return True
-            expanded += 1
-            if expanded > MAX_PATH_EXPANSIONS:
-                raise SizeLimit(
-                    f"path search from {graph.nodes[source]!r} to {graph.nodes[target]!r} "
-                    f"expanded {expanded} nodes, over the cap of {MAX_PATH_EXPANSIONS}"
+                names = tuple(nodes[i] for i in path)
+                arrows = tuple("->" if parents[v] >> u & 1 else "<-" for u, v in zip(path, path[1:]))
+                return Path(names, arrows)
+            after = inside | 1 << nxt
+            if parents[nxt] >> current & 1:
+                # entered along an arrow into `nxt`: it is a collider
+                # exactly when the next step is to one of its parents
+                step = (parents[nxt] if collider_ok >> nxt & 1 else 0) | (
+                    children[nxt] if noncollider_ok >> nxt & 1 else 0
                 )
-            inside = on_path | bit
-            if not _reaches(adjacency, nxt, ~inside, goal & ~inside):
+            else:
+                step = adjacency[nxt] if noncollider_ok >> nxt & 1 else 0
+            step &= ~after
+            if not step:
                 continue
+            if through & ~after:
+                if cut(nxt, after) or plain <= 0 and not completes(nxt, step, after):
+                    continue
+            elif plain <= 0 and not _ball_reaches(
+                parents, children, nxt, step, ~after, target, noncollider_ok, collider_ok
+            ):
+                continue
+            plain -= 1
+            waiting[-1] = left
+            waiting.append(step if rank is None else _ranked(step, rank))
             path.append(nxt)
-            if extend(nxt, inside):
-                return True
-            path.pop()
-        return False
+            inside = after
+            break
+        else:
+            waiting.pop()
+            inside ^= 1 << path.pop()
+    return None
 
-    if not extend(source, 1 << source):
-        return None
-    names = tuple(graph.nodes[i] for i in path)
-    arrows = tuple(
-        "->" if parents[v] >> u & 1 else "<-" for u, v in zip(path, path[1:])
-    )
-    return Path(names, arrows)
+
+def _ranked(mask, rank):
+    """The mask with each node i moved to bit rank[i]; itself when rank is None."""
+    if rank is None:
+        return mask
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << rank[low.bit_length() - 1]
+    return out
+
+
+def _ball_reaches(parents, children, v, step, allowed, target, noncollider_ok, collider_ok):
+    """True iff a ball from node v, leaving it for a node of `step`, reaches
+    `target` over nodes of `allowed`, passing a node only if it is in
+    `noncollider_ok` and bouncing off one (in along an arrow, out to a
+    parent) only if it is in `collider_ok`: Shachter's Bayes-Ball, started
+    at v as the path entered it. `_first_path` proves it exact."""
+    tbit = 1 << target
+    if step & tbit:
+        return True
+    allowed &= ~tbit
+    # balls that arrived going up (from a child) and going down (from a parent)
+    up = seen_up = step & parents[v] & allowed
+    down = seen_down = step & children[v] & allowed
+    while up or down:
+        to_up = to_down = 0
+        passing = up & noncollider_ok
+        while passing:
+            low = passing & -passing
+            x = low.bit_length() - 1
+            passing ^= low
+            to_up |= parents[x]
+            to_down |= children[x]
+        passing = down & noncollider_ok
+        bouncing = down & collider_ok
+        while passing:
+            low = passing & -passing
+            passing ^= low
+            to_down |= children[low.bit_length() - 1]
+        while bouncing:
+            low = bouncing & -bouncing
+            bouncing ^= low
+            to_up |= parents[low.bit_length() - 1]
+        if (to_up | to_down) & tbit:
+            return True
+        up = to_up & allowed & ~seen_up
+        down = to_down & allowed & ~seen_down
+        seen_up |= up
+        seen_down |= down
+    return False
 
 
 def _bits(mask):

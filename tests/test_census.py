@@ -1,9 +1,10 @@
 """A census of every small DAG: the fuzzer's hard checks, the paper's
 headline result, the D1 verdicts against the sliced passes, the
-conditional confounder against its subset scan and the graphical selection
-traces against their replay, on all graphs where random fuzz only samples;
-the D1 and conditional checks also on every declared pre-exposure pool of
-them.
+conditional confounder against its subset scan, the graphical selection
+traces against their replay, and the two path witnesses, with their
+completion tests run from the first candidate, against the backdoor path
+listing, on all graphs where random fuzz only samples; the D1 and
+conditional checks also on every declared pre-exposure pool of them.
 
 `every_dag(n)` lists each edge set over V0 < ... < V(n-1) with every
 exposure-outcome pair a directed path joins, so every DAG on n nodes
@@ -15,12 +16,13 @@ from functools import lru_cache
 
 import pytest
 
-from confounders.adjust import _sufficient
-from confounders.classify import _TABLE, GRAPH_DEFINITIONS, conditional_confounder
+from confounders.adjust import _sufficient, backdoor_paths, is_sufficient
+from confounders.classify import _TABLE, GRAPH_DEFINITIONS, classify_d2, conditional_confounder
 from confounders.fuzz import _COUNTER_KEYS, _run_trial
-from confounders.graph import Dag
+from confounders.graph import Dag, is_blocked
 from confounders.properties import _distinguishing_lanes, check_property1, check_property2a
 from helpers_oracle import all_subsets, scan_conditional
+from test_path_search import plain_expansions
 from test_selection import check_against_replay
 from test_sliced import check_d1_against_the_passes, others, sufficient_scan
 from test_verdicts import every_dag
@@ -178,3 +180,33 @@ def test_selection_traces_match_their_replay_on_every_small_dag(n, starts, steps
         for start in all_subsets(dag.covariate_pool)
     ]
     assert (len(counted), sum(counted)) == (starts, steps)
+
+
+def witness_answers(dags):
+    """The number of D2 positives and of insufficient pool subsets over the
+    graphs; each D2 witness must be the first backdoor path with C a
+    non-collider, and each open-backdoor witness the first backdoor path
+    the subset leaves open."""
+    positives = insufficient = 0
+    for dag in dags:
+        paths = backdoor_paths(dag)
+        for variable in dag.covariate_pool:
+            want = next(
+                (p for p in paths if variable in p.interior and not p.is_collider_at(p.nodes.index(variable))),
+                None,
+            )
+            assert classify_d2(dag, variable) == (want is not None, want)
+            positives += want is not None
+        for subset in all_subsets(dag.covariate_pool):
+            want = next((p for p in paths if not is_blocked(dag, p, subset)), None)
+            assert is_sufficient(dag, subset).open_backdoor_witness == want
+            insufficient += want is not None
+    return positives, insufficient
+
+
+@pytest.mark.parametrize(
+    "n, positives, insufficient", [(2, 0, 0), (3, 1, 1), (4, 49, 59), (5, 2837, 4228)]
+)
+def test_path_witnesses_tested_at_once_match_the_listing_on_every_small_dag(n, positives, insufficient):
+    with plain_expansions(0):
+        assert witness_answers(every_dag(n)) == (positives, insufficient)

@@ -1,8 +1,7 @@
 """The README's examples run as written: its command lines on its own example
-files, its Library snippet with the values its comments give, and the kernel
-benchmark and the A/B harness it documents."""
+files, its Library snippet with the values its comments give, and the A/B
+harness it documents."""
 import json
-import os
 import re
 import shlex
 import shutil
@@ -69,21 +68,6 @@ def test_the_library_snippet_gives_its_commented_values(tmp_path, monkeypatch):
     assert names["report"].lattice_ok
 
 
-def test_the_kernel_benchmark_runs():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "benchmarks/bench_kernels.py", "--nodes", "12", "--queries", "20"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0].startswith("pure ")
-    if confounders.KERNEL_BACKEND == "compiled":
-        assert lines[1].startswith("compiled ") and lines[2].startswith("speedup ")
-    else:
-        assert lines[1].startswith("compiled backend not built")
-
-
 def run_ab(base, change):
     return subprocess.run(
         [sys.executable, "benchmarks/ab.py", str(base), str(change),
@@ -101,6 +85,24 @@ def test_the_ab_harness_runs_the_repo_against_itself():
     assert report["answers_identical"] and report["ops"] == 10 and report["rounds"] == 2
     assert set(report["rows"]) == {"trial", "all", "tail"}
     assert report["rows"]["trial"]["ops"] == 10
+    # two rounds are too few for a 95% interval of the median ratio
+    for row in report["rows"].values():
+        assert row["ratio_ci95_low"] is None and row["ratio_ci95_high"] is None
+    assert "95% interval" in lines[3]
+
+
+def test_the_median_interval_is_the_order_statistics_binomial_coverage_allows():
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        from ab import median_interval
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+    # P(Binomial(n, 1/2) <= k - 1) <= 0.025 < P(... <= k): k = 1 at n = 6,
+    # 6 at n = 20 and 14 at n = 40
+    assert median_interval([5, 1, 4, 2, 6, 3]) == (1, 6)
+    assert median_interval(list(range(20, 0, -1))) == (6, 15)
+    assert median_interval(list(range(1, 41))) == (14, 27)
+    assert median_interval([1, 2, 3, 4, 5]) == (None, None)
 
 
 def test_the_ab_harness_fails_when_the_answers_differ(tmp_path):

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 import confounders.adjust as adjust_module
 import confounders.classify as classify_module
 import confounders.properties as properties_module
-from confounders.adjust import _first_backdoor_path, minimal_sufficient_sets
+from confounders.adjust import minimal_sufficient_sets
 from confounders.classify import (
     ConfounderReport,
     _TABLE,
     _d1_contexts,
+    _d2_witness,
     _definitions,
     classify_variable,
 )
@@ -43,8 +44,7 @@ def check_verdicts(dag, model=None):
         assert table == report.verdicts
         assert (report.witnesses["D1"] is not None) == table["D1"]
         assert report.witnesses["D1"] == next(_d1_contexts(dag, variable), None)
-        c = 1 << dag._index[variable]
-        path = _first_backdoor_path(dag, -1, ~c, through=c)
+        path = _d2_witness(dag, dag._index[variable])
         assert (report.witnesses["D2"] is not None) == table["D2"] == (path is not None)
         assert report.witnesses["D2"] == path
         first = next((s for s in catalog.sets if variable in s), None)
@@ -124,20 +124,19 @@ def test_a_graph_fuzz_trial_builds_no_witness(monkeypatch):
     assert set(calls) == {"_first_path", "_lane_sets", "__init__"}
 
 
-def test_a_d2_negative_report_builds_no_neighbour_table():
-    dag = Dag(COLLIDER.nodes, COLLIDER.edges, COLLIDER.exposure, COLLIDER.outcome)
-    assert not classify_variable(dag, "C").verdicts["D2"]
-    assert dag._search is None
+def test_a_d2_negative_report_runs_no_path_search(monkeypatch):
+    calls = []
+    counted(monkeypatch, adjust_module, "_first_path", calls)
+    assert not classify_variable(COLLIDER, "C").verdicts["D2"]
+    assert calls == []
     rng = random.Random(23)
     negatives = 0
     for _ in range(200):
         dag = random_dag(rng, 8, 0.35)
         for variable in dag.covariate_pool:
-            fresh = Dag(dag.nodes, dag.edges, dag.exposure, dag.outcome)
-            report = classify_variable(fresh, variable)
-            if not report.verdicts["D2"]:
-                assert fresh._search is None
-                negatives += 1
-            else:
-                assert fresh._search is not None
+            before = len(calls)
+            report = classify_variable(dag, variable)
+            assert len(calls) - before == report.verdicts["D2"]
+            assert (report.witnesses["D2"] is not None) == report.verdicts["D2"]
+            negatives += not report.verdicts["D2"]
     assert negatives
