@@ -572,7 +572,7 @@ def _first_path(
                 continue
             plain -= 1
             waiting[-1] = left
-            waiting.append(step if rank is None else _ranked(step, rank))
+            waiting.append(_ranked(step, rank))
             path.append(nxt)
             inside = after
             break
